@@ -7,6 +7,7 @@ produce byte-identical output; every record carries mode, m, n, and seed.
 """
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -169,6 +170,8 @@ def parse_args(argv: list[str]) -> RunConfig:
     if args.command == "attack":
         if args.rounds < 1:
             raise UsageError(f"rounds must be >= 1, got {args.rounds}")
+        if not 0.0 <= args.threshold <= 1.0:  # NaN fails this comparison too
+            raise UsageError(f"threshold must be a number in [0, 1], got {args.threshold!r}")
         return RunConfig(
             mode="attack",
             m=args.m,
@@ -326,6 +329,9 @@ def execute(config: RunConfig) -> int:
     else:
         records = _table_records(config)
 
+    # A failing run (register cap, designee, branch limit) raises before its
+    # first record, so drawing that record first opens no file on failure.
+    records = itertools.chain([next(records)], records)
     if config.output_path:
         with open(config.output_path, "w") as handle:
             _emit(records, handle)
@@ -336,7 +342,8 @@ def execute(config: RunConfig) -> int:
 
 def _emit(records, handle) -> None:
     for record in records:
-        handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+        line = json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        handle.write(line + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -12,12 +12,17 @@ then measure according to the designee's grade:
   and the designee applies a Hadamard followed by a Pauli, picked by the
   Bell outcome and the two per-grade parities.
 
-``enumerate_branches`` walks every measurement branch deterministically;
-the sampled runners draw one branch from a seeded rng.
+Both the exhaustive and the sampled runs are one depth-first walk over the
+helpers' measurement tree.  Each tree node measures one helper, and that
+helper's qubit leaves the register, as Alice's two qubits do in the Bell
+measurement; so the register shrinks by one qubit per level, and every node
+is computed once and shared by all the leaves below it.
+``enumerate_branches`` descends into every possible outcome, in the order
+``itertools.product`` would list them; the sampled runners descend into one
+outcome per level, drawn from a seeded rng.
 """
 
 import functools
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -259,16 +264,86 @@ def _measurement_plan(sizes: PartySizes, designee: Designee) -> list[tuple[Role,
     return plan
 
 
+def _walk_steps(
+    sizes: PartySizes, designee: Designee
+) -> tuple[list[tuple[Role, int, MeasBasis]], int]:
+    """The measurement plan as walk steps, plus the designee's final axis.
+
+    A step is (role, axis, basis), with the helper's axis in the register
+    that is left once the earlier steps dropped their qubits.
+    """
+    register = list(range(sizes.m + sizes.n))
+    steps = []
+    for role, basis in _measurement_plan(sizes, designee):
+        q = _agent_qubit(sizes, role)
+        steps.append((role, register.index(q), basis))
+        register.remove(q)
+    return steps, register.index(_agent_qubit(sizes, designee.role))
+
+
+def _walk(
+    t: np.ndarray,
+    steps,
+    prob: float,
+    rng: np.random.Generator | None = None,
+    bits: tuple[int, ...] = (),
+):
+    """Depth first below one node: yields (register, probability, bits) per leaf.
+
+    Without ``rng`` the walk descends into every possible child, outcome 0
+    first; with one, into the single child ``rng`` draws, as ``measure`` would.
+    """
+    if len(bits) == len(steps):
+        yield t, prob, bits
+        return
+    _, axis, basis = steps[len(bits)]
+
+    def child(outcome):
+        return qstate._measure_out(t, axis, basis, outcome)
+
+    if rng is None:
+        children = ((outcome, *child(outcome)) for outcome in (0, 1))
+    else:
+        children = (qstate._sample_outcome(child, rng),)
+    for outcome, p, post in children:
+        if post is not None:
+            yield from _walk(post, steps, prob * p, rng, bits + (outcome,))
+
+
+def _branch_results(
+    designee: Designee,
+    secret: SecretState,
+    bell: BellOutcome,
+    bell_prob: float,
+    post_bell: StateVector,
+    walk_steps,
+    rng: np.random.Generator | None = None,
+):
+    """Score every leaf the walk reaches below one Bell outcome."""
+    steps, designee_axis = walk_steps
+    roles = [role for role, _, _ in steps]
+    for t, joint_prob, bits in _walk(post_bell._tensor(), steps, bell_prob, rng):
+        yield _score_branch(
+            designee,
+            secret,
+            bell,
+            StateVector(t.ndim, t.reshape(-1)),
+            designee_axis,
+            dict(zip(roles, bits)),
+            joint_prob,
+        )
+
+
 def _score_branch(
-    sizes: PartySizes,
     designee: Designee,
     secret: SecretState,
     bell: BellOutcome,
     state: StateVector,
+    q: int,
     bits: dict[Role, int],
     joint_prob: float,
-) -> tuple[TrialResult, StateVector]:
-    """Apply the table correction and measure recovery fidelity."""
+) -> TrialResult:
+    """Apply the table correction to qubit ``q`` and measure recovery fidelity."""
     if designee.role.grade == "bob":
         v_g1 = parity(bits[r] for r in bits if r.grade == "bob")
         aux = bits[Role.charlie(designee.charlie_star)]
@@ -277,21 +352,19 @@ def _score_branch(
         v_g1 = parity(bits[r] for r in bits if r.grade == "bob")
         aux = parity(bits[r] for r in bits if r.grade == "charlie")
         op = correction_for_charlie(bell, v_g1, aux)
-    q = _agent_qubit(sizes, designee.role)
     state = apply_gate(state, q, op.matrix)
     rho = reduced_density(state, q)
     xi = np.array([secret.alpha, secret.beta], dtype=complex)
     fidelity = min(float(np.real(np.conj(xi) @ rho @ xi)), 1.0)
-    result = TrialResult(
+    return TrialResult(
         bell=bell,
-        classical_bits=dict(bits),
+        classical_bits=bits,
         v_g1=v_g1,
         v_g2_or_charlie_star=aux,
         correction=op,
         branch_probability=joint_prob,
         fidelity=fidelity,
     )
-    return result, state
 
 
 def _sample_bell(
@@ -315,16 +388,9 @@ def _run_sampled(
     sizes: PartySizes, designee: Designee, secret: SecretState, rng: np.random.Generator
 ) -> TrialResult:
     _validate_designee(sizes, designee)
-    whole = _whole_state(sizes, secret)
-    bell, joint_prob, state = _sample_bell(whole, rng)
-    bits: dict[Role, int] = {}
-    for role, basis in _measurement_plan(sizes, designee):
-        outcome, prob, state = qstate._measure_with_prob(
-            state, _agent_qubit(sizes, role), basis, rng
-        )
-        bits[role] = encode_outcome(basis, outcome)
-        joint_prob *= prob
-    result, _ = _score_branch(sizes, designee, secret, bell, state, bits, joint_prob)
+    walk_steps = _walk_steps(sizes, designee)
+    bell, bell_prob, post_bell = _sample_bell(_whole_state(sizes, secret), rng)
+    (result,) = _branch_results(designee, secret, bell, bell_prob, post_bell, walk_steps, rng)
     return result
 
 
@@ -358,8 +424,8 @@ def enumerate_branches(
     returned results sum to 1.
     """
     _validate_designee(sizes, designee)
-    plan = _measurement_plan(sizes, designee)
-    total = 4 * 2 ** len(plan)
+    walk_steps = _walk_steps(sizes, designee)
+    total = 4 * 2 ** len(walk_steps[0])
     if total > branch_limit:
         raise BranchLimitError(
             f"{total} branches exceed the limit of {branch_limit}"
@@ -368,22 +434,10 @@ def enumerate_branches(
     results = []
     for bell in BellOutcome:
         bell_prob, post_bell = bell_project(whole, _SECRET_QUBIT, _ALICE_QUBIT, bell)
-        if post_bell is None:
-            continue
-        for forced in itertools.product((0, 1), repeat=len(plan)):
-            state, joint_prob = post_bell, bell_prob
-            bits: dict[Role, int] = {}
-            for (role, basis), outcome in zip(plan, forced):
-                prob, state = qstate.project(state, _agent_qubit(sizes, role), basis, outcome)
-                if state is None:
-                    break
-                joint_prob *= prob
-                bits[role] = encode_outcome(basis, outcome)
-            else:
-                result, _ = _score_branch(
-                    sizes, designee, secret, bell, state, bits, joint_prob
-                )
-                results.append(result)
+        if post_bell is not None:
+            results.extend(
+                _branch_results(designee, secret, bell, bell_prob, post_bell, walk_steps)
+            )
     return results
 
 

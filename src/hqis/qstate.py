@@ -38,9 +38,20 @@ class RegisterCapError(ResourceLimitError):
 
 
 def register_cap() -> int:
-    """Current register-size cap; HQIS_MAX_QUBITS overrides the default of 24."""
+    """Current register-size cap; HQIS_MAX_QUBITS overrides the default of 24.
+
+    Raises ValueError unless the override is a positive integer.
+    """
     override = os.environ.get("HQIS_MAX_QUBITS")
-    return int(override) if override else DEFAULT_MAX_QUBITS
+    if not override:
+        return DEFAULT_MAX_QUBITS
+    try:
+        cap = int(override)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"HQIS_MAX_QUBITS must be a positive integer, got {override!r}")
+    return cap
 
 
 def _check_cap(num_qubits: int) -> None:
@@ -200,6 +211,30 @@ def permute_qubits(state: StateVector, perm: list[int]) -> StateVector:
     return StateVector(state.num_qubits, t.reshape(-1))
 
 
+def _contract(
+    t: np.ndarray, bra: np.ndarray, axes: tuple[int, ...]
+) -> tuple[float, np.ndarray | None]:
+    """Contract ``bra`` against ``axes`` of the amplitude tensor ``t``.
+
+    The contracted axes leave the tensor; the rest keep their order.  Returns
+    the probability and the renormalized remainder ``coeff/√p``, or ``None``
+    in place of the remainder below ``ZERO_BRANCH_TOL``.
+    """
+    coeff = np.tensordot(bra, t, axes=(list(range(bra.ndim)), list(axes)))
+    prob = float(np.sum(np.abs(coeff) ** 2))
+    if prob < ZERO_BRANCH_TOL:
+        return prob, None
+    return prob, coeff / np.sqrt(prob)
+
+
+def _measure_out(
+    t: np.ndarray, axis: int, basis: MeasBasis, outcome: int
+) -> tuple[float, np.ndarray | None]:
+    """Measure ``axis`` of the amplitude tensor ``t`` and drop it, as
+    :func:`_contract` does with the bra of the basis outcome."""
+    return _contract(t, np.conj(_BASIS_VECTORS[basis][outcome]), (axis,))
+
+
 def project(
     state: StateVector, q: int, basis: MeasBasis, outcome: int
 ) -> tuple[float, StateVector | None]:
@@ -213,32 +248,36 @@ def project(
     _check_qubit(state, q)
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
-    vec = _BASIS_VECTORS[basis][outcome]
-    coeff = np.tensordot(np.conj(vec), state._tensor(), axes=([0], [q]))
-    prob = float(np.sum(np.abs(coeff) ** 2))
-    if prob < ZERO_BRANCH_TOL:
+    prob, coeff = _measure_out(state._tensor(), q, basis, outcome)
+    if coeff is None:
         return prob, None
-    collapsed = np.moveaxis(np.multiply.outer(vec, coeff / np.sqrt(prob)), 0, q)
+    vec = _BASIS_VECTORS[basis][outcome]
+    collapsed = np.moveaxis(np.multiply.outer(vec, coeff), 0, q)
     return prob, StateVector(state.num_qubits, collapsed.reshape(-1))
 
 
-def _measure_with_prob(
-    state: StateVector, q: int, basis: MeasBasis, rng: np.random.Generator
-) -> tuple[int, float, StateVector]:
-    p0, collapsed0 = project(state, q, basis, 0)
-    if collapsed0 is not None and rng.random() < p0:
-        return 0, p0, collapsed0
-    p1, collapsed1 = project(state, q, basis, 1)
-    if collapsed1 is None:
-        return 0, p0, collapsed0
-    return 1, p1, collapsed1
+def _sample_outcome(branch, rng: np.random.Generator):
+    """Draw outcome 0 or 1 of one measurement, given ``branch(outcome)`` that
+    returns ``(prob, post)`` with ``post`` ``None`` for an impossible outcome.
+
+    Makes one ``rng.random()`` call, and only when outcome 0 is possible, so
+    a seeded rng draws the same outcome whatever form ``post`` takes.
+    Returns ``(outcome, prob, post)``.
+    """
+    p0, post0 = branch(0)
+    if post0 is not None and rng.random() < p0:
+        return 0, p0, post0
+    p1, post1 = branch(1)
+    if post1 is None:
+        return 0, p0, post0
+    return 1, p1, post1
 
 
 def measure(
     state: StateVector, q: int, basis: MeasBasis, rng: np.random.Generator
 ) -> tuple[int, StateVector]:
     """Sample a measurement of qubit ``q``; deterministic for a seeded rng."""
-    outcome, _, collapsed = _measure_with_prob(state, q, basis, rng)
+    outcome, _, collapsed = _sample_outcome(lambda o: project(state, q, basis, o), rng)
     return outcome, collapsed
 
 
@@ -258,12 +297,10 @@ def bell_project(
     if state.num_qubits < 3:
         raise ValueError("Bell projection would leave an empty register")
     bell = np.conj(outcome.vector).reshape(2, 2)
-    coeff = np.tensordot(bell, state._tensor(), axes=([0, 1], [q1, q2]))
-    prob = float(np.sum(np.abs(coeff) ** 2))
-    if prob < ZERO_BRANCH_TOL:
+    prob, coeff = _contract(state._tensor(), bell, (q1, q2))
+    if coeff is None:
         return prob, None
-    collapsed = (coeff / np.sqrt(prob)).reshape(-1)
-    return prob, StateVector(state.num_qubits - 2, collapsed)
+    return prob, StateVector(state.num_qubits - 2, coeff.reshape(-1))
 
 
 def reduced_density(state: StateVector, q: int) -> np.ndarray:

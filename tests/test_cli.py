@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -7,12 +8,14 @@ from hqis.adversary import Scenario
 from hqis.cli import (
     RunConfig,
     UsageError,
+    _emit,
     derived_rng,
     execute,
     main,
     parse_args,
     resolve_secret,
 )
+from hqis.qstate import register_cap
 
 # The Bob-designee correction table, expanded over both Bell signs.
 GOLDEN_BOB_TABLE = {
@@ -290,3 +293,45 @@ def test_execute_writes_records_for_a_parsed_config(tmp_path):
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert records[-1]["record"] == "summary"
     assert records[-1]["branches"] == 8
+
+
+def test_failed_run_leaves_no_output_file(tmp_path, capsys):
+    out = tmp_path / "records.ndjson"
+    argv = ["run", "--m", "12", "--n", "12", "--designee", "bob:1", "--charlie-star", "1",
+            "--output", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
+    out.write_text("earlier run\n")
+    assert main(argv) == 2
+    assert out.read_text() == "earlier run\n"
+    assert list(tmp_path.iterdir()) == [out]
+    assert capsys.readouterr().err.count("error:") == 2
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_register_cap_must_be_a_positive_integer(monkeypatch, capsys, value):
+    monkeypatch.setenv("HQIS_MAX_QUBITS", value)
+    with pytest.raises(ValueError, match="HQIS_MAX_QUBITS"):
+        register_cap()
+    code = main(["run", "--m", "1", "--n", "1", "--designee", "bob:1", "--charlie-star", "1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: HQIS_MAX_QUBITS must be a positive integer, got {value!r}"
+    ]
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "-0.1", "1.5"])
+def test_attack_rejects_threshold_outside_unit_interval(capsys, threshold):
+    code = main(["attack", "--m", "1", "--n", "1", "--rounds", "10", f"--threshold={threshold}"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: threshold")
+
+
+def test_emitted_json_is_strict():
+    with pytest.raises(ValueError):
+        _emit([{"rate": float("nan")}], io.StringIO())

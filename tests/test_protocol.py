@@ -4,6 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 from conftest import random_secrets
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hqis.channel import PartySizes, SecretState, compose_with_secret, make_channel
 from hqis.protocol import (
@@ -24,6 +26,7 @@ from hqis.protocol import (
     run_bob_recovery,
     run_charlie_recovery,
 )
+from hqis.cli import derived_rng
 from hqis.qstate import (
     MeasBasis,
     apply_gate,
@@ -409,3 +412,118 @@ def test_sampled_branch_frequencies_match_enumeration():
     for key, prob in expected.items():
         stderr = np.sqrt(prob * (1 - prob) / trials)
         assert abs(counts[key] / trials - prob) <= 3 * stderr
+
+
+# --- the prefix-sharing walk against the per-leaf reference ---
+
+def _reference_plan(sizes, designee):
+    """Helper measurements in protocol order, written out independently."""
+    plus_minus = MeasBasis.PLUS_MINUS
+    bobs = [Role.bob(i) for i in range(1, sizes.m + 1) if Role.bob(i) != designee.role]
+    if designee.role.grade == "bob":
+        star = Role.charlie(designee.charlie_star)
+        return [(r, plus_minus) for r in bobs] + [(star, MeasBasis.COMPUTATIONAL)]
+    charlies = [Role.charlie(j) for j in range(1, sizes.n + 1) if Role.charlie(j) != designee.role]
+    return [(r, plus_minus) for r in bobs + charlies]
+
+
+def _reference_qubit(sizes, role):
+    # register order after the Bell projection dropped S and A: Bobs, then Charlies
+    return role.index - 1 if role.grade == "bob" else sizes.m + role.index - 1
+
+
+def _reference_score(sizes, designee, secret, bell, state, bits, prob):
+    v_g1 = parity(bit for role, bit in bits.items() if role.grade == "bob")
+    if designee.role.grade == "bob":
+        aux = bits[Role.charlie(designee.charlie_star)]
+        op = correction_for_bob(bell, v_g1 ^ aux)
+    else:
+        aux = parity(bit for role, bit in bits.items() if role.grade == "charlie")
+        op = correction_for_charlie(bell, v_g1, aux)
+    q = _reference_qubit(sizes, designee.role)
+    rho = reduced_density(apply_gate(state, q, op.matrix), q)
+    xi = np.array([secret.alpha, secret.beta])
+    return bell, bits, v_g1, aux, op, prob, float(np.real(np.conj(xi) @ rho @ xi))
+
+
+def _reference_enumeration(sizes, designee, secret):
+    """The per-leaf algorithm: every branch re-projects its whole prefix on the
+    full register with the public ``project``, which keeps measured qubits."""
+    whole = compose_with_secret(secret, make_channel(sizes))
+    plan = _reference_plan(sizes, designee)
+    for bell in BellOutcome:
+        bell_prob, post_bell = bell_project(whole, 0, 1, bell)
+        if post_bell is None:
+            continue
+        for forced in itertools.product((0, 1), repeat=len(plan)):
+            state, prob, bits = post_bell, bell_prob, {}
+            for (role, basis), outcome in zip(plan, forced):
+                p, state = project(state, _reference_qubit(sizes, role), basis, outcome)
+                if state is None:
+                    break
+                prob *= p
+                bits[role] = outcome
+            else:
+                yield _reference_score(sizes, designee, secret, bell, state, bits, prob)
+
+
+def _reference_sample(sizes, designee, secret, rng):
+    """One sampled run on the full register: one draw for the Bell outcome, then
+    one per helper, made only when that helper's outcome 0 is possible."""
+    whole = compose_with_secret(secret, make_channel(sizes))
+    draw, cumulative = rng.random(), 0.0
+    for bell in BellOutcome:
+        bell_prob, post_bell = bell_project(whole, 0, 1, bell)
+        if post_bell is None:
+            continue
+        chosen = bell, bell_prob, post_bell
+        cumulative += bell_prob
+        if draw < cumulative:
+            break
+    bell, prob, state = chosen
+    bits = {}
+    for role, basis in _reference_plan(sizes, designee):
+        q = _reference_qubit(sizes, role)
+        p0, post0 = project(state, q, basis, 0)
+        if post0 is not None and rng.random() < p0:
+            outcome, p, state = 0, p0, post0
+        else:
+            p1, post1 = project(state, q, basis, 1)
+            outcome, p, state = (0, p0, post0) if post1 is None else (1, p1, post1)
+        prob *= p
+        bits[role] = outcome
+    return _reference_score(sizes, designee, secret, bell, state, bits, prob)
+
+
+def _assert_same_branch(result, expected):
+    bell, bits, v_g1, aux, op, prob, fidelity = expected
+    assert result.bell is bell
+    assert list(result.classical_bits.items()) == list(bits.items())
+    assert (result.v_g1, result.v_g2_or_charlie_star) == (v_g1, aux)
+    assert result.correction is op
+    assert abs(result.branch_probability - prob) <= 1e-12
+    assert abs(result.fidelity - fidelity) <= 1e-12
+
+
+@pytest.mark.parametrize("grade", ["bob", "charlie"])
+@given(m=st.integers(1, 4), n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_walk_matches_per_leaf_reference(grade, m, n, seed, data):
+    sizes = PartySizes(m, n)
+    (secret,) = random_secrets(1, seed)
+    if grade == "bob":
+        designee = Designee.bob(data.draw(st.integers(1, m)), data.draw(st.integers(1, n)))
+        runner = run_bob_recovery
+    else:
+        designee = Designee.charlie(data.draw(st.integers(1, n)))
+        runner = run_charlie_recovery
+    results = enumerate_branches(sizes, designee, secret)
+    expected = list(_reference_enumeration(sizes, designee, secret))
+    assert len(results) == len(expected)
+    for result, branch in zip(results, expected):
+        _assert_same_branch(result, branch)
+    for k in range(8):
+        _assert_same_branch(
+            runner(sizes, designee, secret, derived_rng(seed, 1, k)),
+            _reference_sample(sizes, designee, secret, derived_rng(seed, 1, k)),
+        )
