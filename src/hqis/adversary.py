@@ -13,7 +13,10 @@ from enum import Enum
 import numpy as np
 
 from .channel import PartySizes, make_channel, make_fake_channel
-from .qstate import MeasBasis, StateVector, project, tensor
+from .qstate import MeasBasis, StateVector, _check_cap, project, tensor
+
+# Check rounds drawn per call of the generator; bounds the memory of a check.
+_CHUNK_ROUNDS = 2**16
 
 
 class Scenario(Enum):
@@ -39,6 +42,8 @@ def build_scenario_state(sizes: PartySizes, scenario: Scenario) -> StateVector:
     captured block) tensored with the fake channel the agents receive.
     Raises RegisterCapError when the combined register exceeds the cap;
     use :func:`exact_detection_probability` for sizes past that point.
+    :func:`correlation_check` samples this state's outcomes from its support
+    alone; the dense state is kept as the reference the tests compare with.
     """
     honest = make_channel(sizes)
     if scenario is Scenario.HONEST:
@@ -57,6 +62,12 @@ def _delivered_qubits(sizes: PartySizes, scenario: Scenario) -> tuple[int, list[
     return 0, bobs, charlies
 
 
+def _support(state: StateVector) -> tuple[np.ndarray, np.ndarray]:
+    """(basis indices, amplitudes) of the state's nonzero entries, in index order."""
+    indices = np.flatnonzero(state.amplitudes)
+    return indices, state.amplitudes[indices]
+
+
 def correlation_check(
     sizes: PartySizes,
     scenario: Scenario,
@@ -67,27 +78,44 @@ def correlation_check(
     """Run sacrificed check rounds where everyone measures computationally.
 
     Eve's retained block never enters the statistics, so it is left
-    unmeasured.  All the measured observables commute, which lets each
-    round be one draw from the joint outcome distribution.
+    unmeasured.  All the measured observables commute, so each round is one
+    draw from the outcome distribution of :func:`build_scenario_state`.
+    That state is never built: its support is the outer product of the
+    factors' supports (4 entries honest, 16 under attack), and rounds are
+    drawn over it in chunks of ``_CHUNK_ROUNDS``, so memory does not grow
+    with ``rounds``.  Zero-probability entries leave every partial sum of
+    the distribution unchanged and chunked draws continue one stream, so a
+    seed gives the same tallies as one draw per round over the dense state.
+    Under attack the joint register of 1+2(m+n) qubits is still held to the
+    register cap.
     """
     if rounds < 1:
         raise ValueError(f"need at least one round, got {rounds}")
-    state = build_scenario_state(sizes, scenario)
+    indices, amps = _support(make_channel(sizes))
+    total = sizes.channel_qubits
+    if scenario is Scenario.INTERCEPT_RESEND:
+        fake = make_fake_channel(sizes)
+        total += fake.num_qubits
+        _check_cap(total)
+        fake_indices, fake_amps = _support(fake)
+        indices = np.add.outer(indices << fake.num_qubits, fake_indices).ravel()
+        amps = np.outer(amps, fake_amps).ravel()
     alice_q, bob_qs, charlie_qs = _delivered_qubits(sizes, scenario)
 
-    probs = np.abs(state.amplitudes) ** 2
+    probs = np.abs(amps) ** 2
     probs /= probs.sum()
-    draws = rng.choice(probs.size, size=rounds, p=probs)
-
-    total = state.num_qubits
+    counts = np.zeros(probs.size, dtype=np.int64)
+    for start in range(0, rounds, _CHUNK_ROUNDS):
+        draws = rng.choice(probs.size, size=min(_CHUNK_ROUNDS, rounds - start), p=probs)
+        counts += np.bincount(draws, minlength=probs.size)
 
     def bit(q):
-        return (draws >> (total - 1 - q)) & 1
+        return (indices >> (total - 1 - q)) & 1
 
     alice_bits = bit(alice_q)
-    bob_matches = [int(np.sum(bit(q) == alice_bits)) for q in bob_qs]
+    bob_matches = [int(counts[bit(q) == alice_bits].sum()) for q in bob_qs]
     charlie_bits = np.stack([bit(q) for q in charlie_qs])
-    charlies_agree = int(np.sum(np.all(charlie_bits == charlie_bits[0], axis=0)))
+    charlies_agree = int(counts[np.all(charlie_bits == charlie_bits[0], axis=0)].sum())
 
     match_rates = tuple(count / rounds for count in bob_matches)
     rule = f"flag when any Alice-vs-Bob computational match rate drops below {threshold}"

@@ -19,7 +19,6 @@ from .adversary import (
     Scenario,
     correlation_check,
     exact_detection_probability,
-    missed_detection_probability,
 )
 from .channel import PartySizes, SecretState
 from .protocol import (
@@ -32,7 +31,7 @@ from .protocol import (
     run_bob_recovery,
     run_charlie_recovery,
 )
-from .qstate import ResourceLimitError
+from .qstate import ResourceLimitError, register_cap
 
 SECRET_NORM_SLACK = 1e-6
 
@@ -283,6 +282,14 @@ def _attack_records(config: RunConfig):
         derived_rng(config.seed, _STREAM_ATTACK),
         threshold=config.threshold,
     )
+    # The missed-detection figure is the intercept-resend one in either
+    # scenario (as missed_detection_probability computes it), so that rate
+    # is computed once and serves both fields.
+    attack_rate = exact_detection_probability(sizes)
+    if config.attack_scenario is Scenario.INTERCEPT_RESEND:
+        exact_rate = attack_rate
+    else:
+        exact_rate = exact_detection_probability(sizes, config.attack_scenario)
     yield _base_record(config, "check") | {
         "scenario": config.attack_scenario.value,
         "rounds": stats.rounds,
@@ -291,10 +298,8 @@ def _attack_records(config: RunConfig):
         "charlie_group_consistent_rate": stats.charlie_group_consistent_rate,
         "detected": stats.detected,
         "detection_rule": stats.detection_rule,
-        "exact_mismatch_probability": exact_detection_probability(
-            sizes, config.attack_scenario
-        ),
-        "missed_detection_probability": missed_detection_probability(sizes, config.rounds),
+        "exact_mismatch_probability": exact_rate,
+        "missed_detection_probability": (1.0 - attack_rate) ** config.rounds,
     }
 
 
@@ -322,6 +327,7 @@ def _table_records(config: RunConfig):
 
 def execute(config: RunConfig) -> int:
     """Emit all records for the config; returns the process exit status."""
+    register_cap()  # validates HQIS_MAX_QUBITS in every mode, tables included
     if config.mode in ("sample", "enumerate"):
         records = _run_records(config)
     elif config.mode == "attack":

@@ -1,10 +1,14 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hqis.adversary import (
+    _CHUNK_ROUNDS,
+    CheckStats,
     Scenario,
+    _delivered_qubits,
     build_scenario_state,
     correlation_check,
     exact_detection_probability,
@@ -132,3 +136,71 @@ def test_check_reproducible_for_seed():
 def test_rounds_must_be_positive():
     with pytest.raises(ValueError):
         correlation_check(PartySizes(1, 1), Scenario.HONEST, 0, np.random.default_rng(0))
+
+
+def _dense_correlation_check(sizes, scenario, rounds, rng, threshold=0.99):
+    """Reference: one draw per round over every amplitude of the joint state."""
+    state = build_scenario_state(sizes, scenario)
+    alice_q, bob_qs, charlie_qs = _delivered_qubits(sizes, scenario)
+
+    probs = np.abs(state.amplitudes) ** 2
+    probs /= probs.sum()
+    draws = rng.choice(probs.size, size=rounds, p=probs)
+
+    total = state.num_qubits
+
+    def bit(q):
+        return (draws >> (total - 1 - q)) & 1
+
+    alice_bits = bit(alice_q)
+    bob_matches = [int(np.sum(bit(q) == alice_bits)) for q in bob_qs]
+    charlie_bits = np.stack([bit(q) for q in charlie_qs])
+    charlies_agree = int(np.sum(np.all(charlie_bits == charlie_bits[0], axis=0)))
+
+    match_rates = tuple(count / rounds for count in bob_matches)
+    rule = f"flag when any Alice-vs-Bob computational match rate drops below {threshold}"
+    return CheckStats(
+        rounds=rounds,
+        alice_bob_match_rates=match_rates,
+        charlie_group_consistent_rate=charlies_agree / rounds,
+        detected=any(rate < threshold for rate in match_rates),
+        detection_rule=rule,
+    )
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+@pytest.mark.parametrize("m,n", ALL_SIZES)
+def test_support_check_equals_dense_reference(m, n, scenario):
+    sizes = PartySizes(m, n)
+    for rounds in (1, _CHUNK_ROUNDS - 1, _CHUNK_ROUNDS, _CHUNK_ROUNDS + 1, 3 * _CHUNK_ROUNDS + 17):
+        seed = (rounds, m, n, int(scenario is Scenario.HONEST))
+        expected = _dense_correlation_check(
+            sizes, scenario, rounds, np.random.default_rng(seed), threshold=0.7
+        )
+        got = correlation_check(sizes, scenario, rounds, np.random.default_rng(seed), threshold=0.7)
+        assert got == expected, (m, n, scenario, rounds)
+
+
+def test_check_memory_does_not_grow_with_rounds():
+    bound = 4 * 2**20
+    for rounds in (10**5, 4 * 10**6):
+        tracemalloc.start()
+        try:
+            correlation_check(
+                PartySizes(1, 1), Scenario.INTERCEPT_RESEND, rounds, np.random.default_rng(5)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (rounds, peak)
+
+
+def test_check_cap_covers_the_joint_register(monkeypatch):
+    # m=3, n=2 under attack: 1 + 2 * 5 = 11 joint qubits, past a cap of 10
+    monkeypatch.setenv("HQIS_MAX_QUBITS", "10")
+    rng = np.random.default_rng(0)
+    correlation_check(PartySizes(3, 2), Scenario.HONEST, 10, rng)
+    with pytest.raises(RegisterCapError):
+        correlation_check(PartySizes(3, 2), Scenario.INTERCEPT_RESEND, 10, rng)
+    monkeypatch.setenv("HQIS_MAX_QUBITS", "11")
+    correlation_check(PartySizes(3, 2), Scenario.INTERCEPT_RESEND, 10, rng)

@@ -4,7 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from hqis.adversary import Scenario
+from hqis.adversary import (
+    Scenario,
+    exact_detection_probability,
+    missed_detection_probability,
+)
+from hqis.channel import PartySizes
 from hqis.cli import (
     RunConfig,
     UsageError,
@@ -212,6 +217,19 @@ def test_attack_mode_intercept_resend(tmp_path):
     assert record["missed_detection_probability"] == pytest.approx(0.5**5000, abs=1e-300)
 
 
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_attack_missed_probability_is_the_intercept_resend_figure(tmp_path, scenario):
+    sizes = PartySizes(2, 3)
+    code, records = run_cli(
+        ["attack", "--m", "2", "--n", "3", "--scenario", scenario.value, "--rounds", "7"],
+        tmp_path / "out.ndjson",
+    )
+    assert code == 0
+    (record,) = records
+    assert record["exact_mismatch_probability"] == exact_detection_probability(sizes, scenario)
+    assert record["missed_detection_probability"] == missed_detection_probability(sizes, 7)
+
+
 def test_tables_mode_matches_golden_rows(tmp_path):
     code, records = run_cli(["tables"], tmp_path / "tables.ndjson")
     assert code == 0
@@ -321,6 +339,20 @@ def test_register_cap_must_be_a_positive_integer(monkeypatch, capsys, value):
     assert captured.err.splitlines() == [
         f"error: HQIS_MAX_QUBITS must be a positive integer, got {value!r}"
     ]
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_tables_also_rejects_a_bad_register_cap(monkeypatch, capsys, tmp_path, value):
+    monkeypatch.setenv("HQIS_MAX_QUBITS", value)
+    out = tmp_path / "tables.ndjson"
+    assert main(["tables"]) == 1
+    assert main(["tables", "--output", str(out)]) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: HQIS_MAX_QUBITS must be a positive integer, got {value!r}"
+    ] * 2
 
 
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "-0.1", "1.5"])
