@@ -34,6 +34,7 @@ from .protocol import (
     correction_for_charlie,
     encode_outcome,
     enumerate_branches,
+    iter_branches,
     parity,
     run_bob_recovery,
     run_charlie_recovery,
@@ -82,6 +83,7 @@ __all__ = [
     "enumerate_branches",
     "exact_detection_probability",
     "fidelity_with_secret",
+    "iter_branches",
     "make_channel",
     "make_fake_channel",
     "make_standard_form",

@@ -12,8 +12,14 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import PartySizes, make_channel, make_fake_channel
-from .qstate import MeasBasis, StateVector, _check_cap, project, tensor
+from .channel import (
+    PartySizes,
+    _channel_support,
+    _fake_channel_support,
+    make_channel,
+    make_fake_channel,
+)
+from .qstate import StateVector, _check_cap, tensor
 
 # Check rounds drawn per call of the generator; bounds the memory of a check.
 _CHUNK_ROUNDS = 2**16
@@ -40,10 +46,10 @@ def build_scenario_state(sizes: PartySizes, scenario: Scenario) -> StateVector:
 
     Honest: the channel itself.  Under attack: channel (Alice + Eve's
     captured block) tensored with the fake channel the agents receive.
-    Raises RegisterCapError when the combined register exceeds the cap;
-    use :func:`exact_detection_probability` for sizes past that point.
-    :func:`correlation_check` samples this state's outcomes from its support
-    alone; the dense state is kept as the reference the tests compare with.
+    Raises RegisterCapError when the combined register exceeds the cap.
+    :func:`correlation_check` and :func:`exact_detection_probability` work
+    on this state's support alone; the dense state is kept as the reference
+    the tests compare with.
     """
     honest = make_channel(sizes)
     if scenario is Scenario.HONEST:
@@ -62,10 +68,42 @@ def _delivered_qubits(sizes: PartySizes, scenario: Scenario) -> tuple[int, list[
     return 0, bobs, charlies
 
 
-def _support(state: StateVector) -> tuple[np.ndarray, np.ndarray]:
-    """(basis indices, amplitudes) of the state's nonzero entries, in index order."""
-    indices = np.flatnonzero(state.amplitudes)
-    return indices, state.amplitudes[indices]
+def _joint_support(sizes: PartySizes, scenario: Scenario):
+    """(qubit count, (basis index, amplitude) pairs) of
+    :func:`build_scenario_state`, in index order.
+
+    Built from the channel module's pairs: under attack the support is the
+    outer product of the channel's 4 and the fake channel's 4.
+    """
+    pairs = _channel_support(sizes)
+    total = sizes.channel_qubits
+    if scenario is Scenario.INTERCEPT_RESEND:
+        fake_qubits = sizes.m + sizes.n
+        pairs = [
+            (index << fake_qubits | fake_index, amp * fake_amp)
+            for index, amp in pairs
+            for fake_index, fake_amp in _fake_channel_support(sizes)
+        ]
+        total += fake_qubits
+    return total, pairs
+
+
+def _outcomes(sizes: PartySizes, scenario: Scenario):
+    """Each support entry's probability and computational outcome bits:
+    ``(probs, [(alice bit, Bob bits, Charlie bits), ...])``."""
+    total, pairs = _joint_support(sizes, scenario)
+    alice_q, bob_qs, charlie_qs = _delivered_qubits(sizes, scenario)
+
+    def bit(index, q):
+        return (index >> (total - 1 - q)) & 1
+
+    probs = np.abs(np.array([amp for _, amp in pairs])) ** 2
+    probs /= probs.sum()
+    bits = [
+        (bit(index, alice_q), [bit(index, q) for q in bob_qs], [bit(index, q) for q in charlie_qs])
+        for index, _ in pairs
+    ]
+    return probs, bits
 
 
 def correlation_check(
@@ -81,41 +119,33 @@ def correlation_check(
     unmeasured.  All the measured observables commute, so each round is one
     draw from the outcome distribution of :func:`build_scenario_state`.
     That state is never built: its support is the outer product of the
-    factors' supports (4 entries honest, 16 under attack), and rounds are
-    drawn over it in chunks of ``_CHUNK_ROUNDS``, so memory does not grow
-    with ``rounds``.  Zero-probability entries leave every partial sum of
-    the distribution unchanged and chunked draws continue one stream, so a
-    seed gives the same tallies as one draw per round over the dense state.
+    factors' supports (4 entries honest, 16 under attack), taken from the
+    channel module's pairs, and rounds are drawn over it in chunks of
+    ``_CHUNK_ROUNDS``, so memory grows neither with ``rounds`` nor with
+    m + n.  Zero-probability entries leave every partial sum of the
+    distribution unchanged and chunked draws continue one stream, so a seed
+    gives the same tallies as one draw per round over the dense state.
     Under attack the joint register of 1+2(m+n) qubits is still held to the
     register cap.
     """
     if rounds < 1:
         raise ValueError(f"need at least one round, got {rounds}")
-    indices, amps = _support(make_channel(sizes))
-    total = sizes.channel_qubits
     if scenario is Scenario.INTERCEPT_RESEND:
-        fake = make_fake_channel(sizes)
-        total += fake.num_qubits
-        _check_cap(total)
-        fake_indices, fake_amps = _support(fake)
-        indices = np.add.outer(indices << fake.num_qubits, fake_indices).ravel()
-        amps = np.outer(amps, fake_amps).ravel()
-    alice_q, bob_qs, charlie_qs = _delivered_qubits(sizes, scenario)
-
-    probs = np.abs(amps) ** 2
-    probs /= probs.sum()
+        _check_cap(1 + 2 * (sizes.m + sizes.n))
+    probs, bits = _outcomes(sizes, scenario)
     counts = np.zeros(probs.size, dtype=np.int64)
     for start in range(0, rounds, _CHUNK_ROUNDS):
         draws = rng.choice(probs.size, size=min(_CHUNK_ROUNDS, rounds - start), p=probs)
         counts += np.bincount(draws, minlength=probs.size)
+    counts = counts.tolist()
 
-    def bit(q):
-        return (indices >> (total - 1 - q)) & 1
-
-    alice_bits = bit(alice_q)
-    bob_matches = [int(counts[bit(q) == alice_bits].sum()) for q in bob_qs]
-    charlie_bits = np.stack([bit(q) for q in charlie_qs])
-    charlies_agree = int(counts[np.all(charlie_bits == charlie_bits[0], axis=0)].sum())
+    bob_matches = [
+        sum(count for count, (alice, bobs, _) in zip(counts, bits) if bobs[k] == alice)
+        for k in range(sizes.m)
+    ]
+    charlies_agree = sum(
+        count for count, (_, _, charlies) in zip(counts, bits) if len(set(charlies)) == 1
+    )
 
     match_rates = tuple(count / rounds for count in bob_matches)
     rule = f"flag when any Alice-vs-Bob computational match rate drops below {threshold}"
@@ -128,44 +158,20 @@ def correlation_check(
     )
 
 
-def _chained_match_probability(state: StateVector, first: int, rest: list[int], bit: int) -> float:
-    """P(qubit `first` = bit and every qubit in `rest` = bit), by projection."""
-    prob, conditioned = project(state, first, MeasBasis.COMPUTATIONAL, bit)
-    if conditioned is None:
-        return 0.0
-    for q in rest:
-        step, conditioned = project(conditioned, q, MeasBasis.COMPUTATIONAL, bit)
-        if conditioned is None:
-            return 0.0
-        prob *= step
-    return prob
-
-
 def exact_detection_probability(
     sizes: PartySizes, scenario: Scenario = Scenario.INTERCEPT_RESEND
 ) -> float:
     """Per-round probability that some Alice-vs-Bob comparison mismatches.
 
-    Computed from projection probabilities alone, no sampling.  Under
-    attack the fake channel is independent of Alice's qubit, so the two
-    factors are chained separately; this path stays within the register
-    cap even when the joint sampling state of
-    :func:`build_scenario_state` would not.
+    No sampling: one minus the total probability of the support entries of
+    :func:`build_scenario_state` where Alice's bit equals every Bob's bit.
+    The support has 16 entries at most and no register is built, so this
+    holds at sizes where the joint state passes the register cap.
     """
-    honest = make_channel(sizes)
-    bob_qs = [1 + i for i in range(sizes.m)]
-    match_prob = 0.0
-    if scenario is Scenario.HONEST:
-        for bit in (0, 1):
-            match_prob += _chained_match_probability(honest, 0, bob_qs, bit)
-    else:
-        fake = make_fake_channel(sizes)
-        fake_bob_qs = list(range(sizes.m))
-        for bit in (0, 1):
-            alice_prob, _ = project(honest, 0, MeasBasis.COMPUTATIONAL, bit)
-            match_prob += alice_prob * _chained_match_probability(
-                fake, fake_bob_qs[0], fake_bob_qs[1:], bit
-            )
+    probs, bits = _outcomes(sizes, scenario)
+    match_prob = sum(
+        float(p) for p, (alice, bobs, _) in zip(probs, bits) if all(b == alice for b in bobs)
+    )
     return 1.0 - match_prob
 
 

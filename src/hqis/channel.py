@@ -2,11 +2,15 @@
 
 The honest channel over (A, B-block, C-block) puts amplitude +1/2 on the
 basis states where the B bits track A and the C bits agree among themselves,
-with a minus sign on the all-ones string.  ``make_standard_form`` builds the
-same state from its graph product form so tests can cross-check the two
-constructions against each other.
+with a minus sign on the all-ones string.  Those four (basis index,
+amplitude) pairs are the channel's support, built once per size by
+``_channel_support``; the dense constructors and every support-only path
+take the amplitudes from it.  ``make_standard_form`` builds the same state
+from its graph product form so tests can cross-check the two constructions
+against each other.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,13 +56,32 @@ def _bits_index(bits: list[int]) -> int:
     return idx
 
 
+@functools.lru_cache(maxsize=64)
+def _channel_support(sizes: PartySizes) -> tuple[tuple[int, complex], ...]:
+    """The channel's four (basis index, amplitude) pairs, in index order."""
+    m, n = sizes.m, sizes.n
+    return tuple(
+        (_bits_index([a_bit] * (1 + m) + [c_bit] * n), complex(0.5 * sign))
+        for a_bit, c_bit, sign in ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, -1))
+    )
+
+
+def _fake_channel_support(sizes: PartySizes) -> tuple[tuple[int, complex], ...]:
+    """Eve's substitute as pairs: the channel's support with the A bit dropped."""
+    agent_mask = (1 << (sizes.m + sizes.n)) - 1
+    return tuple((index & agent_mask, amp) for index, amp in _channel_support(sizes))
+
+
+def _dense(num_qubits: int, pairs) -> StateVector:
+    amps = np.zeros(2**num_qubits, dtype=complex)
+    for index, amp in pairs:
+        amps[index] = amp
+    return StateVector(num_qubits, amps)
+
+
 def make_channel(sizes: PartySizes) -> StateVector:
     """The (1+m+n)-qubit channel shared by Alice, the Bobs, and the Charlies."""
-    m, n = sizes.m, sizes.n
-    amps = np.zeros(2**sizes.channel_qubits, dtype=complex)
-    for a_bit, b_bit, c_bit, sign in ((0, 0, 0, 1), (0, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, -1)):
-        amps[_bits_index([a_bit] + [b_bit] * m + [c_bit] * n)] = 0.5 * sign
-    return StateVector(sizes.channel_qubits, amps)
+    return _dense(sizes.channel_qubits, _channel_support(sizes))
 
 
 def make_standard_form(sizes: PartySizes) -> StateVector:
@@ -89,11 +112,7 @@ def make_standard_form(sizes: PartySizes) -> StateVector:
 
 def make_fake_channel(sizes: PartySizes) -> StateVector:
     """Eve's (m+n)-qubit substitute: the channel structure with no A qubit."""
-    m, n = sizes.m, sizes.n
-    amps = np.zeros(2 ** (m + n), dtype=complex)
-    for b_bit, c_bit, sign in ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, -1)):
-        amps[_bits_index([b_bit] * m + [c_bit] * n)] = 0.5 * sign
-    return StateVector(m + n, amps)
+    return _dense(sizes.m + sizes.n, _fake_channel_support(sizes))
 
 
 def compose_with_secret(secret: SecretState, channel: StateVector) -> StateVector:

@@ -9,6 +9,7 @@ produce byte-identical output; every record carries mode, m, n, and seed.
 import argparse
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ from .protocol import (
     BellOutcome,
     Designee,
     TrialResult,
-    enumerate_branches,
+    iter_branches,
     run_bob_recovery,
     run_charlie_recovery,
 )
@@ -95,9 +96,12 @@ def _parse_secret(text: str) -> SecretState | None:
             f"secret must be 'random' or four comma-separated reals, got {text!r}"
         )
     try:
-        re_a, im_a, re_b, im_b = (float(p) for p in parts)
+        components = [float(p) for p in parts]
     except ValueError:
         raise UsageError(f"secret components must be numbers, got {text!r}") from None
+    if not all(math.isfinite(c) for c in components):
+        raise UsageError(f"secret components must be finite, got {text!r}")
+    re_a, im_a, re_b, im_b = components
     alpha, beta = complex(re_a, im_a), complex(re_b, im_b)
     norm_sq = abs(alpha) ** 2 + abs(beta) ** 2
     if abs(norm_sq - 1.0) > SECRET_NORM_SLACK:
@@ -113,7 +117,9 @@ def _parse_secret(text: str) -> SecretState | None:
 
 def _parse_designee(text: str, m: int, n: int) -> tuple[str, int]:
     grade, sep, index_text = text.partition(":")
-    if not sep or grade not in ("bob", "charlie") or not index_text.isdigit():
+    # isdigit alone admits digits such as "²" that int() rejects.
+    ascii_digits = index_text.isascii() and index_text.isdigit()
+    if not sep or grade not in ("bob", "charlie") or not ascii_digits:
         raise UsageError(f"designee must look like bob:1 or charlie:2, got {text!r}")
     index = int(index_text)
     limit = m if grade == "bob" else n
@@ -262,14 +268,22 @@ def _run_records(config: RunConfig):
             result = runner(sizes, designee, secret, derived_rng(config.seed, _STREAM_TRIAL, k))
             yield _base_record(config, "trial") | context | {"trial": k} | _result_fields(result)
         return
-    results = enumerate_branches(sizes, designee, secret)
-    for i, result in enumerate(results):
-        yield _base_record(config, "branch") | context | {"branch": i} | _result_fields(result)
+    # Records stream as the walk reaches each branch; the summary is
+    # accumulated on the way, in the order the branches come.
+    branches, probability_sum = 0, 0
+    min_fidelity, max_fidelity = math.inf, -math.inf
+    for result in iter_branches(sizes, designee, secret):
+        record = _base_record(config, "branch") | context | {"branch": branches}
+        yield record | _result_fields(result)
+        branches += 1
+        probability_sum += result.branch_probability
+        min_fidelity = min(min_fidelity, result.fidelity)
+        max_fidelity = max(max_fidelity, result.fidelity)
     yield _base_record(config, "summary") | context | {
-        "branches": len(results),
-        "probability_sum": sum(r.branch_probability for r in results),
-        "min_fidelity": min(r.fidelity for r in results),
-        "max_fidelity": max(r.fidelity for r in results),
+        "branches": branches,
+        "probability_sum": probability_sum,
+        "min_fidelity": min_fidelity,
+        "max_fidelity": max_fidelity,
     }
 
 

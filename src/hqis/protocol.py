@@ -17,9 +17,15 @@ helpers' measurement tree.  Each tree node measures one helper, and that
 helper's qubit leaves the register, as Alice's two qubits do in the Bell
 measurement; so the register shrinks by one qubit per level, and every node
 is computed once and shared by all the leaves below it.
-``enumerate_branches`` descends into every possible outcome, in the order
-``itertools.product`` would list them; the sampled runners descend into one
-outcome per level, drawn from a seeded rng.
+``iter_branches`` (and ``enumerate_branches``, its list) descends into every
+possible outcome, in the order ``itertools.product`` would list them; the
+sampled runners descend into one outcome per level, drawn from a seeded rng.
+
+The walk holds each state as its support, (basis index, amplitude) pairs
+measured with ``qstate._contract_support``: 8 pairs once the secret joins
+the channel's 4, and never more than 4 after the Bell measurement, so its
+cost does not grow with the 2**(m+n) entries a dense register would have.
+The dense ``qstate`` operations remain the reference the tests compare with.
 """
 
 import functools
@@ -29,13 +35,17 @@ from enum import Enum
 import numpy as np
 
 from . import qstate
-from .channel import PartySizes, SecretState, compose_with_secret, make_channel
+from .channel import (
+    PartySizes,
+    SecretState,
+    _channel_support,
+    compose_with_secret,
+    make_channel,
+)
 from .qstate import (
     BellOutcome,
     MeasBasis,
     ResourceLimitError,
-    StateVector,
-    apply_gate,
     bell_project,
     reduced_density,
 )
@@ -219,12 +229,6 @@ def correction_for_charlie(bell: BellOutcome, v_g1: int, v_g2: int) -> Correctio
     return CHARLIE_CORRECTIONS[(bell, v_g1, v_g2)]
 
 
-@functools.lru_cache(maxsize=64)
-def _whole_state(sizes: PartySizes, secret: SecretState) -> StateVector:
-    # Pure and immutable, so repeated trials can share one composition.
-    return compose_with_secret(secret, make_channel(sizes))
-
-
 def _validate_designee(sizes: PartySizes, designee: Designee) -> None:
     role = designee.role
     if role.grade == "bob":
@@ -264,42 +268,75 @@ def _measurement_plan(sizes: PartySizes, designee: Designee) -> list[tuple[Role,
     return plan
 
 
+@functools.lru_cache(maxsize=64)
 def _walk_steps(
     sizes: PartySizes, designee: Designee
-) -> tuple[list[tuple[Role, int, MeasBasis]], int]:
+) -> tuple[tuple[tuple[Role, int, tuple], ...], int]:
     """The measurement plan as walk steps, plus the designee's final axis.
 
-    A step is (role, axis, basis), with the helper's axis in the register
-    that is left once the earlier steps dropped their qubits.
+    A step is (role, axis, bras): the helper's axis in the register that is
+    left once the earlier steps dropped their qubits, and the bras of its
+    outcomes 0 and 1.
     """
     register = list(range(sizes.m + sizes.n))
     steps = []
     for role, basis in _measurement_plan(sizes, designee):
         q = _agent_qubit(sizes, role)
-        steps.append((role, register.index(q), basis))
+        steps.append((role, register.index(q), qstate._BASIS_BRAS[basis]))
         register.remove(q)
-    return steps, register.index(_agent_qubit(sizes, designee.role))
+    return tuple(steps), register.index(_agent_qubit(sizes, designee.role))
+
+
+@functools.lru_cache(maxsize=64)
+def _whole_support(sizes: PartySizes, secret: SecretState) -> tuple[tuple[int, complex], ...]:
+    """The secret qubit S joined to the channel's support, in index order.
+
+    Pure and immutable, so repeated trials can share one join.
+    """
+    shift = sizes.channel_qubits
+    return tuple(
+        (s_bit << shift | index, complex(s_amp) * amp)
+        for s_bit, s_amp in enumerate((secret.alpha, secret.beta))
+        for index, amp in _channel_support(sizes)
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _recovery_bra(secret: SecretState, op: CorrectionOp) -> tuple[complex, complex]:
+    """<xi|G as a bra over the designee's qubit: G corrects, <xi| scores."""
+    xi = np.array([secret.alpha, secret.beta], dtype=complex)
+    return tuple(complex(c) for c in np.conj(xi) @ op.matrix)
+
+
+def _bell_branch(whole, sizes: PartySizes, outcome: BellOutcome):
+    """Alice's Bell measurement of (S, A) on the joined support, as
+    ``(prob, post)`` with ``post`` the agents' support, or ``None``."""
+    return qstate._contract_support(
+        whole, 1 + sizes.channel_qubits, qstate._BELL_BRAS[outcome], _SECRET_QUBIT
+    )
 
 
 def _walk(
-    t: np.ndarray,
+    pairs,
+    num_qubits: int,
     steps,
     prob: float,
     rng: np.random.Generator | None = None,
     bits: tuple[int, ...] = (),
 ):
-    """Depth first below one node: yields (register, probability, bits) per leaf.
+    """Depth first below one node: yields (support, qubits, probability, bits)
+    per leaf.
 
     Without ``rng`` the walk descends into every possible child, outcome 0
     first; with one, into the single child ``rng`` draws, as ``measure`` would.
     """
     if len(bits) == len(steps):
-        yield t, prob, bits
+        yield pairs, num_qubits, prob, bits
         return
-    _, axis, basis = steps[len(bits)]
+    _, axis, bras = steps[len(bits)]
 
     def child(outcome):
-        return qstate._measure_out(t, axis, basis, outcome)
+        return qstate._contract_support(pairs, num_qubits, bras[outcome], axis)
 
     if rng is None:
         children = ((outcome, *child(outcome)) for outcome in (0, 1))
@@ -307,74 +344,59 @@ def _walk(
         children = (qstate._sample_outcome(child, rng),)
     for outcome, p, post in children:
         if post is not None:
-            yield from _walk(post, steps, prob * p, rng, bits + (outcome,))
+            yield from _walk(post, num_qubits - 1, steps, prob * p, rng, bits + (outcome,))
 
 
 def _branch_results(
+    sizes: PartySizes,
     designee: Designee,
     secret: SecretState,
     bell: BellOutcome,
     bell_prob: float,
-    post_bell: StateVector,
-    walk_steps,
+    post_bell,
     rng: np.random.Generator | None = None,
 ):
-    """Score every leaf the walk reaches below one Bell outcome."""
-    steps, designee_axis = walk_steps
+    """Score every leaf the walk reaches below one Bell outcome.
+
+    The designee applies the table correction G, and the recovery fidelity
+    is the sum over the values of the qubits still held of |<xi|G|u>|², u
+    being the designee's 2-vector for that value: the probability of
+    contracting ``_recovery_bra`` against the designee's qubit.
+    """
+    steps, designee_axis = _walk_steps(sizes, designee)
     roles = [role for role, _, _ in steps]
-    for t, joint_prob, bits in _walk(post_bell._tensor(), steps, bell_prob, rng):
-        yield _score_branch(
-            designee,
-            secret,
-            bell,
-            StateVector(t.ndim, t.reshape(-1)),
-            designee_axis,
-            dict(zip(roles, bits)),
-            joint_prob,
+    star = None if designee.charlie_star is None else Role.charlie(designee.charlie_star)
+    for pairs, num_qubits, joint_prob, outcomes in _walk(
+        post_bell, sizes.m + sizes.n, steps, bell_prob, rng
+    ):
+        bits = dict(zip(roles, outcomes))
+        v_g1 = parity(bits[r] for r in bits if r.grade == "bob")
+        if star is not None:
+            aux = bits[star]
+            op = correction_for_bob(bell, v_g1 ^ aux)
+        else:
+            aux = parity(bits[r] for r in bits if r.grade == "charlie")
+            op = correction_for_charlie(bell, v_g1, aux)
+        fidelity, _ = qstate._contract_support(
+            pairs, num_qubits, _recovery_bra(secret, op), designee_axis
+        )
+        yield TrialResult(
+            bell=bell,
+            classical_bits=bits,
+            v_g1=v_g1,
+            v_g2_or_charlie_star=aux,
+            correction=op,
+            branch_probability=joint_prob,
+            fidelity=min(fidelity, 1.0),
         )
 
 
-def _score_branch(
-    designee: Designee,
-    secret: SecretState,
-    bell: BellOutcome,
-    state: StateVector,
-    q: int,
-    bits: dict[Role, int],
-    joint_prob: float,
-) -> TrialResult:
-    """Apply the table correction to qubit ``q`` and measure recovery fidelity."""
-    if designee.role.grade == "bob":
-        v_g1 = parity(bits[r] for r in bits if r.grade == "bob")
-        aux = bits[Role.charlie(designee.charlie_star)]
-        op = correction_for_bob(bell, v_g1 ^ aux)
-    else:
-        v_g1 = parity(bits[r] for r in bits if r.grade == "bob")
-        aux = parity(bits[r] for r in bits if r.grade == "charlie")
-        op = correction_for_charlie(bell, v_g1, aux)
-    state = apply_gate(state, q, op.matrix)
-    rho = reduced_density(state, q)
-    xi = np.array([secret.alpha, secret.beta], dtype=complex)
-    fidelity = min(float(np.real(np.conj(xi) @ rho @ xi)), 1.0)
-    return TrialResult(
-        bell=bell,
-        classical_bits=bits,
-        v_g1=v_g1,
-        v_g2_or_charlie_star=aux,
-        correction=op,
-        branch_probability=joint_prob,
-        fidelity=fidelity,
-    )
-
-
-def _sample_bell(
-    state: StateVector, rng: np.random.Generator
-) -> tuple[BellOutcome, float, StateVector]:
+def _sample_bell(whole, sizes: PartySizes, rng: np.random.Generator):
     draw = rng.random()
     cumulative = 0.0
     last = None
     for outcome in BellOutcome:
-        prob, post = bell_project(state, _SECRET_QUBIT, _ALICE_QUBIT, outcome)
+        prob, post = _bell_branch(whole, sizes, outcome)
         if post is None:
             continue
         last = (outcome, prob, post)
@@ -388,9 +410,8 @@ def _run_sampled(
     sizes: PartySizes, designee: Designee, secret: SecretState, rng: np.random.Generator
 ) -> TrialResult:
     _validate_designee(sizes, designee)
-    walk_steps = _walk_steps(sizes, designee)
-    bell, bell_prob, post_bell = _sample_bell(_whole_state(sizes, secret), rng)
-    (result,) = _branch_results(designee, secret, bell, bell_prob, post_bell, walk_steps, rng)
+    bell, bell_prob, post_bell = _sample_bell(_whole_support(sizes, secret), sizes, rng)
+    (result,) = _branch_results(sizes, designee, secret, bell, bell_prob, post_bell, rng)
     return result
 
 
@@ -412,6 +433,31 @@ def run_charlie_recovery(
     return _run_sampled(sizes, designee, secret, rng)
 
 
+def iter_branches(
+    sizes: PartySizes,
+    designee: Designee,
+    secret: SecretState,
+    branch_limit: int = DEFAULT_BRANCH_LIMIT,
+):
+    """Yield the branches of :func:`enumerate_branches` as the walk reaches them.
+
+    The designee and the branch limit are checked when the first branch is
+    requested, so a failing enumeration raises before it yields anything.
+    """
+    _validate_designee(sizes, designee)
+    steps, _ = _walk_steps(sizes, designee)
+    total = 4 * 2 ** len(steps)
+    if total > branch_limit:
+        raise BranchLimitError(
+            f"{total} branches exceed the limit of {branch_limit}"
+        )
+    whole = _whole_support(sizes, secret)
+    for bell in BellOutcome:
+        bell_prob, post_bell = _bell_branch(whole, sizes, bell)
+        if post_bell is not None:
+            yield from _branch_results(sizes, designee, secret, bell, bell_prob, post_bell)
+
+
 def enumerate_branches(
     sizes: PartySizes,
     designee: Designee,
@@ -423,22 +469,7 @@ def enumerate_branches(
     Zero-probability branches are skipped; the branch probabilities of the
     returned results sum to 1.
     """
-    _validate_designee(sizes, designee)
-    walk_steps = _walk_steps(sizes, designee)
-    total = 4 * 2 ** len(walk_steps[0])
-    if total > branch_limit:
-        raise BranchLimitError(
-            f"{total} branches exceed the limit of {branch_limit}"
-        )
-    whole = _whole_state(sizes, secret)
-    results = []
-    for bell in BellOutcome:
-        bell_prob, post_bell = bell_project(whole, _SECRET_QUBIT, _ALICE_QUBIT, bell)
-        if post_bell is not None:
-            results.extend(
-                _branch_results(designee, secret, bell, bell_prob, post_bell, walk_steps)
-            )
-    return results
+    return list(iter_branches(sizes, designee, secret, branch_limit))
 
 
 def agent_marginal(
@@ -451,6 +482,6 @@ def agent_marginal(
         raise ValueError(f"bob:{agent.index} does not exist with m={sizes.m}")
     if agent.grade == "charlie" and agent.index > sizes.n:
         raise ValueError(f"charlie:{agent.index} does not exist with n={sizes.n}")
-    whole = _whole_state(sizes, secret)
+    whole = compose_with_secret(secret, make_channel(sizes))
     _, post = bell_project(whole, _SECRET_QUBIT, _ALICE_QUBIT, bell)
     return reduced_density(post, _agent_qubit(sizes, agent))

@@ -1,11 +1,18 @@
-"""Dense complex state-vector core.
+"""Complex state core: dense state vectors, plus a support-only contraction.
 
 Registers are ordered lists of qubits; qubit 0 sits at the most significant
 bit of the amplitude index, so ``basis_state(3, "110")`` puts its single
 nonzero amplitude at index ``0b110``.  States are immutable values: every
 operation returns a fresh :class:`StateVector`.
+
+The protocol's states have a handful of nonzero amplitudes on registers of
+up to ``2 + m + n`` qubits, so its runs hold a state as its support instead:
+a list of ``(basis index, amplitude)`` pairs plus the qubit count, measured
+with :func:`_contract_support`.  The dense operations stay as the public API
+and as the reference the support path is tested against.
 """
 
+import math
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -111,6 +118,15 @@ _BELL_VECTORS = {
 }
 
 
+def _as_bra(vec: np.ndarray) -> tuple[complex, ...]:
+    return tuple(complex(c) for c in np.conj(vec))
+
+
+# The same bras as plain tuples, as :func:`_contract_support` takes them.
+_BASIS_BRAS = {basis: tuple(map(_as_bra, vecs)) for basis, vecs in _BASIS_VECTORS.items()}
+_BELL_BRAS = {outcome: _as_bra(vec) for outcome, vec in _BELL_VECTORS.items()}
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Normalized amplitude vector over ``2**num_qubits`` basis states."""
@@ -128,7 +144,7 @@ class StateVector:
                 f"qubits, got shape {amps.shape}"
             )
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN fails this comparison too
             raise ValueError(f"state is not normalized: sum |amp|^2 = {norm_sq!r}")
         amps = amps.copy()
         amps.setflags(write=False)
@@ -147,7 +163,7 @@ class SecretState:
 
     def __post_init__(self):
         norm_sq = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN fails this comparison too
             raise ValueError(f"secret is not normalized: |a|^2+|b|^2 = {norm_sq!r}")
 
     def as_state(self) -> StateVector:
@@ -227,12 +243,35 @@ def _contract(
     return prob, coeff / np.sqrt(prob)
 
 
-def _measure_out(
-    t: np.ndarray, axis: int, basis: MeasBasis, outcome: int
-) -> tuple[float, np.ndarray | None]:
-    """Measure ``axis`` of the amplitude tensor ``t`` and drop it, as
-    :func:`_contract` does with the bra of the basis outcome."""
-    return _contract(t, np.conj(_BASIS_VECTORS[basis][outcome]), (axis,))
+def _contract_support(
+    pairs, num_qubits: int, bra: tuple[complex, ...], axis: int
+) -> tuple[float, list[tuple[int, complex]] | None]:
+    """:func:`_contract` on a state held as its support.
+
+    ``pairs`` are the ``(basis index, amplitude)`` entries of a
+    ``num_qubits``-qubit state, and ``bra`` lists a bra's components over
+    qubits ``axis`` (and ``axis + 1`` when it has four), in index order.
+    The contracted qubits leave the register and the rest keep their order.
+    Returns the probability and the renormalized remainder as pairs, one per
+    basis index, or ``None`` in place of the remainder below
+    ``ZERO_BRANCH_TOL``.
+    Plain Python: a support has a handful of entries, so numpy's per-call
+    cost would be the whole cost.
+    """
+    width = len(bra).bit_length() - 1
+    low = num_qubits - axis - width
+    low_mask = (1 << low) - 1
+    coeffs = {}
+    for index, amp in pairs:
+        weight = bra[(index >> low) & (len(bra) - 1)]
+        if weight:
+            key = (index >> (low + width)) << low | (index & low_mask)
+            coeffs[key] = coeffs.get(key, 0) + weight * amp
+    prob = sum((c.real * c.real + c.imag * c.imag for c in coeffs.values()), 0.0)
+    if prob < ZERO_BRANCH_TOL:
+        return prob, None
+    norm = math.sqrt(prob)
+    return prob, [(key, c / norm) for key, c in coeffs.items()]
 
 
 def project(
@@ -248,10 +287,10 @@ def project(
     _check_qubit(state, q)
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
-    prob, coeff = _measure_out(state._tensor(), q, basis, outcome)
+    vec = _BASIS_VECTORS[basis][outcome]
+    prob, coeff = _contract(state._tensor(), np.conj(vec), (q,))
     if coeff is None:
         return prob, None
-    vec = _BASIS_VECTORS[basis][outcome]
     collapsed = np.moveaxis(np.multiply.outer(vec, coeff), 0, q)
     return prob, StateVector(state.num_qubits, collapsed.reshape(-1))
 

@@ -14,8 +14,8 @@ from hqis.adversary import (
     exact_detection_probability,
     missed_detection_probability,
 )
-from hqis.channel import PartySizes
-from hqis.qstate import RegisterCapError
+from hqis.channel import PartySizes, make_channel, make_fake_channel
+from hqis.qstate import MeasBasis, RegisterCapError, project
 
 ALL_SIZES = list(itertools.product((1, 2, 3), repeat=2))
 
@@ -204,3 +204,58 @@ def test_check_cap_covers_the_joint_register(monkeypatch):
         correlation_check(PartySizes(3, 2), Scenario.INTERCEPT_RESEND, 10, rng)
     monkeypatch.setenv("HQIS_MAX_QUBITS", "11")
     correlation_check(PartySizes(3, 2), Scenario.INTERCEPT_RESEND, 10, rng)
+
+
+def test_honest_check_memory_does_not_grow_with_the_register():
+    # The dense channel at m=n=10 alone is 2**21 amplitudes, 32 MiB.
+    tracemalloc.start()
+    try:
+        stats = correlation_check(PartySizes(10, 10), Scenario.HONEST, 10, np.random.default_rng(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.alice_bob_match_rates == (1.0,) * 10
+    assert peak < 2**20, peak
+
+
+# --- the exact rate against projection chains on the dense factors ---
+
+def _chained_match_probability(state, first, rest, bit):
+    """P(qubit `first` = bit and every qubit in `rest` = bit), by projection."""
+    prob, conditioned = project(state, first, MeasBasis.COMPUTATIONAL, bit)
+    if conditioned is None:
+        return 0.0
+    for q in rest:
+        step, conditioned = project(conditioned, q, MeasBasis.COMPUTATIONAL, bit)
+        if conditioned is None:
+            return 0.0
+        prob *= step
+    return prob
+
+
+def _dense_exact_detection_probability(sizes, scenario):
+    """Reference: chain projections over the dense channel (and, under attack,
+    the dense fake channel, which is independent of Alice's qubit)."""
+    honest = make_channel(sizes)
+    bob_qs = [1 + i for i in range(sizes.m)]
+    match_prob = 0.0
+    if scenario is Scenario.HONEST:
+        for bit in (0, 1):
+            match_prob += _chained_match_probability(honest, 0, bob_qs, bit)
+    else:
+        fake = make_fake_channel(sizes)
+        fake_bob_qs = list(range(sizes.m))
+        for bit in (0, 1):
+            alice_prob, _ = project(honest, 0, MeasBasis.COMPUTATIONAL, bit)
+            match_prob += alice_prob * _chained_match_probability(
+                fake, fake_bob_qs[0], fake_bob_qs[1:], bit
+            )
+    return 1.0 - match_prob
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+@pytest.mark.parametrize("m,n", list(itertools.product((1, 2, 3, 4), repeat=2)))
+def test_exact_rate_equals_projection_chain(m, n, scenario):
+    sizes = PartySizes(m, n)
+    expected = _dense_exact_detection_probability(sizes, scenario)
+    assert abs(exact_detection_probability(sizes, scenario) - expected) <= 1e-12

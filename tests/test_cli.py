@@ -10,16 +10,19 @@ from hqis.adversary import (
     missed_detection_probability,
 )
 from hqis.channel import PartySizes
+from hqis import cli
 from hqis.cli import (
     RunConfig,
     UsageError,
     _emit,
+    _run_records,
     derived_rng,
     execute,
     main,
     parse_args,
     resolve_secret,
 )
+from hqis.protocol import Designee, enumerate_branches, iter_branches
 from hqis.qstate import register_cap
 
 # The Bob-designee correction table, expanded over both Bell signs.
@@ -367,3 +370,76 @@ def test_attack_rejects_threshold_outside_unit_interval(capsys, threshold):
 def test_emitted_json_is_strict():
     with pytest.raises(ValueError):
         _emit([{"rate": float("nan")}], io.StringIO())
+
+
+@pytest.mark.parametrize("secret", ["1,0,0,nan", "nan,0,0,0", "1,0,inf,0", "0,-inf,1,0"])
+def test_non_finite_secret_is_rejected(tmp_path, capsys, secret):
+    base = ["run", "--m", "1", "--n", "1", "--designee", "charlie:1", "--secret", secret]
+    with pytest.raises(UsageError, match="finite"):
+        parse_args(base)
+    out = tmp_path / "records.ndjson"
+    assert main(base + ["--output", str(out)]) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: secret components must be finite")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("designee", ["bob:²", "charlie:١", "bob:1²"])
+def test_designee_index_must_be_ascii_digits(capsys, designee):
+    argv = ["run", "--m", "2", "--n", "2", "--designee", designee, "--charlie-star", "1"]
+    with pytest.raises(UsageError, match="designee must look like"):
+        parse_args(argv)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: designee must look like")
+
+
+def test_branch_limit_failure_leaves_no_output_file(tmp_path, capsys):
+    # m=n=10, Charlie designee: 4 * 2**19 branches, past the 2**20 limit.
+    out = tmp_path / "records.ndjson"
+    argv = ["run", "--m", "10", "--n", "10", "--designee", "charlie:1", "--mode", "enumerate",
+            "--output", str(out)]
+    assert main(argv) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert "branches exceed the limit" in capsys.readouterr().err
+
+
+ENUMERATE_ARGV = ["run", "--m", "2", "--n", "3", "--designee", "bob:2", "--charlie-star", "3",
+                  "--secret", "random", "--mode", "enumerate", "--seed", "11"]
+
+
+def test_enumerate_streams_one_record_per_branch(monkeypatch):
+    produced = []
+
+    def counting_branches(*args):
+        for result in iter_branches(*args):
+            produced.append(result)
+            yield result
+
+    monkeypatch.setattr(cli, "iter_branches", counting_branches)
+    records = _run_records(parse_args(ENUMERATE_ARGV))
+    assert next(records)["branch"] == 0
+    assert len(produced) == 1
+    assert next(records)["branch"] == 1
+    assert len(produced) == 2
+
+
+def test_streamed_enumeration_matches_the_branch_list():
+    config = parse_args(ENUMERATE_ARGV)
+    results = enumerate_branches(
+        PartySizes(2, 3), Designee.bob(2, 3), resolve_secret(config)
+    )
+    records = list(_run_records(config))
+    assert [r["branch_probability"] for r in records[:-1]] == [
+        r.branch_probability for r in results
+    ]
+    assert [r["fidelity"] for r in records[:-1]] == [r.fidelity for r in results]
+    running_sum = 0.0
+    for r in results:
+        running_sum += r.branch_probability
+    summary = records[-1]
+    assert summary["branches"] == len(results) == 16
+    assert summary["probability_sum"] == running_sum
+    assert summary["min_fidelity"] == min(r.fidelity for r in results)
+    assert summary["max_fidelity"] == max(r.fidelity for r in results)

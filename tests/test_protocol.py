@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -21,6 +22,7 @@ from hqis.protocol import (
     correction_for_charlie,
     encode_outcome,
     enumerate_branches,
+    iter_branches,
     outcome_symbol,
     parity,
     run_bob_recovery,
@@ -527,3 +529,30 @@ def test_walk_matches_per_leaf_reference(grade, m, n, seed, data):
             runner(sizes, designee, secret, derived_rng(seed, 1, k)),
             _reference_sample(sizes, designee, secret, derived_rng(seed, 1, k)),
         )
+
+
+def test_sampled_trial_memory_follows_the_support():
+    # A dense post-Bell register at m=n=8 would hold 2**16 amplitudes (1 MiB).
+    sizes = PartySizes(8, 8)
+    secret = SecretState(0.6, 0.8j)
+    tracemalloc.start()
+    try:
+        result = run_charlie_recovery(sizes, Designee.charlie(3), secret, derived_rng(3, 1, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.fidelity == pytest.approx(1.0, abs=1e-12)
+    assert peak < 2**20, peak
+
+
+def test_iter_branches_checks_before_the_first_branch():
+    sizes = PartySizes(2, 3)
+    branches = iter_branches(sizes, Designee.charlie(1), SECRETS[3], branch_limit=8)
+    with pytest.raises(BranchLimitError):
+        next(branches)
+    branches = iter_branches(sizes, Designee.bob(3, 1), SECRETS[3])
+    with pytest.raises(ValueError, match="bob:3"):
+        next(branches)
+    assert list(iter_branches(sizes, Designee.bob(1, 2), SECRETS[3])) == enumerate_branches(
+        sizes, Designee.bob(1, 2), SECRETS[3]
+    )

@@ -263,6 +263,14 @@ def test_secret_state_must_be_normalized():
         SecretState(1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("nan"))])
+def test_non_finite_amplitudes_fail_the_norm_checks(bad):
+    with pytest.raises(ValueError, match="not normalized"):
+        SecretState(1, bad)
+    with pytest.raises(ValueError, match="not normalized"):
+        StateVector(1, np.array([1, bad]))
+
+
 # --- reduced density / fidelity ---
 
 def test_reduced_density_product_state():
@@ -328,3 +336,71 @@ def test_permutation_equivariance(seed, data):
 def test_permute_rejects_non_permutation():
     with pytest.raises(ValueError):
         permute_qubits(sv(random_state(2, 0)), [0, 0])
+
+
+# --- support contraction against the dense one ---
+
+# Small exact values, so sums cancel exactly or stay far from the zero tolerance.
+_AMPLITUDES = (1, -1, 1j, -1j, 0.5, -0.5 + 0.5j)
+_BRA_COMPONENTS = (0, 1, -1, 1j, 0.5, 1 / RT2, -1 / RT2)
+_KNOWN_BRAS = [*qstate._BASIS_BRAS[MeasBasis.COMPUTATIONAL],
+               *qstate._BASIS_BRAS[MeasBasis.PLUS_MINUS], *qstate._BELL_BRAS.values()]
+
+
+def _assert_support_matches_dense(pairs, num_qubits, bra, axis):
+    width = len(bra).bit_length() - 1
+    dense = np.zeros(2**num_qubits, dtype=complex)
+    for index, amp in pairs:
+        dense[index] = amp
+    prob, coeff = qstate._contract(
+        dense.reshape((2,) * num_qubits),
+        np.array(bra, dtype=complex).reshape((2,) * width),
+        tuple(range(axis, axis + width)),
+    )
+    got_prob, got = qstate._contract_support(pairs, num_qubits, bra, axis)
+    assert abs(got_prob - prob) <= 1e-12
+    if coeff is None:
+        assert got is None
+        return
+    keys = [key for key, _ in got]
+    assert len(set(keys)) == len(keys)
+    rebuilt = np.zeros(2 ** (num_qubits - width), dtype=complex)
+    for key, amp in got:
+        rebuilt[key] = amp
+    np.testing.assert_allclose(rebuilt, coeff.reshape(-1), rtol=0, atol=1e-12)
+
+
+@given(num_qubits=st.integers(1, 5), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_support_contraction_matches_dense(num_qubits, data):
+    width = data.draw(st.sampled_from((1, 2) if num_qubits > 1 else (1,)))
+    axis = data.draw(st.integers(0, num_qubits - width))
+    indices = data.draw(
+        st.lists(st.integers(0, 2**num_qubits - 1), min_size=1, max_size=8, unique=True)
+    )
+    amps = data.draw(
+        st.lists(st.sampled_from(_AMPLITUDES), min_size=len(indices), max_size=len(indices))
+    )
+    random_bra = st.lists(st.sampled_from(_BRA_COMPONENTS), min_size=2**width, max_size=2**width)
+    known = [b for b in _KNOWN_BRAS if len(b) == 2**width]
+    bra = data.draw(st.one_of(st.sampled_from(known), random_bra.map(tuple)))
+    pairs = sorted((index, complex(amp)) for index, amp in zip(indices, amps))
+    _assert_support_matches_dense(pairs, num_qubits, tuple(complex(c) for c in bra), axis)
+
+
+@pytest.mark.parametrize(
+    "pairs, num_qubits, bra, axis",
+    [
+        # <-| against (|0>+|1>)/√2: the whole branch cancels.
+        ([(0, 1 / RT2 + 0j), (1, 1 / RT2 + 0j)], 1,
+         qstate._BASIS_BRAS[MeasBasis.PLUS_MINUS][1], 0),
+        # <+| on qubit 0 of a two-qubit state: one remainder entry cancels.
+        ([(0, 0.5 + 0j), (1, 0.5 + 0j), (2, 0.5 + 0j), (3, -0.5 + 0j)], 2,
+         qstate._BASIS_BRAS[MeasBasis.PLUS_MINUS][0], 0),
+        # <psi-| on qubits 1, 2, against a symmetric state: the whole branch cancels.
+        ([(0b001, 0.5 + 0j), (0b010, 0.5 + 0j), (0b100, 0.5 + 0j), (0b111, 0.5 + 0j)], 3,
+         qstate._BELL_BRAS[BellOutcome.PSI_MINUS], 1),
+    ],
+)
+def test_support_contraction_with_cancelling_amplitudes(pairs, num_qubits, bra, axis):
+    _assert_support_matches_dense(pairs, num_qubits, bra, axis)
