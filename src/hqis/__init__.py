@@ -30,14 +30,14 @@ from .protocol import (
     Role,
     TrialResult,
     agent_marginal,
+    check_designee,
     correction_for_bob,
     correction_for_charlie,
     encode_outcome,
     enumerate_branches,
     iter_branches,
     parity,
-    run_bob_recovery,
-    run_charlie_recovery,
+    run_recovery,
 )
 from .qstate import (
     MeasBasis,
@@ -75,6 +75,7 @@ __all__ = [
     "basis_state",
     "bell_project",
     "build_scenario_state",
+    "check_designee",
     "compose_with_secret",
     "correction_for_bob",
     "correction_for_charlie",
@@ -93,8 +94,7 @@ __all__ = [
     "permute_qubits",
     "project",
     "reduced_density",
-    "run_bob_recovery",
-    "run_charlie_recovery",
+    "run_recovery",
     "tensor",
 ]
 

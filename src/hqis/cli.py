@@ -10,6 +10,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -20,17 +21,18 @@ from .adversary import (
     Scenario,
     correlation_check,
     exact_detection_probability,
+    missed_detection_probability,
 )
 from .channel import PartySizes, SecretState
 from .protocol import (
     BOB_CORRECTIONS,
     CHARLIE_CORRECTIONS,
-    BellOutcome,
     Designee,
+    Role,
     TrialResult,
+    check_designee,
     iter_branches,
-    run_bob_recovery,
-    run_charlie_recovery,
+    run_recovery,
 )
 from .qstate import ResourceLimitError, register_cap
 
@@ -57,12 +59,9 @@ class RunConfig:
     """Fully validated invocation settings."""
 
     mode: str
-    m: int | None = None
-    n: int | None = None
-    designee: str | None = None
-    charlie_star: int | None = None
+    sizes: PartySizes | None = None
+    designee: Designee | None = None
     secret: SecretState | None = None
-    secret_spec: str | None = None
     trials: int = 1
     seed: int | None = None
     attack_scenario: Scenario | None = None
@@ -115,17 +114,13 @@ def _parse_secret(text: str) -> SecretState | None:
     return SecretState(alpha * scale, beta * scale)
 
 
-def _parse_designee(text: str, m: int, n: int) -> tuple[str, int]:
+def _parse_designee(text: str) -> Role:
     grade, sep, index_text = text.partition(":")
     # isdigit alone admits digits such as "²" that int() rejects.
     ascii_digits = index_text.isascii() and index_text.isdigit()
     if not sep or grade not in ("bob", "charlie") or not ascii_digits:
         raise UsageError(f"designee must look like bob:1 or charlie:2, got {text!r}")
-    index = int(index_text)
-    limit = m if grade == "bob" else n
-    if not 1 <= index <= limit:
-        raise UsageError(f"{grade} index {index} out of range 1..{limit}")
-    return grade, index
+    return Role(grade, int(index_text))
 
 
 def _build_parser() -> _Parser:
@@ -162,51 +157,47 @@ def _build_parser() -> _Parser:
 
 
 def parse_args(argv: list[str]) -> RunConfig:
-    """Validate argv into a RunConfig; raises UsageError on any bad input."""
+    """Validate argv into a RunConfig; raises UsageError on any bad input.
+
+    Sizes and designees are validated by ``PartySizes``, ``Designee`` and
+    ``check_designee``; past the register cap this raises RegisterCapError.
+    """
     args = _build_parser().parse_args(argv)
 
     if args.command == "tables":
         return RunConfig(mode="tables", output_path=args.output)
 
-    if args.m < 1 or args.n < 1:
-        raise UsageError(f"need at least one agent per grade, got m={args.m}, n={args.n}")
     seed = _parse_seed(args.seed)
+    try:
+        if args.command == "attack":
+            if args.rounds < 1:
+                raise UsageError(f"rounds must be >= 1, got {args.rounds}")
+            if not 0.0 <= args.threshold <= 1.0:  # NaN fails this comparison too
+                raise UsageError(f"threshold must be a number in [0, 1], got {args.threshold!r}")
+            return RunConfig(
+                mode="attack",
+                sizes=PartySizes(args.m, args.n),
+                seed=seed,
+                attack_scenario=Scenario(args.scenario),
+                rounds=args.rounds,
+                threshold=args.threshold,
+                output_path=args.output,
+            )
 
-    if args.command == "attack":
-        if args.rounds < 1:
-            raise UsageError(f"rounds must be >= 1, got {args.rounds}")
-        if not 0.0 <= args.threshold <= 1.0:  # NaN fails this comparison too
-            raise UsageError(f"threshold must be a number in [0, 1], got {args.threshold!r}")
-        return RunConfig(
-            mode="attack",
-            m=args.m,
-            n=args.n,
-            seed=seed,
-            attack_scenario=Scenario(args.scenario),
-            rounds=args.rounds,
-            threshold=args.threshold,
-            output_path=args.output,
-        )
-
-    grade, index = _parse_designee(args.designee, args.m, args.n)
-    charlie_star = args.charlie_star
-    if grade == "bob":
-        if charlie_star is None:
-            raise UsageError("a Bob designee needs --charlie-star")
-        if not 1 <= charlie_star <= args.n:
-            raise UsageError(f"charlie-star {charlie_star} out of range 1..{args.n}")
-    elif charlie_star is not None:
-        raise UsageError("--charlie-star only applies to Bob designees")
-    if args.trials < 1:
-        raise UsageError(f"trials must be >= 1, got {args.trials}")
+        role = _parse_designee(args.designee)
+        if args.trials < 1:
+            raise UsageError(f"trials must be >= 1, got {args.trials}")
+        secret = _parse_secret(args.secret)
+        sizes = PartySizes(args.m, args.n)
+        designee = Designee(role, args.charlie_star)
+        check_designee(sizes, designee)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return RunConfig(
         mode=args.mode,
-        m=args.m,
-        n=args.n,
-        designee=f"{grade}:{index}",
-        charlie_star=charlie_star,
-        secret=_parse_secret(args.secret),
-        secret_spec=args.secret,
+        sizes=sizes,
+        designee=designee,
+        secret=secret,
         trials=args.trials,
         seed=seed,
         output_path=args.output,
@@ -220,19 +211,13 @@ def resolve_secret(config: RunConfig) -> SecretState:
     return SecretState.haar_random(derived_rng(config.seed, _STREAM_SECRET))
 
 
-def _designee_of(config: RunConfig) -> Designee:
-    grade, index = config.designee.split(":")
-    if grade == "bob":
-        return Designee.bob(int(index), config.charlie_star)
-    return Designee.charlie(int(index))
-
-
 def _base_record(config: RunConfig, record: str) -> dict:
+    sizes = config.sizes
     return {
         "record": record,
         "mode": config.mode,
-        "m": config.m,
-        "n": config.n,
+        "m": sizes.m if sizes else None,
+        "n": sizes.n if sizes else None,
         "seed": config.seed,
     }
 
@@ -254,18 +239,17 @@ def _result_fields(result: TrialResult) -> dict:
 
 
 def _run_records(config: RunConfig):
-    designee = _designee_of(config)
+    sizes, designee = config.sizes, config.designee
     secret = resolve_secret(config)
-    sizes = PartySizes(config.m, config.n)
     context = {
-        "designee": config.designee,
-        "charlie_star": config.charlie_star,
+        "designee": designee.role.label,
+        "charlie_star": designee.charlie_star,
         "secret": _secret_fields(secret),
     }
     if config.mode == "sample":
-        runner = run_bob_recovery if designee.role.grade == "bob" else run_charlie_recovery
         for k in range(config.trials):
-            result = runner(sizes, designee, secret, derived_rng(config.seed, _STREAM_TRIAL, k))
+            rng = derived_rng(config.seed, _STREAM_TRIAL, k)
+            result = run_recovery(sizes, designee, secret, rng)
             yield _base_record(config, "trial") | context | {"trial": k} | _result_fields(result)
         return
     # Records stream as the walk reaches each branch; the summary is
@@ -288,7 +272,7 @@ def _run_records(config: RunConfig):
 
 
 def _attack_records(config: RunConfig):
-    sizes = PartySizes(config.m, config.n)
+    sizes = config.sizes
     stats: CheckStats = correlation_check(
         sizes,
         config.attack_scenario,
@@ -296,14 +280,6 @@ def _attack_records(config: RunConfig):
         derived_rng(config.seed, _STREAM_ATTACK),
         threshold=config.threshold,
     )
-    # The missed-detection figure is the intercept-resend one in either
-    # scenario (as missed_detection_probability computes it), so that rate
-    # is computed once and serves both fields.
-    attack_rate = exact_detection_probability(sizes)
-    if config.attack_scenario is Scenario.INTERCEPT_RESEND:
-        exact_rate = attack_rate
-    else:
-        exact_rate = exact_detection_probability(sizes, config.attack_scenario)
     yield _base_record(config, "check") | {
         "scenario": config.attack_scenario.value,
         "rounds": stats.rounds,
@@ -312,31 +288,28 @@ def _attack_records(config: RunConfig):
         "charlie_group_consistent_rate": stats.charlie_group_consistent_rate,
         "detected": stats.detected,
         "detection_rule": stats.detection_rule,
-        "exact_mismatch_probability": exact_rate,
-        "missed_detection_probability": (1.0 - attack_rate) ** config.rounds,
+        "exact_mismatch_probability": exact_detection_probability(sizes, config.attack_scenario),
+        "missed_detection_probability": missed_detection_probability(sizes, config.rounds),
     }
 
 
 def _table_records(config: RunConfig):
-    # Fixed expansion order: Bell outcomes as declared, then bit values.
-    for bell in BellOutcome:
-        for v_sum in (0, 1):
-            yield _base_record(config, "table_row") | {
-                "table": "bob",
-                "bell": bell.value,
-                "v_sum": v_sum,
-                "operation": BOB_CORRECTIONS[(bell, v_sum)].value,
-            }
-    for bell in BellOutcome:
-        for v_g1 in (0, 1):
-            for v_g2 in (0, 1):
-                yield _base_record(config, "table_row") | {
-                    "table": "charlie",
-                    "bell": bell.value,
-                    "v_g1": v_g1,
-                    "v_g2": v_g2,
-                    "operation": CHARLIE_CORRECTIONS[(bell, v_g1, v_g2)].value,
-                }
+    # The tables' own order: Bell outcomes as declared, then bit values.
+    for (bell, v_sum), op in BOB_CORRECTIONS.items():
+        yield _base_record(config, "table_row") | {
+            "table": "bob",
+            "bell": bell.value,
+            "v_sum": v_sum,
+            "operation": op.value,
+        }
+    for (bell, v_g1, v_g2), op in CHARLIE_CORRECTIONS.items():
+        yield _base_record(config, "table_row") | {
+            "table": "charlie",
+            "bell": bell.value,
+            "v_g1": v_g1,
+            "v_g2": v_g2,
+            "operation": op.value,
+        }
 
 
 def execute(config: RunConfig) -> int:
@@ -355,8 +328,15 @@ def execute(config: RunConfig) -> int:
     if config.output_path:
         with open(config.output_path, "w") as handle:
             _emit(records, handle)
-    else:
+        return 0
+    try:
         _emit(records, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Python flushes stdout again at exit;
+        # pointing it at devnull keeps that flush from failing a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise
     return 0
 
 
@@ -370,16 +350,11 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        config = parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return execute(config)
+        return execute(parse_args(argv))
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,8 +18,8 @@ helper's qubit leaves the register, as Alice's two qubits do in the Bell
 measurement; so the register shrinks by one qubit per level, and every node
 is computed once and shared by all the leaves below it.
 ``iter_branches`` (and ``enumerate_branches``, its list) descends into every
-possible outcome, in the order ``itertools.product`` would list them; the
-sampled runners descend into one outcome per level, drawn from a seeded rng.
+possible outcome, in the order ``itertools.product`` would list them;
+``run_recovery`` descends into one outcome per level, drawn from a seeded rng.
 
 The walk holds each state as its support, (basis index, amplitude) pairs
 measured with ``qstate._contract_support``: 8 pairs once the secret joins
@@ -104,10 +104,10 @@ class Designee:
     def __post_init__(self):
         if self.role.grade == "bob":
             if self.charlie_star is None:
-                raise ValueError("a Bob designee needs a charlie_star index")
+                raise ValueError("a Bob designee needs a charlie-star index")
         elif self.role.grade == "charlie":
             if self.charlie_star is not None:
-                raise ValueError("charlie_star only applies to Bob designees")
+                raise ValueError("charlie-star only applies to Bob designees")
         else:
             raise ValueError("the designee must be a Bob or a Charlie")
 
@@ -148,36 +148,31 @@ _CORRECTION_MATRICES = {
     CorrectionOp.ZH: qstate.Z @ qstate.H,
 }
 
-# Bob designee lookup: (Bell outcome, v_sum) -> correction.
+
+def _correction(h: int, x: int, z: int) -> CorrectionOp:
+    """The CorrectionOp X^x Z^z, after a Hadamard when h is set.
+
+    XZ is the member iY, which equals it up to a global phase.
+    """
+    pauli = {(0, 0): "", (1, 0): "X", (0, 1): "Z", (1, 1): "iY"}[x, z]
+    return CorrectionOp(pauli + "H" * h or "I")
+
+
+# Bob designee lookup: (Bell outcome, v_sum) -> X^psi Z^(sign xor v_sum),
+# with psi set for the psi states and sign for the minus states.
 BOB_CORRECTIONS = {
-    (BellOutcome.PHI_PLUS, 0): CorrectionOp.I,
-    (BellOutcome.PHI_MINUS, 1): CorrectionOp.I,
-    (BellOutcome.PHI_PLUS, 1): CorrectionOp.Z,
-    (BellOutcome.PHI_MINUS, 0): CorrectionOp.Z,
-    (BellOutcome.PSI_PLUS, 0): CorrectionOp.X,
-    (BellOutcome.PSI_MINUS, 1): CorrectionOp.X,
-    (BellOutcome.PSI_PLUS, 1): CorrectionOp.IY,
-    (BellOutcome.PSI_MINUS, 0): CorrectionOp.IY,
+    (bell, v_sum): _correction(0, int(not bell.is_phi), bell.sign_bit ^ v_sum)
+    for bell in BellOutcome
+    for v_sum in (0, 1)
 }
 
-# Charlie designee lookup: (Bell outcome, v_g1, v_g2) -> correction.
+# Charlie designee lookup: (Bell outcome, v_g1, v_g2) ->
+# X^(psi xor v_g2) Z^(sign xor v_g1) H.
 CHARLIE_CORRECTIONS = {
-    (BellOutcome.PHI_PLUS, 0, 0): CorrectionOp.H,
-    (BellOutcome.PHI_MINUS, 1, 0): CorrectionOp.H,
-    (BellOutcome.PHI_PLUS, 1, 0): CorrectionOp.ZH,
-    (BellOutcome.PHI_MINUS, 0, 0): CorrectionOp.ZH,
-    (BellOutcome.PHI_PLUS, 0, 1): CorrectionOp.XH,
-    (BellOutcome.PHI_MINUS, 1, 1): CorrectionOp.XH,
-    (BellOutcome.PHI_PLUS, 1, 1): CorrectionOp.IYH,
-    (BellOutcome.PHI_MINUS, 0, 1): CorrectionOp.IYH,
-    (BellOutcome.PSI_PLUS, 0, 1): CorrectionOp.H,
-    (BellOutcome.PSI_MINUS, 1, 1): CorrectionOp.H,
-    (BellOutcome.PSI_PLUS, 1, 1): CorrectionOp.ZH,
-    (BellOutcome.PSI_MINUS, 0, 1): CorrectionOp.ZH,
-    (BellOutcome.PSI_PLUS, 0, 0): CorrectionOp.XH,
-    (BellOutcome.PSI_MINUS, 1, 0): CorrectionOp.XH,
-    (BellOutcome.PSI_PLUS, 1, 0): CorrectionOp.IYH,
-    (BellOutcome.PSI_MINUS, 0, 0): CorrectionOp.IYH,
+    (bell, v_g1, v_g2): _correction(1, int(not bell.is_phi) ^ v_g2, bell.sign_bit ^ v_g1)
+    for bell in BellOutcome
+    for v_g1 in (0, 1)
+    for v_g2 in (0, 1)
 }
 
 
@@ -229,25 +224,29 @@ def correction_for_charlie(bell: BellOutcome, v_g1: int, v_g2: int) -> Correctio
     return CHARLIE_CORRECTIONS[(bell, v_g1, v_g2)]
 
 
-def _validate_designee(sizes: PartySizes, designee: Designee) -> None:
-    role = designee.role
-    if role.grade == "bob":
-        if role.index > sizes.m:
-            raise ValueError(f"bob:{role.index} does not exist with m={sizes.m}")
-        if designee.charlie_star > sizes.n:
-            raise ValueError(f"charlie:{designee.charlie_star} does not exist with n={sizes.n}")
-    else:
-        if role.index > sizes.n:
-            raise ValueError(f"charlie:{role.index} does not exist with n={sizes.n}")
+def _check_role(sizes: PartySizes, role: Role) -> None:
+    """Raise ValueError unless ``role`` is an agent that exists at ``sizes``."""
+    if role.grade == "alice":
+        raise ValueError("alice holds no agent qubit")
+    limit = sizes.m if role.grade == "bob" else sizes.n
+    if role.index > limit:
+        raise ValueError(f"{role.label} out of range 1..{limit}")
+
+
+def check_designee(sizes: PartySizes, designee: Designee) -> None:
+    """Raise ValueError unless the designee, and the charlie-star assisting a
+    Bob designee, exist at ``sizes``."""
+    _check_role(sizes, designee.role)
+    star = designee.charlie_star
+    if star is not None and not 1 <= star <= sizes.n:
+        raise ValueError(f"charlie-star {star} out of range 1..{sizes.n}")
 
 
 def _agent_qubit(sizes: PartySizes, role: Role) -> int:
     """Qubit index of an agent after the Bell measurement dropped S and A."""
     if role.grade == "bob":
         return role.index - 1
-    if role.grade == "charlie":
-        return sizes.m + role.index - 1
-    raise ValueError("alice holds no agent qubit")
+    return sizes.m + role.index - 1
 
 
 def _measurement_plan(sizes: PartySizes, designee: Designee) -> list[tuple[Role, MeasBasis]]:
@@ -406,31 +405,15 @@ def _sample_bell(whole, sizes: PartySizes, rng: np.random.Generator):
     return last
 
 
-def _run_sampled(
+def run_recovery(
     sizes: PartySizes, designee: Designee, secret: SecretState, rng: np.random.Generator
 ) -> TrialResult:
-    _validate_designee(sizes, designee)
+    """One sampled run: the Bell outcome and each helper's outcome are drawn
+    from ``rng``, and the designee's grade picks the helpers and the table."""
+    check_designee(sizes, designee)
     bell, bell_prob, post_bell = _sample_bell(_whole_support(sizes, secret), sizes, rng)
     (result,) = _branch_results(sizes, designee, secret, bell, bell_prob, post_bell, rng)
     return result
-
-
-def run_bob_recovery(
-    sizes: PartySizes, designee: Designee, secret: SecretState, rng: np.random.Generator
-) -> TrialResult:
-    """One sampled run with a Bob designee assisted by the other Bobs and charlie*."""
-    if designee.role.grade != "bob":
-        raise ValueError("run_bob_recovery needs a Bob designee")
-    return _run_sampled(sizes, designee, secret, rng)
-
-
-def run_charlie_recovery(
-    sizes: PartySizes, designee: Designee, secret: SecretState, rng: np.random.Generator
-) -> TrialResult:
-    """One sampled run with a Charlie designee assisted by all other agents."""
-    if designee.role.grade != "charlie":
-        raise ValueError("run_charlie_recovery needs a Charlie designee")
-    return _run_sampled(sizes, designee, secret, rng)
 
 
 def iter_branches(
@@ -444,7 +427,7 @@ def iter_branches(
     The designee and the branch limit are checked when the first branch is
     requested, so a failing enumeration raises before it yields anything.
     """
-    _validate_designee(sizes, designee)
+    check_designee(sizes, designee)
     steps, _ = _walk_steps(sizes, designee)
     total = 4 * 2 ** len(steps)
     if total > branch_limit:
@@ -476,12 +459,7 @@ def agent_marginal(
     sizes: PartySizes, secret: SecretState, bell: BellOutcome, agent: Role
 ) -> np.ndarray:
     """Single-qubit density matrix an agent holds right after Alice's broadcast."""
-    if agent.grade == "alice":
-        raise ValueError("alice keeps no agent qubit after her Bell measurement")
-    if agent.grade == "bob" and agent.index > sizes.m:
-        raise ValueError(f"bob:{agent.index} does not exist with m={sizes.m}")
-    if agent.grade == "charlie" and agent.index > sizes.n:
-        raise ValueError(f"charlie:{agent.index} does not exist with n={sizes.n}")
+    _check_role(sizes, agent)
     whole = compose_with_secret(secret, make_channel(sizes))
     _, post = bell_project(whole, _SECRET_QUBIT, _ALICE_QUBIT, bell)
     return reduced_density(post, _agent_qubit(sizes, agent))

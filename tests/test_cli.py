@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +26,7 @@ from hqis.cli import (
     parse_args,
     resolve_secret,
 )
-from hqis.protocol import Designee, enumerate_branches, iter_branches
+from hqis.protocol import BellOutcome, Designee, enumerate_branches, iter_branches
 from hqis.qstate import register_cap
 
 # The Bob-designee correction table, expanded over both Bell signs.
@@ -73,12 +77,9 @@ def test_parse_full_run_invocation():
     )
     assert config == RunConfig(
         mode="sample",
-        m=2,
-        n=2,
-        designee="bob:1",
-        charlie_star=1,
+        sizes=PartySizes(2, 2),
+        designee=Designee.bob(1, charlie_star=1),
         secret=config.secret,
-        secret_spec="0.6,0,0.8,0",
         trials=100,
         seed=42,
     )
@@ -245,6 +246,21 @@ def test_tables_mode_matches_golden_rows(tmp_path):
     } == GOLDEN_CHARLIE_TABLE
     # the worked example: phi+ with v_sum 1 calls for the phase flip
     assert GOLDEN_BOB_TABLE[("phi+", 1)] == "Z"
+
+
+def test_tables_rows_come_in_bell_then_bits_order(tmp_path):
+    code, records = run_cli(["tables"], tmp_path / "tables.ndjson")
+    assert code == 0
+    assert [r["table"] for r in records] == ["bob"] * 8 + ["charlie"] * 16
+    assert [(r["bell"], r["v_sum"]) for r in records[:8]] == [
+        (bell.value, v_sum) for bell in BellOutcome for v_sum in (0, 1)
+    ]
+    assert [(r["bell"], r["v_g1"], r["v_g2"]) for r in records[8:]] == [
+        (bell.value, v_g1, v_g2)
+        for bell in BellOutcome
+        for v_g1 in (0, 1)
+        for v_g2 in (0, 1)
+    ]
 
 
 def test_records_are_self_describing(tmp_path):
@@ -443,3 +459,56 @@ def test_streamed_enumeration_matches_the_branch_list():
     assert summary["probability_sum"] == running_sum
     assert summary["min_fidelity"] == min(r.fidelity for r in results)
     assert summary["max_fidelity"] == max(r.fidelity for r in results)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--m", "2", "--n", "2", "--designee", "bob:1", "--charlie-star", "3"],
+        ["run", "--m", "2", "--n", "2", "--designee", "bob:1", "--charlie-star", "0"],
+        ["run", "--m", "2", "--n", "2", "--designee", "bob:0", "--charlie-star", "1"],
+        ["run", "--m", "2", "--n", "2", "--designee", "alice:1"],
+        ["run", "--m", "0", "--n", "2", "--designee", "charlie:1"],
+        ["attack", "--m", "0", "--n", "2"],
+    ],
+)
+def test_bad_sizes_and_designees_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "records.ndjson"
+    assert main(argv) == 1
+    assert main(argv + ["--output", str(out)]) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = captured.err.splitlines()
+    assert len(errors) == 2 and all(line.startswith("error:") for line in errors)
+
+
+@pytest.mark.parametrize("target", ["directory", "missing parent"])
+def test_unopenable_output_is_an_error(tmp_path, capsys, target):
+    path = tmp_path if target == "directory" else tmp_path / "missing" / "records.ndjson"
+    assert main(["tables", "--output", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (error,) = captured.err.splitlines()
+    assert error.startswith("error:") and str(path) in error
+
+
+def test_closed_stdout_ends_with_one_error_line():
+    # 20000 records are far more than a pipe buffers, so writing outlives the reader.
+    argv = ["run", "--m", "2", "--n", "2", "--designee", "charlie:1", "--trials", "20000"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hqis.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert json.loads(proc.stdout.readline())["record"] == "trial"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err.splitlines() == ["error: [Errno 32] Broken pipe"], err

@@ -25,8 +25,7 @@ from hqis.protocol import (
     iter_branches,
     outcome_symbol,
     parity,
-    run_bob_recovery,
-    run_charlie_recovery,
+    run_recovery,
 )
 from hqis.cli import derived_rng
 from hqis.qstate import (
@@ -121,7 +120,7 @@ def test_bob_recovery_perfect_fidelity(m, n):
     for b in range(1, m + 1):
         for c in range(1, n + 1):
             for _ in range(4):
-                result = run_bob_recovery(sizes, Designee.bob(b, c), secret, rng)
+                result = run_recovery(sizes, Designee.bob(b, c), secret, rng)
                 assert result.fidelity == pytest.approx(1.0, abs=1e-10)
 
 
@@ -131,14 +130,14 @@ def test_charlie_recovery_perfect_fidelity(m, n):
     rng = np.random.default_rng(202)
     for secret in random_secrets(2, seed=77):
         for c in range(1, n + 1):
-            result = run_charlie_recovery(sizes, Designee.charlie(c), secret, rng)
+            result = run_recovery(sizes, Designee.charlie(c), secret, rng)
             assert result.fidelity == pytest.approx(1.0, abs=1e-10)
 
 
 def test_basis_secret_recovers_exactly():
     rng = np.random.default_rng(7)
     for _ in range(8):
-        result = run_bob_recovery(
+        result = run_recovery(
             PartySizes(2, 2), Designee.bob(1, 2), SecretState(1, 0), rng
         )
         assert result.fidelity == pytest.approx(1.0, abs=1e-12)
@@ -148,13 +147,9 @@ def test_run_grade_validation():
     sizes = PartySizes(2, 2)
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        run_bob_recovery(sizes, Designee.charlie(1), SECRETS[0], rng)
+        run_recovery(sizes, Designee.bob(3, 1), SECRETS[0], rng)
     with pytest.raises(ValueError):
-        run_charlie_recovery(sizes, Designee.bob(1, 1), SECRETS[0], rng)
-    with pytest.raises(ValueError):
-        run_bob_recovery(sizes, Designee.bob(3, 1), SECRETS[0], rng)
-    with pytest.raises(ValueError):
-        run_charlie_recovery(sizes, Designee.charlie(5), SECRETS[0], rng)
+        run_recovery(sizes, Designee.charlie(5), SECRETS[0], rng)
 
 
 def test_designee_construction_rules():
@@ -180,7 +175,7 @@ def test_role_construction_rules():
 def test_trial_records_consistent_classical_data():
     sizes = PartySizes(3, 2)
     rng = np.random.default_rng(11)
-    result = run_bob_recovery(sizes, Designee.bob(2, 1), SECRETS[3], rng)
+    result = run_recovery(sizes, Designee.bob(2, 1), SECRETS[3], rng)
     bob_bits = [b for r, b in result.classical_bits.items() if r.grade == "bob"]
     assert len(bob_bits) == 2  # the other Bobs
     assert result.v_g1 == parity(bob_bits)
@@ -408,7 +403,7 @@ def test_sampled_branch_frequencies_match_enumeration():
     trials = 100_000
     rng = np.random.default_rng(314159)
     counts = Counter(
-        _branch_key(run_bob_recovery(sizes, designee, secret, rng)) for _ in range(trials)
+        _branch_key(run_recovery(sizes, designee, secret, rng)) for _ in range(trials)
     )
     assert set(counts) <= set(expected)
     for key, prob in expected.items():
@@ -515,10 +510,8 @@ def test_walk_matches_per_leaf_reference(grade, m, n, seed, data):
     (secret,) = random_secrets(1, seed)
     if grade == "bob":
         designee = Designee.bob(data.draw(st.integers(1, m)), data.draw(st.integers(1, n)))
-        runner = run_bob_recovery
     else:
         designee = Designee.charlie(data.draw(st.integers(1, n)))
-        runner = run_charlie_recovery
     results = enumerate_branches(sizes, designee, secret)
     expected = list(_reference_enumeration(sizes, designee, secret))
     assert len(results) == len(expected)
@@ -526,7 +519,7 @@ def test_walk_matches_per_leaf_reference(grade, m, n, seed, data):
         _assert_same_branch(result, branch)
     for k in range(8):
         _assert_same_branch(
-            runner(sizes, designee, secret, derived_rng(seed, 1, k)),
+            run_recovery(sizes, designee, secret, derived_rng(seed, 1, k)),
             _reference_sample(sizes, designee, secret, derived_rng(seed, 1, k)),
         )
 
@@ -537,7 +530,7 @@ def test_sampled_trial_memory_follows_the_support():
     secret = SecretState(0.6, 0.8j)
     tracemalloc.start()
     try:
-        result = run_charlie_recovery(sizes, Designee.charlie(3), secret, derived_rng(3, 1, 0))
+        result = run_recovery(sizes, Designee.charlie(3), secret, derived_rng(3, 1, 0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
