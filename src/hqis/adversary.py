@@ -21,9 +21,6 @@ from .channel import (
 )
 from .qstate import StateVector, _check_cap, tensor
 
-# Check rounds drawn per call of the generator; bounds the memory of a check.
-_CHUNK_ROUNDS = 2**16
-
 
 class Scenario(Enum):
     HONEST = "honest"
@@ -120,24 +117,21 @@ def correlation_check(
     draw from the outcome distribution of :func:`build_scenario_state`.
     That state is never built: its support is the outer product of the
     factors' supports (4 entries honest, 16 under attack), taken from the
-    channel module's pairs, and rounds are drawn over it in chunks of
-    ``_CHUNK_ROUNDS``, so memory grows neither with ``rounds`` nor with
-    m + n.  Zero-probability entries leave every partial sum of the
-    distribution unchanged and chunked draws continue one stream, so a seed
-    gives the same tallies as one draw per round over the dense state.
-    Under attack the joint register of 1+2(m+n) qubits is still held to the
-    register cap.
+    channel module's pairs.  The tallies read only how many rounds fell on
+    each support entry, and those counts are one multinomial(rounds, probs)
+    draw, so time and memory grow neither with ``rounds`` nor with m + n.
+    ``rounds`` is bounded by numpy's int64 trial count, 2**63 - 1.  A
+    multinomial draws nothing for a zero-probability category, so a seed
+    gives the same counts as a multinomial over every amplitude of the dense
+    state.  Under attack the joint register of 1+2(m+n) qubits is still held
+    to the register cap.
     """
     if rounds < 1:
         raise ValueError(f"need at least one round, got {rounds}")
     if scenario is Scenario.INTERCEPT_RESEND:
         _check_cap(1 + 2 * (sizes.m + sizes.n))
     probs, bits = _outcomes(sizes, scenario)
-    counts = np.zeros(probs.size, dtype=np.int64)
-    for start in range(0, rounds, _CHUNK_ROUNDS):
-        draws = rng.choice(probs.size, size=min(_CHUNK_ROUNDS, rounds - start), p=probs)
-        counts += np.bincount(draws, minlength=probs.size)
-    counts = counts.tolist()
+    counts = rng.multinomial(rounds, probs).tolist()
 
     bob_matches = [
         sum(count for count, (alice, bobs, _) in zip(counts, bits) if bobs[k] == alice)

@@ -30,6 +30,7 @@ from .protocol import (
     Designee,
     Role,
     TrialResult,
+    _measurement_plan,
     check_designee,
     iter_branches,
     run_recovery,
@@ -37,6 +38,7 @@ from .protocol import (
 from .qstate import ResourceLimitError, register_cap
 
 SECRET_NORM_SLACK = 1e-6
+_MAX_ROUNDS = 2**63 - 1  # the check's one multinomial takes an int64 trial count
 
 # Purpose tags for derived rng streams, so each consumer is reproducible
 # in isolation from the single run seed.
@@ -170,8 +172,8 @@ def parse_args(argv: list[str]) -> RunConfig:
     seed = _parse_seed(args.seed)
     try:
         if args.command == "attack":
-            if args.rounds < 1:
-                raise UsageError(f"rounds must be >= 1, got {args.rounds}")
+            if not 1 <= args.rounds <= _MAX_ROUNDS:
+                raise UsageError(f"rounds must be in 1..{_MAX_ROUNDS}, got {args.rounds}")
             if not 0.0 <= args.threshold <= 1.0:  # NaN fails this comparison too
                 raise UsageError(f"threshold must be a number in [0, 1], got {args.threshold!r}")
             return RunConfig(
@@ -226,10 +228,10 @@ def _secret_fields(secret: SecretState) -> list[float]:
     return [secret.alpha.real, secret.alpha.imag, secret.beta.real, secret.beta.imag]
 
 
-def _result_fields(result: TrialResult) -> dict:
+def _result_fields(result: TrialResult, labels: tuple[str, ...]) -> dict:
     return {
         "bell": result.bell.value,
-        "bits": {role.label: bit for role, bit in result.classical_bits.items()},
+        "bits": dict(zip(labels, result.classical_bits.values())),
         "v_g1": result.v_g1,
         "v_g2_or_charlie_star": result.v_g2_or_charlie_star,
         "correction": result.correction.value,
@@ -241,6 +243,8 @@ def _result_fields(result: TrialResult) -> dict:
 def _run_records(config: RunConfig):
     sizes, designee = config.sizes, config.designee
     secret = resolve_secret(config)
+    # The helpers' labels in plan order, which is the order of classical_bits.
+    labels = tuple(role.label for role, _ in _measurement_plan(sizes, designee))
     context = {
         "designee": designee.role.label,
         "charlie_star": designee.charlie_star,
@@ -250,7 +254,8 @@ def _run_records(config: RunConfig):
         for k in range(config.trials):
             rng = derived_rng(config.seed, _STREAM_TRIAL, k)
             result = run_recovery(sizes, designee, secret, rng)
-            yield _base_record(config, "trial") | context | {"trial": k} | _result_fields(result)
+            record = _base_record(config, "trial") | context | {"trial": k}
+            yield record | _result_fields(result, labels)
         return
     # Records stream as the walk reaches each branch; the summary is
     # accumulated on the way, in the order the branches come.
@@ -258,7 +263,7 @@ def _run_records(config: RunConfig):
     min_fidelity, max_fidelity = math.inf, -math.inf
     for result in iter_branches(sizes, designee, secret):
         record = _base_record(config, "branch") | context | {"branch": branches}
-        yield record | _result_fields(result)
+        yield record | _result_fields(result, labels)
         branches += 1
         probability_sum += result.branch_probability
         min_fidelity = min(min_fidelity, result.fidelity)

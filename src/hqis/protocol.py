@@ -315,35 +315,35 @@ def _bell_branch(whole, sizes: PartySizes, outcome: BellOutcome):
     )
 
 
-def _walk(
-    pairs,
-    num_qubits: int,
-    steps,
-    prob: float,
-    rng: np.random.Generator | None = None,
-    bits: tuple[int, ...] = (),
-):
+def _walk(pairs, num_qubits: int, steps, prob: float, rng: np.random.Generator | None = None):
     """Depth first below one node: yields (support, qubits, probability, bits)
     per leaf.
 
     Without ``rng`` the walk descends into every possible child, outcome 0
     first; with one, into the single child ``rng`` draws, as ``measure`` would.
+    The nodes still to visit sit on an explicit stack, outcome 1 under
+    outcome 0, so the depth is not bounded by Python's recursion limit.
     """
-    if len(bits) == len(steps):
-        yield pairs, num_qubits, prob, bits
-        return
-    _, axis, bras = steps[len(bits)]
+    stack = [(pairs, num_qubits, prob, ())]
+    while stack:
+        pairs, num_qubits, prob, bits = stack.pop()
+        if len(bits) == len(steps):
+            yield pairs, num_qubits, prob, bits
+            continue
+        _, axis, bras = steps[len(bits)]
 
-    def child(outcome):
-        return qstate._contract_support(pairs, num_qubits, bras[outcome], axis)
+        def child(outcome):
+            return qstate._contract_support(pairs, num_qubits, bras[outcome], axis)
 
-    if rng is None:
-        children = ((outcome, *child(outcome)) for outcome in (0, 1))
-    else:
-        children = (qstate._sample_outcome(child, rng),)
-    for outcome, p, post in children:
-        if post is not None:
-            yield from _walk(post, num_qubits - 1, steps, prob * p, rng, bits + (outcome,))
+        if rng is None:
+            children = [(outcome, *child(outcome)) for outcome in (1, 0)]
+        else:
+            children = [qstate._sample_outcome(child, rng)]
+        stack.extend(
+            (post, num_qubits - 1, prob * p, bits + (outcome,))
+            for outcome, p, post in children
+            if post is not None
+        )
 
 
 def _branch_results(

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from hqis.adversary import (
-    _CHUNK_ROUNDS,
     CheckStats,
     Scenario,
     _delivered_qubits,
@@ -139,23 +138,25 @@ def test_rounds_must_be_positive():
 
 
 def _dense_correlation_check(sizes, scenario, rounds, rng, threshold=0.99):
-    """Reference: one draw per round over every amplitude of the joint state."""
+    """Reference: one multinomial draw over every amplitude of the joint
+    state, the tallies read off each basis index's count."""
     state = build_scenario_state(sizes, scenario)
     alice_q, bob_qs, charlie_qs = _delivered_qubits(sizes, scenario)
 
     probs = np.abs(state.amplitudes) ** 2
     probs /= probs.sum()
-    draws = rng.choice(probs.size, size=rounds, p=probs)
+    counts = rng.multinomial(rounds, probs)
 
     total = state.num_qubits
+    indices = np.arange(probs.size)
 
     def bit(q):
-        return (draws >> (total - 1 - q)) & 1
+        return (indices >> (total - 1 - q)) & 1
 
     alice_bits = bit(alice_q)
-    bob_matches = [int(np.sum(bit(q) == alice_bits)) for q in bob_qs]
+    bob_matches = [int(counts[bit(q) == alice_bits].sum()) for q in bob_qs]
     charlie_bits = np.stack([bit(q) for q in charlie_qs])
-    charlies_agree = int(np.sum(np.all(charlie_bits == charlie_bits[0], axis=0)))
+    charlies_agree = int(counts[np.all(charlie_bits == charlie_bits[0], axis=0)].sum())
 
     match_rates = tuple(count / rounds for count in bob_matches)
     rule = f"flag when any Alice-vs-Bob computational match rate drops below {threshold}"
@@ -172,7 +173,7 @@ def _dense_correlation_check(sizes, scenario, rounds, rng, threshold=0.99):
 @pytest.mark.parametrize("m,n", ALL_SIZES)
 def test_support_check_equals_dense_reference(m, n, scenario):
     sizes = PartySizes(m, n)
-    for rounds in (1, _CHUNK_ROUNDS - 1, _CHUNK_ROUNDS, _CHUNK_ROUNDS + 1, 3 * _CHUNK_ROUNDS + 17):
+    for rounds in (1, 65535, 65536, 65537, 196625):
         seed = (rounds, m, n, int(scenario is Scenario.HONEST))
         expected = _dense_correlation_check(
             sizes, scenario, rounds, np.random.default_rng(seed), threshold=0.7
@@ -183,7 +184,8 @@ def test_support_check_equals_dense_reference(m, n, scenario):
 
 def test_check_memory_does_not_grow_with_rounds():
     bound = 4 * 2**20
-    for rounds in (10**5, 4 * 10**6):
+    # 2**63 - 1, the most rounds numpy's multinomial takes, costs what 10**5 does.
+    for rounds in (10**5, 4 * 10**6, 2**63 - 1):
         tracemalloc.start()
         try:
             correlation_check(

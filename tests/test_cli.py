@@ -383,6 +383,75 @@ def test_attack_rejects_threshold_outside_unit_interval(capsys, threshold):
     assert captured.err.startswith("error: threshold")
 
 
+@pytest.mark.parametrize("rounds", ["0", str(2**63), "100000000000000000000"])
+def test_attack_rejects_rounds_outside_int64(tmp_path, capsys, rounds):
+    out = tmp_path / "records.ndjson"
+    argv = ["attack", "--m", "1", "--n", "1", "--rounds", rounds, "--output", str(out)]
+    assert main(argv) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (error,) = captured.err.splitlines()
+    assert error.startswith("error: rounds must be in 1..")
+
+
+def test_attack_accepts_the_largest_round_count():
+    config = parse_args(["attack", "--m", "1", "--n", "1", "--rounds", str(2**63 - 1)])
+    assert config.rounds == 2**63 - 1
+
+
+# The full check record at a fixed seed, so that a change to the rule that
+# draws the rounds fails here instead of only staying self-consistent.
+GOLDEN_ATTACK_RECORDS = {
+    "intercept-resend": {
+        "alice_bob_match_rates": [0.4915, 0.4915],
+        "charlie_group_consistent_rate": 1.0,
+        "detected": True,
+        "exact_mismatch_probability": 0.5,
+        "missed_detection_probability": 0.0,
+    },
+    "honest": {
+        "alice_bob_match_rates": [1.0, 1.0],
+        "charlie_group_consistent_rate": 1.0,
+        "detected": False,
+        "exact_mismatch_probability": 0.0,
+        "missed_detection_probability": 0.0,
+    },
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN_ATTACK_RECORDS))
+def test_attack_record_matches_golden(tmp_path, scenario):
+    out = tmp_path / "records.ndjson"
+    argv = ["attack", "--m", "2", "--n", "2", "--rounds", "2000", "--seed", "77",
+            "--scenario", scenario, "--output", str(out)]
+    assert main(argv) == 0
+    (record,) = [json.loads(line) for line in out.read_text().splitlines()]
+    assert record == GOLDEN_ATTACK_RECORDS[scenario] | {
+        "record": "check",
+        "mode": "attack",
+        "m": 2,
+        "n": 2,
+        "seed": 77,
+        "scenario": scenario,
+        "rounds": 2000,
+        "threshold": 0.99,
+        "detection_rule": "flag when any Alice-vs-Bob computational match rate drops below 0.99",
+    }
+
+
+def test_run_walks_deeper_than_the_recursion_limit(monkeypatch, tmp_path):
+    # m=n=600 with a Charlie designee: 1199 helpers, one walk level each.
+    monkeypatch.setenv("HQIS_MAX_QUBITS", "1202")
+    out = tmp_path / "records.ndjson"
+    argv = ["run", "--m", "600", "--n", "600", "--designee", "charlie:1", "--trials", "1",
+            "--output", str(out)]
+    assert main(argv) == 0
+    (record,) = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(record["bits"]) == 1199
+    assert record["fidelity"] == pytest.approx(1.0, abs=1e-9)
+
+
 def test_emitted_json_is_strict():
     with pytest.raises(ValueError):
         _emit([{"rate": float("nan")}], io.StringIO())
