@@ -31,9 +31,6 @@ from .protocol import (
     TrialResult,
     agent_marginal,
     check_designee,
-    correction_for_bob,
-    correction_for_charlie,
-    encode_outcome,
     enumerate_branches,
     iter_branches,
     parity,
@@ -48,8 +45,6 @@ from .qstate import (
     apply_gate,
     basis_state,
     bell_project,
-    fidelity_with_secret,
-    measure,
     permute_qubits,
     project,
     reduced_density,
@@ -77,18 +72,13 @@ __all__ = [
     "build_scenario_state",
     "check_designee",
     "compose_with_secret",
-    "correction_for_bob",
-    "correction_for_charlie",
     "correlation_check",
-    "encode_outcome",
     "enumerate_branches",
     "exact_detection_probability",
-    "fidelity_with_secret",
     "iter_branches",
     "make_channel",
     "make_fake_channel",
     "make_standard_form",
-    "measure",
     "missed_detection_probability",
     "parity",
     "permute_qubits",

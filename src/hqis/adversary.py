@@ -21,6 +21,9 @@ from .channel import (
 )
 from .qstate import StateVector, _check_cap, tensor
 
+# The check's one multinomial takes numpy's int64 trial count.
+MAX_ROUNDS = 2**63 - 1
+
 
 class Scenario(Enum):
     HONEST = "honest"
@@ -120,14 +123,14 @@ def correlation_check(
     channel module's pairs.  The tallies read only how many rounds fell on
     each support entry, and those counts are one multinomial(rounds, probs)
     draw, so time and memory grow neither with ``rounds`` nor with m + n.
-    ``rounds`` is bounded by numpy's int64 trial count, 2**63 - 1.  A
+    ``rounds`` must lie in 1..``MAX_ROUNDS``, or ValueError is raised.  A
     multinomial draws nothing for a zero-probability category, so a seed
     gives the same counts as a multinomial over every amplitude of the dense
     state.  Under attack the joint register of 1+2(m+n) qubits is still held
     to the register cap.
     """
-    if rounds < 1:
-        raise ValueError(f"need at least one round, got {rounds}")
+    if not 1 <= rounds <= MAX_ROUNDS:
+        raise ValueError(f"rounds must be in 1..{MAX_ROUNDS}, got {rounds}")
     if scenario is Scenario.INTERCEPT_RESEND:
         _check_cap(1 + 2 * (sizes.m + sizes.n))
     probs, bits = _outcomes(sizes, scenario)

@@ -38,7 +38,6 @@ from .protocol import (
 from .qstate import ResourceLimitError, register_cap
 
 SECRET_NORM_SLACK = 1e-6
-_MAX_ROUNDS = 2**63 - 1  # the check's one multinomial takes an int64 trial count
 
 # Purpose tags for derived rng streams, so each consumer is reproducible
 # in isolation from the single run seed.
@@ -172,8 +171,6 @@ def parse_args(argv: list[str]) -> RunConfig:
     seed = _parse_seed(args.seed)
     try:
         if args.command == "attack":
-            if not 1 <= args.rounds <= _MAX_ROUNDS:
-                raise UsageError(f"rounds must be in 1..{_MAX_ROUNDS}, got {args.rounds}")
             if not 0.0 <= args.threshold <= 1.0:  # NaN fails this comparison too
                 raise UsageError(f"threshold must be a number in [0, 1], got {args.threshold!r}")
             return RunConfig(

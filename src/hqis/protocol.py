@@ -25,7 +25,9 @@ The walk holds each state as its support, (basis index, amplitude) pairs
 measured with ``qstate._contract_support``: 8 pairs once the secret joins
 the channel's 4, and never more than 4 after the Bell measurement, so its
 cost does not grow with the 2**(m+n) entries a dense register would have.
-The dense ``qstate`` operations remain the reference the tests compare with.
+``agent_marginal`` reads the same post-Bell support, so no path of this
+module builds a dense register; the dense ``qstate`` operations are the
+oracle the tests compare with.
 """
 
 import functools
@@ -35,25 +37,12 @@ from enum import Enum
 import numpy as np
 
 from . import qstate
-from .channel import (
-    PartySizes,
-    SecretState,
-    _channel_support,
-    compose_with_secret,
-    make_channel,
-)
-from .qstate import (
-    BellOutcome,
-    MeasBasis,
-    ResourceLimitError,
-    bell_project,
-    reduced_density,
-)
+from .channel import PartySizes, SecretState, _channel_support
+from .qstate import BellOutcome, MeasBasis, ResourceLimitError
 
 DEFAULT_BRANCH_LIMIT = 2**20
 
 _SECRET_QUBIT = 0
-_ALICE_QUBIT = 1
 
 
 class BranchLimitError(ResourceLimitError):
@@ -189,39 +178,12 @@ class TrialResult:
     fidelity: float
 
 
-def encode_outcome(basis: MeasBasis, outcome) -> int:
-    """Map a measurement outcome to its classical bit: |+>,|0> -> 0; |->,|1> -> 1."""
-    if isinstance(outcome, str):
-        symbols = {
-            MeasBasis.COMPUTATIONAL: {"0": 0, "1": 1},
-            MeasBasis.PLUS_MINUS: {"+": 0, "-": 1, "−": 1},
-        }[basis]
-        if outcome not in symbols:
-            raise ValueError(f"{outcome!r} is not an outcome symbol for {basis}")
-        return symbols[outcome]
-    if outcome not in (0, 1):
-        raise ValueError(f"outcome must be a bit or symbol, got {outcome!r}")
-    return int(outcome)
-
-
-def outcome_symbol(basis: MeasBasis, bit: int) -> str:
-    return ("0", "1")[bit] if basis is MeasBasis.COMPUTATIONAL else ("+", "-")[bit]
-
-
 def parity(bits) -> int:
     """Modulo-2 sum of a bit collection; empty input gives 0."""
     total = 0
     for b in bits:
         total ^= b
     return total
-
-
-def correction_for_bob(bell: BellOutcome, v_sum: int) -> CorrectionOp:
-    return BOB_CORRECTIONS[(bell, v_sum)]
-
-
-def correction_for_charlie(bell: BellOutcome, v_g1: int, v_g2: int) -> CorrectionOp:
-    return CHARLIE_CORRECTIONS[(bell, v_g1, v_g2)]
 
 
 def _check_role(sizes: PartySizes, role: Role) -> None:
@@ -320,7 +282,8 @@ def _walk(pairs, num_qubits: int, steps, prob: float, rng: np.random.Generator |
     per leaf.
 
     Without ``rng`` the walk descends into every possible child, outcome 0
-    first; with one, into the single child ``rng`` draws, as ``measure`` would.
+    first; with one, into the single child ``rng`` draws with
+    ``qstate._sample_outcome``.
     The nodes still to visit sit on an explicit stack, outcome 1 under
     outcome 0, so the depth is not bounded by Python's recursion limit.
     """
@@ -372,10 +335,10 @@ def _branch_results(
         v_g1 = parity(bits[r] for r in bits if r.grade == "bob")
         if star is not None:
             aux = bits[star]
-            op = correction_for_bob(bell, v_g1 ^ aux)
+            op = BOB_CORRECTIONS[bell, v_g1 ^ aux]
         else:
             aux = parity(bits[r] for r in bits if r.grade == "charlie")
-            op = correction_for_charlie(bell, v_g1, aux)
+            op = CHARLIE_CORRECTIONS[bell, v_g1, aux]
         fidelity, _ = qstate._contract_support(
             pairs, num_qubits, _recovery_bra(secret, op), designee_axis
         )
@@ -458,8 +421,16 @@ def enumerate_branches(
 def agent_marginal(
     sizes: PartySizes, secret: SecretState, bell: BellOutcome, agent: Role
 ) -> np.ndarray:
-    """Single-qubit density matrix an agent holds right after Alice's broadcast."""
+    """Single-qubit density matrix an agent holds right after Alice's broadcast.
+
+    A partial trace over the post-Bell support: the entries that differ only
+    in the agent's bit make up one 2-vector of the agent's amplitudes, and
+    the matrix is the sum of those vectors' outer products.
+    """
     _check_role(sizes, agent)
-    whole = compose_with_secret(secret, make_channel(sizes))
-    _, post = bell_project(whole, _SECRET_QUBIT, _ALICE_QUBIT, bell)
-    return reduced_density(post, _agent_qubit(sizes, agent))
+    _, post = _bell_branch(_whole_support(sizes, secret), sizes, bell)
+    shift = sizes.m + sizes.n - 1 - _agent_qubit(sizes, agent)
+    vectors = {}
+    for index, amp in post:
+        vectors.setdefault(index & ~(1 << shift), np.zeros(2, complex))[index >> shift & 1] += amp
+    return sum(np.outer(vec, vec.conj()) for vec in vectors.values())

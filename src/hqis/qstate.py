@@ -1,15 +1,13 @@
-"""Complex state core: dense state vectors, plus a support-only contraction.
+"""Complex state core: a support-only contraction, plus dense state vectors.
 
-Registers are ordered lists of qubits; qubit 0 sits at the most significant
-bit of the amplitude index, so ``basis_state(3, "110")`` puts its single
-nonzero amplitude at index ``0b110``.  States are immutable values: every
-operation returns a fresh :class:`StateVector`.
-
-The protocol's states have a handful of nonzero amplitudes on registers of
-up to ``2 + m + n`` qubits, so its runs hold a state as its support instead:
-a list of ``(basis index, amplitude)`` pairs plus the qubit count, measured
-with :func:`_contract_support`.  The dense operations stay as the public API
-and as the reference the support path is tested against.
+The protocol's runs hold each state as its support, ``(basis index,
+amplitude)`` pairs plus the qubit count, measured with
+:func:`_contract_support` and sampled with :func:`_sample_outcome`.  The
+dense :class:`StateVector` operations are the oracle those are tested
+against, and the API the acceptance tests use.  Qubit 0 sits at the most
+significant bit of the amplitude index, so ``basis_state(3, "110")`` puts
+its single nonzero amplitude at index ``0b110``.  States are immutable
+values: every operation returns a fresh :class:`StateVector`.
 """
 
 import math
@@ -300,7 +298,8 @@ def _sample_outcome(branch, rng: np.random.Generator):
     returns ``(prob, post)`` with ``post`` ``None`` for an impossible outcome.
 
     Makes one ``rng.random()`` call, and only when outcome 0 is possible, so
-    a seeded rng draws the same outcome whatever form ``post`` takes.
+    a seeded rng draws the same outcome whatever form ``post`` takes, a
+    :func:`_contract_support` remainder or a dense :func:`project` state.
     Returns ``(outcome, prob, post)``.
     """
     p0, post0 = branch(0)
@@ -310,14 +309,6 @@ def _sample_outcome(branch, rng: np.random.Generator):
     if post1 is None:
         return 0, p0, post0
     return 1, p1, post1
-
-
-def measure(
-    state: StateVector, q: int, basis: MeasBasis, rng: np.random.Generator
-) -> tuple[int, StateVector]:
-    """Sample a measurement of qubit ``q``; deterministic for a seeded rng."""
-    outcome, _, collapsed = _sample_outcome(lambda o: project(state, q, basis, o), rng)
-    return outcome, collapsed
 
 
 def bell_project(
@@ -350,11 +341,3 @@ def reduced_density(state: StateVector, q: int) -> np.ndarray:
         return np.outer(amps, amps.conj())
     t = np.moveaxis(state._tensor(), q, 0).reshape(2, -1)
     return t @ t.conj().T
-
-
-def fidelity_with_secret(state: StateVector, secret: SecretState) -> float:
-    """Overlap |<secret|state>|^2 for a single-qubit state; phase-insensitive."""
-    if state.num_qubits != 1:
-        raise ValueError(f"fidelity needs a 1-qubit state, got {state.num_qubits} qubits")
-    overlap = np.conj(secret.alpha) * state.amplitudes[0] + np.conj(secret.beta) * state.amplitudes[1]
-    return min(float(abs(overlap) ** 2), 1.0)

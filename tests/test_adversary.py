@@ -133,8 +133,9 @@ def test_check_reproducible_for_seed():
 
 
 def test_rounds_must_be_positive():
-    with pytest.raises(ValueError):
-        correlation_check(PartySizes(1, 1), Scenario.HONEST, 0, np.random.default_rng(0))
+    for rounds in (0, 2**63):
+        with pytest.raises(ValueError, match="rounds must be in 1.."):
+            correlation_check(PartySizes(1, 1), Scenario.HONEST, rounds, np.random.default_rng(0))
 
 
 def _dense_correlation_check(sizes, scenario, rounds, rng, threshold=0.99):

@@ -26,8 +26,16 @@ from hqis.cli import (
     parse_args,
     resolve_secret,
 )
-from hqis.protocol import BellOutcome, Designee, enumerate_branches, iter_branches
-from hqis.qstate import register_cap
+from hqis import qstate
+from hqis.protocol import (
+    BellOutcome,
+    Designee,
+    Role,
+    agent_marginal,
+    enumerate_branches,
+    iter_branches,
+)
+from hqis.qstate import SecretState, register_cap
 
 # The Bob-designee correction table, expanded over both Bell signs.
 GOLDEN_BOB_TABLE = {
@@ -450,6 +458,28 @@ def test_run_walks_deeper_than_the_recursion_limit(monkeypatch, tmp_path):
     (record,) = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(record["bits"]) == 1199
     assert record["fidelity"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_nothing_at_run_time_builds_a_dense_register(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("a runtime path built a dense StateVector")
+
+    monkeypatch.setattr(qstate.StateVector, "__post_init__", refuse)
+    argvs = [
+        ["run", "--m", "5", "--n", "6", "--designee", "charlie:3", "--trials", "20"],
+        ["run", "--m", "2", "--n", "3", "--designee", "bob:2", "--charlie-star", "1",
+         "--mode", "enumerate"],
+        ["attack", "--m", "5", "--n", "6", "--scenario", "honest"],
+        ["attack", "--m", "5", "--n", "6", "--scenario", "intercept-resend"],
+        ["tables"],
+    ]
+    for argv in argvs:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    secret = SecretState(0.6, 0.8j)
+    for agent in (Role.bob(2), Role.charlie(3)):
+        rho = agent_marginal(PartySizes(5, 6), secret, BellOutcome.PHI_MINUS, agent)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_emitted_json_is_strict():

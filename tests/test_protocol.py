@@ -18,12 +18,8 @@ from hqis.protocol import (
     Designee,
     Role,
     agent_marginal,
-    correction_for_bob,
-    correction_for_charlie,
-    encode_outcome,
     enumerate_branches,
     iter_branches,
-    outcome_symbol,
     parity,
     run_recovery,
 )
@@ -56,22 +52,6 @@ def all_designees(sizes: PartySizes):
 
 # --- classical pieces ---
 
-def test_encode_outcome_rules():
-    assert encode_outcome(MeasBasis.PLUS_MINUS, "-") == 1
-    assert encode_outcome(MeasBasis.PLUS_MINUS, "+") == 0
-    assert encode_outcome(MeasBasis.COMPUTATIONAL, "0") == 0
-    assert encode_outcome(MeasBasis.COMPUTATIONAL, "1") == 1
-    assert encode_outcome(MeasBasis.PLUS_MINUS, 1) == 1
-    with pytest.raises(ValueError):
-        encode_outcome(MeasBasis.COMPUTATIONAL, "+")
-
-
-def test_outcome_symbols_round_trip():
-    for basis in MeasBasis:
-        for bit in (0, 1):
-            assert encode_outcome(basis, outcome_symbol(basis, bit)) == bit
-
-
 def test_parity():
     assert parity([]) == 0
     assert parity([1, 1, 0]) == 0
@@ -79,15 +59,15 @@ def test_parity():
 
 
 def test_bob_table_examples():
-    assert correction_for_bob(BellOutcome.PHI_PLUS, 1) is CorrectionOp.Z
-    assert correction_for_bob(BellOutcome.PHI_PLUS, 0) is CorrectionOp.I
-    assert correction_for_bob(BellOutcome.PSI_MINUS, 0) is CorrectionOp.IY
+    assert BOB_CORRECTIONS[BellOutcome.PHI_PLUS, 1] is CorrectionOp.Z
+    assert BOB_CORRECTIONS[BellOutcome.PHI_PLUS, 0] is CorrectionOp.I
+    assert BOB_CORRECTIONS[BellOutcome.PSI_MINUS, 0] is CorrectionOp.IY
 
 
 def test_charlie_table_examples():
-    assert correction_for_charlie(BellOutcome.PHI_PLUS, 0, 0) is CorrectionOp.H
-    assert correction_for_charlie(BellOutcome.PSI_PLUS, 0, 1) is CorrectionOp.H
-    assert correction_for_charlie(BellOutcome.PHI_MINUS, 0, 1) is CorrectionOp.IYH
+    assert CHARLIE_CORRECTIONS[BellOutcome.PHI_PLUS, 0, 0] is CorrectionOp.H
+    assert CHARLIE_CORRECTIONS[BellOutcome.PSI_PLUS, 0, 1] is CorrectionOp.H
+    assert CHARLIE_CORRECTIONS[BellOutcome.PHI_MINUS, 0, 1] is CorrectionOp.IYH
 
 
 def test_tables_are_total():
@@ -181,7 +161,7 @@ def test_trial_records_consistent_classical_data():
     assert result.v_g1 == parity(bob_bits)
     star_bit = result.classical_bits[Role.charlie(1)]
     assert result.v_g2_or_charlie_star == star_bit
-    assert result.correction is correction_for_bob(result.bell, result.v_g1 ^ star_bit)
+    assert result.correction is BOB_CORRECTIONS[result.bell, result.v_g1 ^ star_bit]
     assert 0 < result.branch_probability <= 1
 
 
@@ -215,7 +195,7 @@ def test_single_bob_uses_charlie_star_alone():
     results = enumerate_branches(PartySizes(1, 2), Designee.bob(1, 2), SECRETS[2])
     for r in results:
         assert r.v_g1 == 0
-        assert r.correction is correction_for_bob(r.bell, r.v_g2_or_charlie_star)
+        assert r.correction is BOB_CORRECTIONS[r.bell, r.v_g2_or_charlie_star]
         assert r.fidelity == pytest.approx(1.0, abs=1e-10)
 
 
@@ -288,7 +268,7 @@ def _force_bob_branch(sizes, designee, secret, bell, outcomes):
     star_bit = outcomes[-1]
     star_qubit = sizes.m + designee.charlie_star - 1
     _, state = project(state, star_qubit, MeasBasis.COMPUTATIONAL, star_bit)
-    op = correction_for_bob(bell, parity(bob_bits) ^ star_bit)
+    op = BOB_CORRECTIONS[bell, parity(bob_bits) ^ star_bit]
     return apply_gate(state, designee.role.index - 1, op.matrix), star_bit
 
 
@@ -328,7 +308,7 @@ def test_plus_secret_all_plus_outcomes_need_only_hadamard():
     _, state = bell_project(whole, 0, 1, BellOutcome.PHI_PLUS)
     for q in (0, 1, 3):  # both Bobs and the other Charlie
         _, state = project(state, q, MeasBasis.PLUS_MINUS, 0)
-    op = correction_for_charlie(BellOutcome.PHI_PLUS, 0, 0)
+    op = CHARLIE_CORRECTIONS[BellOutcome.PHI_PLUS, 0, 0]
     assert op is CorrectionOp.H
     state = apply_gate(state, 2, op.matrix)
     rho = reduced_density(state, 2)
@@ -385,6 +365,43 @@ def test_agent_marginal_rejects_alice():
         agent_marginal(PartySizes(1, 1), SECRETS[0], BellOutcome.PHI_PLUS, Role.alice())
 
 
+def _dense_marginal(sizes, secret, bell, agent):
+    """Oracle: the agent's reduced density matrix of the dense post-Bell register."""
+    whole = compose_with_secret(secret, make_channel(sizes))
+    _, post = bell_project(whole, 0, 1, bell)
+    return reduced_density(post, _reference_qubit(sizes, agent))
+
+
+@pytest.mark.parametrize("m,n", list(itertools.product(range(1, 5), repeat=2)))
+def test_agent_marginal_matches_the_dense_chain(m, n):
+    sizes = PartySizes(m, n)
+    agents = [Role.bob(i) for i in range(1, m + 1)] + [Role.charlie(j) for j in range(1, n + 1)]
+    for secret in SECRETS + random_secrets(3, seed=m * 10 + n):
+        for bell in BellOutcome:
+            for agent in agents:
+                np.testing.assert_allclose(
+                    agent_marginal(sizes, secret, bell, agent),
+                    _dense_marginal(sizes, secret, bell, agent),
+                    rtol=0,
+                    atol=1e-12,
+                )
+
+
+def test_agent_marginal_memory_follows_the_support():
+    # The dense post-Bell register at m=n=10 holds 2**20 amplitudes (16 MiB),
+    # and the register with S and A attached four times as many.
+    sizes = PartySizes(10, 10)
+    secret = SecretState(0.6, 0.8j)
+    tracemalloc.start()
+    try:
+        rho = agent_marginal(sizes, secret, BellOutcome.PSI_MINUS, Role.bob(4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(rho, np.diag([0.64, 0.36]), atol=1e-12)
+    assert peak < 2**20, peak
+
+
 # --- sampled runs agree with enumeration ---
 
 def _branch_key(result):
@@ -433,10 +450,10 @@ def _reference_score(sizes, designee, secret, bell, state, bits, prob):
     v_g1 = parity(bit for role, bit in bits.items() if role.grade == "bob")
     if designee.role.grade == "bob":
         aux = bits[Role.charlie(designee.charlie_star)]
-        op = correction_for_bob(bell, v_g1 ^ aux)
+        op = BOB_CORRECTIONS[bell, v_g1 ^ aux]
     else:
         aux = parity(bit for role, bit in bits.items() if role.grade == "charlie")
-        op = correction_for_charlie(bell, v_g1, aux)
+        op = CHARLIE_CORRECTIONS[bell, v_g1, aux]
     q = _reference_qubit(sizes, designee.role)
     rho = reduced_density(apply_gate(state, q, op.matrix), q)
     xi = np.array([secret.alpha, secret.beta])

@@ -14,8 +14,6 @@ from hqis.qstate import (
     apply_gate,
     basis_state,
     bell_project,
-    fidelity_with_secret,
-    measure,
     permute_qubits,
     project,
     reduced_density,
@@ -196,29 +194,42 @@ def test_plus_minus_equals_hadamard_then_computational(seed, n, data):
 
 # --- sampling ---
 
+def _sample(pairs, num_qubits, q, basis, rng):
+    """One sampled measurement as the protocol's walk makes it:
+    ``_sample_outcome`` over ``_contract_support`` branches."""
+    bras = qstate._BASIS_BRAS[basis]
+    outcome, _, _ = qstate._sample_outcome(
+        lambda o: qstate._contract_support(pairs, num_qubits, bras[o], q), rng
+    )
+    return outcome
+
+
+_ONE = [(1, 1 + 0j)]
+_PLUS = [(0, 1 / RT2 + 0j), (1, 1 / RT2 + 0j)]
+
+
 def test_measure_deterministic_on_eigenstates():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        outcome, _ = measure(basis_state(1, "1"), 0, MeasBasis.COMPUTATIONAL, rng)
-        assert outcome == 1
-        outcome, _ = measure(sv([1 / RT2, 1 / RT2]), 0, MeasBasis.PLUS_MINUS, rng)
-        assert outcome == 0
+        assert _sample(_ONE, 1, 0, MeasBasis.COMPUTATIONAL, rng) == 1
+        assert _sample(_PLUS, 1, 0, MeasBasis.PLUS_MINUS, rng) == 0
 
 
 def test_measure_reproducible_for_seed():
-    plus = sv([1 / RT2, 1 / RT2])
     runs = [
-        [measure(plus, 0, MeasBasis.COMPUTATIONAL, np.random.default_rng(17))[0] for _ in range(32)]
+        [
+            _sample(_PLUS, 1, 0, MeasBasis.COMPUTATIONAL, np.random.default_rng(17))
+            for _ in range(32)
+        ]
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
 
 
 def test_measure_frequencies_follow_born_rule():
-    plus = sv([1 / RT2, 1 / RT2])
     rng = np.random.default_rng(123)
     zeros = sum(
-        1 - measure(plus, 0, MeasBasis.COMPUTATIONAL, rng)[0] for _ in range(100_000)
+        1 - _sample(_PLUS, 1, 0, MeasBasis.COMPUTATIONAL, rng) for _ in range(100_000)
     )
     assert zeros / 100_000 == pytest.approx(0.5, abs=0.01)
 
@@ -297,23 +308,6 @@ def test_reduced_density_of_product_is_pure():
     a, b = sv(random_state(1, 4)), sv(random_state(3, 6))
     rho = reduced_density(tensor(a, b), 0)
     assert abs(np.trace(rho @ rho).real - 1) < 1e-10
-
-
-def test_fidelity_basics():
-    assert fidelity_with_secret(basis_state(1, "0"), SecretState(1, 0)) == pytest.approx(1.0)
-    assert fidelity_with_secret(basis_state(1, "1"), SecretState(1, 0)) == pytest.approx(0.0)
-
-
-def test_fidelity_ignores_global_phase():
-    secret = SecretState(0.6, 0.8j)
-    for theta in (0.3, 1.2, 4.0):
-        spun = sv(np.exp(1j * theta) * np.array([secret.alpha, secret.beta]))
-        assert fidelity_with_secret(spun, secret) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_fidelity_rejects_registers():
-    with pytest.raises(ValueError):
-        fidelity_with_secret(basis_state(2, "00"), SecretState(1, 0))
 
 
 # --- permutation equivariance ---
