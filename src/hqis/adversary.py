@@ -25,6 +25,11 @@ from .qstate import StateVector, _check_cap, tensor
 MAX_ROUNDS = 2**63 - 1
 
 
+def _check_rounds(rounds: int) -> None:
+    if not 1 <= rounds <= MAX_ROUNDS:
+        raise ValueError(f"rounds must be in 1..{MAX_ROUNDS}, got {rounds}")
+
+
 class Scenario(Enum):
     HONEST = "honest"
     INTERCEPT_RESEND = "intercept-resend"
@@ -123,14 +128,15 @@ def correlation_check(
     channel module's pairs.  The tallies read only how many rounds fell on
     each support entry, and those counts are one multinomial(rounds, probs)
     draw, so time and memory grow neither with ``rounds`` nor with m + n.
-    ``rounds`` must lie in 1..``MAX_ROUNDS``, or ValueError is raised.  A
-    multinomial draws nothing for a zero-probability category, so a seed
-    gives the same counts as a multinomial over every amplitude of the dense
-    state.  Under attack the joint register of 1+2(m+n) qubits is still held
-    to the register cap.
+    ``rounds`` must lie in 1..``MAX_ROUNDS`` and ``threshold`` in [0, 1], or
+    ValueError is raised.  A multinomial draws nothing for a zero-probability
+    category, so a seed gives the same counts as a multinomial over every
+    amplitude of the dense state.  Under attack the joint register of
+    1+2(m+n) qubits is still held to the register cap.
     """
-    if not 1 <= rounds <= MAX_ROUNDS:
-        raise ValueError(f"rounds must be in 1..{MAX_ROUNDS}, got {rounds}")
+    _check_rounds(rounds)
+    if not 0.0 <= threshold <= 1.0:  # NaN fails this comparison too
+        raise ValueError(f"threshold must be a number in [0, 1], got {threshold!r}")
     if scenario is Scenario.INTERCEPT_RESEND:
         _check_cap(1 + 2 * (sizes.m + sizes.n))
     probs, bits = _outcomes(sizes, scenario)
@@ -173,5 +179,9 @@ def exact_detection_probability(
 
 
 def missed_detection_probability(sizes: PartySizes, rounds: int) -> float:
-    """Chance that `rounds` independent check rounds all fail to flag an attack."""
+    """Chance that `rounds` independent check rounds all fail to flag an attack.
+
+    ``rounds`` must lie in 1..``MAX_ROUNDS``, as for :func:`correlation_check`.
+    """
+    _check_rounds(rounds)
     return (1.0 - exact_detection_probability(sizes)) ** rounds

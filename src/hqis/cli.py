@@ -171,8 +171,6 @@ def parse_args(argv: list[str]) -> RunConfig:
     seed = _parse_seed(args.seed)
     try:
         if args.command == "attack":
-            if not 0.0 <= args.threshold <= 1.0:  # NaN fails this comparison too
-                raise UsageError(f"threshold must be a number in [0, 1], got {args.threshold!r}")
             return RunConfig(
                 mode="attack",
                 sizes=PartySizes(args.m, args.n),

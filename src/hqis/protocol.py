@@ -12,14 +12,15 @@ then measure according to the designee's grade:
   and the designee applies a Hadamard followed by a Pauli, picked by the
   Bell outcome and the two per-grade parities.
 
-Both the exhaustive and the sampled runs are one depth-first walk over the
-helpers' measurement tree.  Each tree node measures one helper, and that
-helper's qubit leaves the register, as Alice's two qubits do in the Bell
-measurement; so the register shrinks by one qubit per level, and every node
-is computed once and shared by all the leaves below it.
-``iter_branches`` (and ``enumerate_branches``, its list) descends into every
-possible outcome, in the order ``itertools.product`` would list them;
-``run_recovery`` descends into one outcome per level, drawn from a seeded rng.
+So a run is one measurement tree: its root is Alice's Bell measurement,
+with four children, and every level below measures one helper.  Both the
+exhaustive and the sampled runs are one depth-first walk over that tree,
+from the secret joined to the channel.  Each step drops its measured qubits
+from the register, so every node is computed once and shared by all the
+leaves below it.  ``iter_branches`` (and ``enumerate_branches``, its list)
+descends into every possible outcome, in the order ``itertools.product``
+would list them; ``run_recovery`` descends into one outcome per step, drawn
+from a seeded rng by ``qstate._sample_outcome``, the one sampling rule.
 
 The walk holds each state as its support, (basis index, amplitude) pairs
 measured with ``qstate._contract_support``: 8 pairs once the secret joins
@@ -31,6 +32,7 @@ oracle the tests compare with.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -43,6 +45,7 @@ from .qstate import BellOutcome, MeasBasis, ResourceLimitError
 DEFAULT_BRANCH_LIMIT = 2**20
 
 _SECRET_QUBIT = 0
+_BELL_OUTCOMES = tuple(BellOutcome)
 
 
 class BranchLimitError(ResourceLimitError):
@@ -232,20 +235,24 @@ def _measurement_plan(sizes: PartySizes, designee: Designee) -> list[tuple[Role,
 @functools.lru_cache(maxsize=64)
 def _walk_steps(
     sizes: PartySizes, designee: Designee
-) -> tuple[tuple[tuple[Role, int, tuple], ...], int]:
-    """The measurement plan as walk steps, plus the designee's final axis.
+) -> tuple[tuple[tuple[Role, int, int, tuple], ...], tuple[int, int]]:
+    """The walk's steps, plus the leaf register's size and the designee's
+    axis in it.  Raises ValueError unless the designee exists at ``sizes``.
 
-    A step is (role, axis, bras): the helper's axis in the register that is
-    left once the earlier steps dropped their qubits, and the bras of its
-    outcomes 0 and 1.
+    A step is (role, qubits, axis, bras): the size of the register before
+    the step, the measured axis in it, and the bras of its outcomes in order.
+    The first step is Alice's Bell measurement of (S, A), its outcomes in
+    ``BellOutcome`` order; the helpers' steps follow in plan order.
     """
+    check_designee(sizes, designee)
+    bell_bras = tuple(qstate._BELL_BRAS[outcome] for outcome in BellOutcome)
+    steps = [(Role.alice(), 1 + sizes.channel_qubits, _SECRET_QUBIT, bell_bras)]
     register = list(range(sizes.m + sizes.n))
-    steps = []
     for role, basis in _measurement_plan(sizes, designee):
         q = _agent_qubit(sizes, role)
-        steps.append((role, register.index(q), qstate._BASIS_BRAS[basis]))
+        steps.append((role, len(register), register.index(q), qstate._BASIS_BRAS[basis]))
         register.remove(q)
-    return tuple(steps), register.index(_agent_qubit(sizes, designee.role))
+    return tuple(steps), (len(register), register.index(_agent_qubit(sizes, designee.role)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -269,41 +276,33 @@ def _recovery_bra(secret: SecretState, op: CorrectionOp) -> tuple[complex, compl
     return tuple(complex(c) for c in np.conj(xi) @ op.matrix)
 
 
-def _bell_branch(whole, sizes: PartySizes, outcome: BellOutcome):
-    """Alice's Bell measurement of (S, A) on the joined support, as
-    ``(prob, post)`` with ``post`` the agents' support, or ``None``."""
-    return qstate._contract_support(
-        whole, 1 + sizes.channel_qubits, qstate._BELL_BRAS[outcome], _SECRET_QUBIT
-    )
+def _walk(pairs, steps, rng: np.random.Generator | None = None):
+    """Depth first from the support ``pairs`` through ``steps``: yields
+    (support, probability, outcomes) per leaf.
 
-
-def _walk(pairs, num_qubits: int, steps, prob: float, rng: np.random.Generator | None = None):
-    """Depth first below one node: yields (support, qubits, probability, bits)
-    per leaf.
-
-    Without ``rng`` the walk descends into every possible child, outcome 0
-    first; with one, into the single child ``rng`` draws with
-    ``qstate._sample_outcome``.
-    The nodes still to visit sit on an explicit stack, outcome 1 under
-    outcome 0, so the depth is not bounded by Python's recursion limit.
+    Without ``rng`` the walk descends into every possible child, in outcome
+    order; with one, into the single child ``qstate._sample_outcome`` draws,
+    one ``rng.random()`` call per step.  The nodes still to visit sit on an
+    explicit stack, later outcomes under earlier ones, so the depth is not
+    bounded by Python's recursion limit.
     """
-    stack = [(pairs, num_qubits, prob, ())]
+    stack = [(pairs, 1.0, ())]
     while stack:
-        pairs, num_qubits, prob, bits = stack.pop()
-        if len(bits) == len(steps):
-            yield pairs, num_qubits, prob, bits
+        pairs, prob, outcomes = stack.pop()
+        if len(outcomes) == len(steps):
+            yield pairs, prob, outcomes
             continue
-        _, axis, bras = steps[len(bits)]
+        _, num_qubits, axis, bras = steps[len(outcomes)]
 
         def child(outcome):
             return qstate._contract_support(pairs, num_qubits, bras[outcome], axis)
 
         if rng is None:
-            children = [(outcome, *child(outcome)) for outcome in (1, 0)]
+            children = [(outcome, *child(outcome)) for outcome in reversed(range(len(bras)))]
         else:
-            children = [qstate._sample_outcome(child, rng)]
+            children = [qstate._sample_outcome(child, len(bras), rng)]
         stack.extend(
-            (post, num_qubits - 1, prob * p, bits + (outcome,))
+            (post, prob * p, outcomes + (outcome,))
             for outcome, p, post in children
             if post is not None
         )
@@ -313,24 +312,24 @@ def _branch_results(
     sizes: PartySizes,
     designee: Designee,
     secret: SecretState,
-    bell: BellOutcome,
-    bell_prob: float,
-    post_bell,
     rng: np.random.Generator | None = None,
 ):
-    """Score every leaf the walk reaches below one Bell outcome.
+    """Score every leaf the walk reaches: every branch without ``rng``, one
+    drawn branch with it.
 
-    The designee applies the table correction G, and the recovery fidelity
-    is the sum over the values of the qubits still held of |<xi|G|u>|², u
-    being the designee's 2-vector for that value: the probability of
-    contracting ``_recovery_bra`` against the designee's qubit.
+    The first outcome of a leaf is Alice's Bell outcome.  The designee
+    applies the table correction G, and the recovery fidelity is the sum
+    over the values of the qubits still held of |<xi|G|u>|², u being the
+    designee's 2-vector for that value: the probability of contracting
+    ``_recovery_bra`` against the designee's qubit.
     """
-    steps, designee_axis = _walk_steps(sizes, designee)
-    roles = [role for role, _, _ in steps]
+    steps, (leaf_qubits, designee_axis) = _walk_steps(sizes, designee)
+    roles = [role for role, _, _, _ in steps[1:]]
     star = None if designee.charlie_star is None else Role.charlie(designee.charlie_star)
-    for pairs, num_qubits, joint_prob, outcomes in _walk(
-        post_bell, sizes.m + sizes.n, steps, bell_prob, rng
+    for pairs, joint_prob, (bell_index, *outcomes) in _walk(
+        _whole_support(sizes, secret), steps, rng
     ):
+        bell = _BELL_OUTCOMES[bell_index]
         bits = dict(zip(roles, outcomes))
         v_g1 = parity(bits[r] for r in bits if r.grade == "bob")
         if star is not None:
@@ -340,7 +339,7 @@ def _branch_results(
             aux = parity(bits[r] for r in bits if r.grade == "charlie")
             op = CHARLIE_CORRECTIONS[bell, v_g1, aux]
         fidelity, _ = qstate._contract_support(
-            pairs, num_qubits, _recovery_bra(secret, op), designee_axis
+            pairs, leaf_qubits, _recovery_bra(secret, op), designee_axis
         )
         yield TrialResult(
             bell=bell,
@@ -353,29 +352,12 @@ def _branch_results(
         )
 
 
-def _sample_bell(whole, sizes: PartySizes, rng: np.random.Generator):
-    draw = rng.random()
-    cumulative = 0.0
-    last = None
-    for outcome in BellOutcome:
-        prob, post = _bell_branch(whole, sizes, outcome)
-        if post is None:
-            continue
-        last = (outcome, prob, post)
-        cumulative += prob
-        if draw < cumulative:
-            return last
-    return last
-
-
 def run_recovery(
     sizes: PartySizes, designee: Designee, secret: SecretState, rng: np.random.Generator
 ) -> TrialResult:
     """One sampled run: the Bell outcome and each helper's outcome are drawn
     from ``rng``, and the designee's grade picks the helpers and the table."""
-    check_designee(sizes, designee)
-    bell, bell_prob, post_bell = _sample_bell(_whole_support(sizes, secret), sizes, rng)
-    (result,) = _branch_results(sizes, designee, secret, bell, bell_prob, post_bell, rng)
+    (result,) = _branch_results(sizes, designee, secret, rng)
     return result
 
 
@@ -390,18 +372,13 @@ def iter_branches(
     The designee and the branch limit are checked when the first branch is
     requested, so a failing enumeration raises before it yields anything.
     """
-    check_designee(sizes, designee)
     steps, _ = _walk_steps(sizes, designee)
-    total = 4 * 2 ** len(steps)
+    total = math.prod(len(bras) for _, _, _, bras in steps)
     if total > branch_limit:
         raise BranchLimitError(
             f"{total} branches exceed the limit of {branch_limit}"
         )
-    whole = _whole_support(sizes, secret)
-    for bell in BellOutcome:
-        bell_prob, post_bell = _bell_branch(whole, sizes, bell)
-        if post_bell is not None:
-            yield from _branch_results(sizes, designee, secret, bell, bell_prob, post_bell)
+    yield from _branch_results(sizes, designee, secret)
 
 
 def enumerate_branches(
@@ -428,7 +405,10 @@ def agent_marginal(
     the matrix is the sum of those vectors' outer products.
     """
     _check_role(sizes, agent)
-    _, post = _bell_branch(_whole_support(sizes, secret), sizes, bell)
+    whole = _whole_support(sizes, secret)
+    _, post = qstate._contract_support(
+        whole, 1 + sizes.channel_qubits, qstate._BELL_BRAS[bell], _SECRET_QUBIT
+    )
     shift = sizes.m + sizes.n - 1 - _agent_qubit(sizes, agent)
     vectors = {}
     for index, amp in post:

@@ -293,22 +293,27 @@ def project(
     return prob, StateVector(state.num_qubits, collapsed.reshape(-1))
 
 
-def _sample_outcome(branch, rng: np.random.Generator):
-    """Draw outcome 0 or 1 of one measurement, given ``branch(outcome)`` that
-    returns ``(prob, post)`` with ``post`` ``None`` for an impossible outcome.
+def _sample_outcome(branch, count: int, rng: np.random.Generator):
+    """Draw one of the ``count`` outcomes of a measurement, given
+    ``branch(outcome)`` that returns ``(prob, post)``, ``post`` ``None`` for
+    an impossible outcome.  Returns ``(outcome, prob, post)``.
 
-    Makes one ``rng.random()`` call, and only when outcome 0 is possible, so
-    a seeded rng draws the same outcome whatever form ``post`` takes, a
-    :func:`_contract_support` remainder or a dense :func:`project` state.
-    Returns ``(outcome, prob, post)``.
+    Makes one ``rng.random()`` call and walks the cumulative probability of
+    the possible outcomes in order; a draw past the last sum, which only
+    rounding allows, takes the last possible outcome.
     """
-    p0, post0 = branch(0)
-    if post0 is not None and rng.random() < p0:
-        return 0, p0, post0
-    p1, post1 = branch(1)
-    if post1 is None:
-        return 0, p0, post0
-    return 1, p1, post1
+    draw = rng.random()
+    cumulative = 0.0
+    drawn = None
+    for outcome in range(count):
+        prob, post = branch(outcome)
+        if post is None:
+            continue
+        drawn = outcome, prob, post
+        cumulative += prob
+        if draw < cumulative:
+            break
+    return drawn
 
 
 def bell_project(

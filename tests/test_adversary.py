@@ -133,9 +133,20 @@ def test_check_reproducible_for_seed():
 
 
 def test_rounds_must_be_positive():
-    for rounds in (0, 2**63):
+    for rounds in (-3, 0, 2**63):
         with pytest.raises(ValueError, match="rounds must be in 1.."):
             correlation_check(PartySizes(1, 1), Scenario.HONEST, rounds, np.random.default_rng(0))
+        # The closed form takes the same bound, with the same message.
+        with pytest.raises(ValueError, match=rf"^rounds must be in 1\.\.{2**63 - 1}, got {rounds}$"):
+            missed_detection_probability(PartySizes(1, 1), rounds)
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -0.1, 1.5])
+def test_check_rejects_threshold_outside_unit_interval(threshold):
+    with pytest.raises(ValueError, match=r"^threshold must be a number in \[0, 1\], got "):
+        correlation_check(
+            PartySizes(1, 1), Scenario.INTERCEPT_RESEND, 64, np.random.default_rng(0), threshold
+        )
 
 
 def _dense_correlation_check(sizes, scenario, rounds, rng, threshold=0.99):

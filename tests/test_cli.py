@@ -391,6 +391,15 @@ def test_attack_rejects_threshold_outside_unit_interval(capsys, threshold):
     assert captured.err.startswith("error: threshold")
 
 
+def test_rejected_threshold_leaves_no_output_file(tmp_path, capsys):
+    out = tmp_path / "records.ndjson"
+    argv = ["attack", "--m", "1", "--n", "1", "--threshold", "nan", "--output", str(out)]
+    assert main(argv) == 1
+    assert not out.exists()
+    (error,) = capsys.readouterr().err.splitlines()
+    assert error == "error: threshold must be a number in [0, 1], got nan"
+
+
 @pytest.mark.parametrize("rounds", ["0", str(2**63), "100000000000000000000"])
 def test_attack_rejects_rounds_outside_int64(tmp_path, capsys, rounds):
     out = tmp_path / "records.ndjson"
@@ -446,6 +455,90 @@ def test_attack_record_matches_golden(tmp_path, scenario):
         "threshold": 0.99,
         "detection_rule": "flag when any Alice-vs-Bob computational match rate drops below 0.99",
     }
+
+
+# Full run records at --m 2 --n 2 --seed 77, so that a change to the walk or
+# to the rule that draws its outcomes fails here: the same seed must give the
+# same branch.  Each entry is (argv tail, fields shared by every record, rows
+# of _GOLDEN_RUN_FIELDS, summary fields or None); the secret is the seed's.
+_GOLDEN_SECRET = [0.04994855933282003, -0.35624015858768165, 0.7882306606846595, 0.49929001230409586]
+_GOLDEN_RUN_FIELDS = (
+    "bell", "bits", "v_g1", "v_g2_or_charlie_star", "correction", "branch_probability", "fidelity"
+)
+_BOB_CONTEXT = {"designee": "bob:1", "charlie_star": 2}
+GOLDEN_RUN_RECORDS = {
+    "sample-charlie": (
+        ["--designee", "charlie:1", "--trials", "3"],
+        {"mode": "sample", "designee": "charlie:1", "charlie_star": None},
+        [
+            ("psi-", {"bob:1": 1, "bob:2": 1, "charlie:2": 0}, 0, 0, "iYH", 0.03124999999999997, 1.0),
+            ("psi-", {"bob:1": 1, "bob:2": 1, "charlie:2": 0}, 0, 0, "iYH", 0.03124999999999997, 1.0),
+            ("psi+", {"bob:1": 1, "bob:2": 0, "charlie:2": 0}, 1, 0, "iYH", 0.03124999999999997, 1.0),
+        ],
+        None,
+    ),
+    "sample-bob": (
+        ["--designee", "bob:1", "--charlie-star", "2", "--trials", "3"],
+        {"mode": "sample"} | _BOB_CONTEXT,
+        [
+            ("psi-", {"bob:2": 1, "charlie:2": 1}, 1, 1, "iY", 0.062499999999999986, 0.9999999999999998),
+            ("psi-", {"bob:2": 1, "charlie:2": 1}, 1, 1, "iY", 0.062499999999999986, 0.9999999999999998),
+            ("psi+", {"bob:2": 1, "charlie:2": 0}, 1, 0, "iY", 0.062499999999999986, 0.9999999999999998),
+        ],
+        None,
+    ),
+    "enumerate-bob": (
+        ["--designee", "bob:1", "--charlie-star", "2", "--mode", "enumerate"],
+        {"mode": "enumerate"} | _BOB_CONTEXT,
+        [
+            (bell, {"bob:2": b, "charlie:2": c}, b, c, op, 0.062499999999999986, 0.9999999999999998)
+            for bell, ops in [
+                ("phi+", ["I", "Z", "Z", "I"]),
+                ("phi-", ["Z", "I", "I", "Z"]),
+                ("psi+", ["X", "iY", "iY", "X"]),
+                ("psi-", ["iY", "X", "X", "iY"]),
+            ]
+            for (b, c), op in zip([(0, 0), (0, 1), (1, 0), (1, 1)], ops)
+        ],
+        {
+            "branches": 16,
+            "probability_sum": 0.9999999999999999,
+            "min_fidelity": 0.9999999999999998,
+            "max_fidelity": 0.9999999999999998,
+        },
+    ),
+}
+
+
+def _assert_matches(got, want):
+    """Every non-float field equal, every float within 1e-12."""
+    assert type(got) is type(want)
+    if isinstance(want, float):
+        assert got == pytest.approx(want, abs=1e-12)
+    elif isinstance(want, (dict, list)):
+        assert len(got) == len(want)
+        keys = want.keys() if isinstance(want, dict) else range(len(want))
+        for key in keys:
+            _assert_matches(got[key], want[key])
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUN_RECORDS))
+def test_run_records_match_golden(tmp_path, name):
+    argv_tail, context, rows, summary = GOLDEN_RUN_RECORDS[name]
+    out = tmp_path / "records.ndjson"
+    argv = ["run", "--m", "2", "--n", "2", "--seed", "77", *argv_tail, "--output", str(out)]
+    assert main(argv) == 0
+    shared = {"m": 2, "n": 2, "seed": 77, "secret": _GOLDEN_SECRET} | context
+    kind = "trial" if context["mode"] == "sample" else "branch"
+    want = [
+        shared | {"record": kind, kind: k} | dict(zip(_GOLDEN_RUN_FIELDS, row))
+        for k, row in enumerate(rows)
+    ]
+    if summary is not None:
+        want.append(shared | {"record": "summary"} | summary)
+    _assert_matches([json.loads(line) for line in out.read_text().splitlines()], want)
 
 
 def test_run_walks_deeper_than_the_recursion_limit(monkeypatch, tmp_path):

@@ -194,31 +194,39 @@ def test_plus_minus_equals_hadamard_then_computational(seed, n, data):
 
 # --- sampling ---
 
-def _sample(pairs, num_qubits, q, basis, rng):
+def _sample(pairs, num_qubits, q, bras, rng):
     """One sampled measurement as the protocol's walk makes it:
-    ``_sample_outcome`` over ``_contract_support`` branches."""
-    bras = qstate._BASIS_BRAS[basis]
+    ``_sample_outcome`` over ``_contract_support`` branches, one per bra."""
     outcome, _, _ = qstate._sample_outcome(
-        lambda o: qstate._contract_support(pairs, num_qubits, bras[o], q), rng
+        lambda o: qstate._contract_support(pairs, num_qubits, bras[o], q), len(bras), rng
     )
     return outcome
 
 
+_COMPUTATIONAL = qstate._BASIS_BRAS[MeasBasis.COMPUTATIONAL]
+_PLUS_MINUS = qstate._BASIS_BRAS[MeasBasis.PLUS_MINUS]
+_BELL = tuple(qstate._BELL_BRAS[outcome] for outcome in BellOutcome)
+
 _ONE = [(1, 1 + 0j)]
 _PLUS = [(0, 1 / RT2 + 0j), (1, 1 / RT2 + 0j)]
+# A 2-qubit state whose Bell weights, in BellOutcome order, are unequal.
+_BELL_WEIGHTS = (0.1, 0.2, 0.3, 0.4)
+_BELL_MIX = list(
+    enumerate(sum(np.sqrt(w) * o.vector for w, o in zip(_BELL_WEIGHTS, BellOutcome)))
+)
 
 
 def test_measure_deterministic_on_eigenstates():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        assert _sample(_ONE, 1, 0, MeasBasis.COMPUTATIONAL, rng) == 1
-        assert _sample(_PLUS, 1, 0, MeasBasis.PLUS_MINUS, rng) == 0
+        assert _sample(_ONE, 1, 0, _COMPUTATIONAL, rng) == 1
+        assert _sample(_PLUS, 1, 0, _PLUS_MINUS, rng) == 0
 
 
 def test_measure_reproducible_for_seed():
     runs = [
         [
-            _sample(_PLUS, 1, 0, MeasBasis.COMPUTATIONAL, np.random.default_rng(17))
+            _sample(_PLUS, 1, 0, _COMPUTATIONAL, np.random.default_rng(17))
             for _ in range(32)
         ]
         for _ in range(2)
@@ -228,10 +236,16 @@ def test_measure_reproducible_for_seed():
 
 def test_measure_frequencies_follow_born_rule():
     rng = np.random.default_rng(123)
-    zeros = sum(
-        1 - _sample(_PLUS, 1, 0, MeasBasis.COMPUTATIONAL, rng) for _ in range(100_000)
-    )
-    assert zeros / 100_000 == pytest.approx(0.5, abs=0.01)
+    for pairs, num_qubits, bras, expected in [
+        (_PLUS, 1, _COMPUTATIONAL, (0.5, 0.5)),
+        (_BELL_MIX, 2, _BELL, _BELL_WEIGHTS),
+    ]:
+        counts = np.bincount(
+            [_sample(pairs, num_qubits, 0, bras, rng) for _ in range(100_000)],
+            minlength=len(bras),
+        )
+        for count, prob in zip(counts, expected):
+            assert count / 100_000 == pytest.approx(prob, abs=0.01)
 
 
 # --- Bell projection ---
