@@ -56,6 +56,8 @@ def build_scenario_state(sizes: PartySizes, scenario: Scenario) -> StateVector:
     on this state's support alone; the dense state is kept as the reference
     the tests compare with.
     """
+    total, _ = _joint_support(sizes, scenario)
+    _check_cap(total)
     honest = make_channel(sizes)
     if scenario is Scenario.HONEST:
         return honest
@@ -131,14 +133,12 @@ def correlation_check(
     ``rounds`` must lie in 1..``MAX_ROUNDS`` and ``threshold`` in [0, 1], or
     ValueError is raised.  A multinomial draws nothing for a zero-probability
     category, so a seed gives the same counts as a multinomial over every
-    amplitude of the dense state.  Under attack the joint register of
-    1+2(m+n) qubits is still held to the register cap.
+    amplitude of the dense state.  Nothing here is dense, so the register
+    cap does not apply.
     """
     _check_rounds(rounds)
     if not 0.0 <= threshold <= 1.0:  # NaN fails this comparison too
         raise ValueError(f"threshold must be a number in [0, 1], got {threshold!r}")
-    if scenario is Scenario.INTERCEPT_RESEND:
-        _check_cap(1 + 2 * (sizes.m + sizes.n))
     probs, bits = _outcomes(sizes, scenario)
     counts = rng.multinomial(rounds, probs).tolist()
 
@@ -168,8 +168,8 @@ def exact_detection_probability(
 
     No sampling: one minus the total probability of the support entries of
     :func:`build_scenario_state` where Alice's bit equals every Bob's bit.
-    The support has 16 entries at most and no register is built, so this
-    holds at sizes where the joint state passes the register cap.
+    The support has 16 entries at most and no register is built, so the
+    register cap does not apply.
     """
     probs, bits = _outcomes(sizes, scenario)
     match_prob = sum(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import RegisterCapError, SecretState, StateVector, register_cap, tensor
+from .qstate import SecretState, StateVector, _check_cap, tensor
 
 __all__ = [
     "PartySizes",
@@ -37,12 +37,6 @@ class PartySizes:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ValueError(f"need at least one agent per grade, got m={self.m}, n={self.n}")
-        cap = register_cap()
-        if 1 + self.m + self.n + 1 > cap:
-            raise RegisterCapError(
-                f"m={self.m}, n={self.n} needs {2 + self.m + self.n} qubits "
-                f"with the secret attached, above the cap of {cap}"
-            )
 
     @property
     def channel_qubits(self) -> int:
@@ -73,6 +67,7 @@ def _fake_channel_support(sizes: PartySizes) -> tuple[tuple[int, complex], ...]:
 
 
 def _dense(num_qubits: int, pairs) -> StateVector:
+    _check_cap(num_qubits)
     amps = np.zeros(2**num_qubits, dtype=complex)
     for index, amp in pairs:
         amps[index] = amp
@@ -96,6 +91,7 @@ def make_standard_form(sizes: PartySizes) -> StateVector:
     """
     m, n = sizes.m, sizes.n
     total = sizes.channel_qubits
+    _check_cap(total)
     a_q, b1_q, c1_q = 0, 1, 1 + m
     shifts = total - 1 - np.arange(total)
     bits = (np.arange(2**total)[:, None] >> shifts[None, :]) & 1

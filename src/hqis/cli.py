@@ -161,7 +161,8 @@ def parse_args(argv: list[str]) -> RunConfig:
     """Validate argv into a RunConfig; raises UsageError on any bad input.
 
     Sizes and designees are validated by ``PartySizes``, ``Designee`` and
-    ``check_designee``; past the register cap this raises RegisterCapError.
+    ``check_designee``.  No subcommand builds a dense register, so the
+    register cap bounds no size here.
     """
     args = _build_parser().parse_args(argv)
 
@@ -322,7 +323,7 @@ def execute(config: RunConfig) -> int:
     else:
         records = _table_records(config)
 
-    # A failing run (register cap, designee, branch limit) raises before its
+    # A failing run (rounds, threshold, branch limit) raises before its
     # first record, so drawing that record first opens no file on failure.
     records = itertools.chain([next(records)], records)
     if config.output_path:

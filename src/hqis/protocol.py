@@ -14,25 +14,34 @@ then measure according to the designee's grade:
 
 So a run is one measurement tree: its root is Alice's Bell measurement,
 with four children, and every level below measures one helper.  Both the
-exhaustive and the sampled runs are one depth-first walk over that tree,
-from the secret joined to the channel.  Each step drops its measured qubits
-from the register, so every node is computed once and shared by all the
-leaves below it.  ``iter_branches`` (and ``enumerate_branches``, its list)
-descends into every possible outcome, in the order ``itertools.product``
-would list them; ``run_recovery`` descends into one outcome per step, drawn
-from a seeded rng by ``qstate._sample_outcome``, the one sampling rule.
+exhaustive and the sampled runs are one depth-first walk over that tree.
+``iter_branches`` (and ``enumerate_branches``, its list) descends into every
+possible outcome, in the order ``itertools.product`` would list them;
+``run_recovery`` descends into one outcome per step, picked by one
+``rng.random(1 + helpers)`` call, one draw per step in plan order.
 
-The walk holds each state as its support, (basis index, amplitude) pairs
-measured with ``qstate._contract_support``: 8 pairs once the secret joins
-the channel's 4, and never more than 4 after the Bell measurement, so its
-cost does not grow with the 2**(m+n) entries a dense register would have.
-``agent_marginal`` reads the same post-Bell support, so no path of this
-module builds a dense register; the dense ``qstate`` operations are the
-oracle the tests compare with.
+The walk is keyed by class, not by qubit.  After the Bell measurement every
+Bob's bit equals one bit a and every Charlie's one bit c, so the state is at
+most 4 amplitudes keyed by (a, c), the same at any m and n; the four Bell
+children depend on the secret alone and are computed once per secret.  A
+|+>/|-> measurement of a helper whose class keeps another member is then
+exactly 50/50, and its only effect is the sign (-1)^(outcome·a), or
+(-1)^(outcome·c): the Pauli-measurement rule for stabilizer states.  So a
+run of such steps is a factor 1/2 per step and a parity bit for the class,
+its outcomes are ``draw >= 0.5`` when sampled, and the state is not touched.
+The one step that measures the last member of a class (the last Bob under a
+Charlie designee), or charlie* under a Bob designee, is a real contraction
+of at most 4 entries with ``qstate._contract_support``, after the pending
+signs are applied, as is the designee's leaf.  A sampled trial therefore
+makes O(1) contractions at any m and n.  ``agent_marginal`` reads the
+post-Bell support of the whole register, so no path of this module builds
+a dense register; the dense ``qstate`` operations, and the qubit-by-qubit
+support walk kept in the tests, are the oracles the tests compare with.
 """
 
 import functools
-import math
+import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
@@ -168,12 +177,43 @@ CHARLIE_CORRECTIONS = {
 }
 
 
+class _HelperBits(Mapping):
+    """The helpers' reported bits, Role -> bit, in plan order: a read-only
+    view of one branch's outcomes, a byte per helper, through the plan's
+    role index, which all the branches share, so a trial builds nothing per
+    helper.  ``values()`` and ``items()`` are plan-order tuples."""
+
+    __slots__ = ("_index", "_bits")
+
+    def __init__(self, index: dict, bits: bytes):
+        self._index = index
+        self._bits = bits
+
+    def __getitem__(self, role):
+        return self._bits[self._index[role]]
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self):
+        return len(self._bits)
+
+    def values(self):
+        return tuple(self._bits)
+
+    def items(self):
+        return tuple(zip(self._index, self._bits))
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
 @dataclass(frozen=True)
 class TrialResult:
     """Outcome record of one protocol execution branch."""
 
     bell: BellOutcome
-    classical_bits: dict[Role, int]
+    classical_bits: Mapping[Role, int]
     v_g1: int
     v_g2_or_charlie_star: int
     correction: CorrectionOp
@@ -235,24 +275,45 @@ def _measurement_plan(sizes: PartySizes, designee: Designee) -> list[tuple[Role,
 @functools.lru_cache(maxsize=64)
 def _walk_steps(
     sizes: PartySizes, designee: Designee
-) -> tuple[tuple[tuple[Role, int, int, tuple], ...], tuple[int, int]]:
-    """The walk's steps, plus the leaf register's size and the designee's
-    axis in it.  Raises ValueError unless the designee exists at ``sizes``.
+) -> tuple[tuple[tuple, ...], dict[Role, int], int, tuple[int, int]]:
+    """The helpers' measurements as segments on the class register, plus
+    each helper's position in the plan, how many of them are Bobs (a prefix
+    of the plan), and the leaf register's size and the designee's axis in
+    it.  Raises ValueError unless the designee exists at ``sizes``.
 
-    A step is (role, qubits, axis, bras): the size of the register before
-    the step, the measured axis in it, and the bras of its outcomes in order.
-    The first step is Alice's Bell measurement of (S, A), its outcomes in
-    ``BellOutcome`` order; the helpers' steps follow in plan order.
+    The class register holds one qubit per grade still in play, the Bobs'
+    first: after the Bell measurement every Bob's bit equals one bit a and
+    every Charlie's one bit c.  A segment is one of:
+
+    * ``(None, shift, count)``: ``count`` |+>/|-> measurements in a row on a
+      class that keeps another member.  Each has probability 1/2 exactly,
+      and its outcome only flips the sign of the entries whose class bit, at
+      ``shift`` in the register index, is set.
+    * ``(bras, qubits, axis)``: one measurement contracted on the register,
+      which then drops that class: the measured helper was its last member,
+      or (charlie*) its computational outcome leaves the idle Charlies in a
+      product state that no later step reads.
     """
     check_designee(sizes, designee)
-    bell_bras = tuple(qstate._BELL_BRAS[outcome] for outcome in BellOutcome)
-    steps = [(Role.alice(), 1 + sizes.channel_qubits, _SECRET_QUBIT, bell_bras)]
-    register = list(range(sizes.m + sizes.n))
-    for role, basis in _measurement_plan(sizes, designee):
-        q = _agent_qubit(sizes, role)
-        steps.append((role, len(register), register.index(q), qstate._BASIS_BRAS[basis]))
-        register.remove(q)
-    return tuple(steps), (len(register), register.index(_agent_qubit(sizes, designee.role)))
+    plan = _measurement_plan(sizes, designee)
+    members = {"bob": sizes.m, "charlie": sizes.n}
+    register = ["bob", "charlie"]
+    segments = []
+    for role, basis in plan:
+        members[role.grade] -= 1
+        axis = register.index(role.grade)
+        if basis is MeasBasis.PLUS_MINUS and members[role.grade]:
+            shift = len(register) - 1 - axis
+            if segments and segments[-1][:2] == (None, shift):
+                segments[-1] = (None, shift, segments[-1][2] + 1)
+            else:
+                segments.append((None, shift, 1))
+        else:
+            segments.append((qstate._BASIS_BRAS[basis], len(register), axis))
+            register.remove(role.grade)
+    index = {role: position for position, (role, _) in enumerate(plan)}
+    bobs = sum(role.grade == "bob" for role in index)
+    return tuple(segments), index, bobs, (len(register), register.index(designee.role.grade))
 
 
 @functools.lru_cache(maxsize=64)
@@ -270,42 +331,103 @@ def _whole_support(sizes: PartySizes, secret: SecretState) -> tuple[tuple[int, c
 
 
 @functools.lru_cache(maxsize=64)
+def _bell_children(secret: SecretState) -> tuple[tuple[float, tuple | None], ...]:
+    """Alice's Bell measurement of (S, A) on the class register: the
+    probability and post-Bell support of each outcome, in ``BellOutcome``
+    order.  An entry's index is a << 1 | c.
+
+    Depends on the secret alone, so every size and trial shares one
+    measurement.  The entries and their summation order are those of the
+    same contraction on the whole (2+m+n)-qubit support, so the numbers are
+    too.
+    """
+    # One Bob and one Charlie: the register (S, A, a, c).
+    whole = _whole_support(PartySizes(1, 1), secret)
+    children = (
+        qstate._contract_support(whole, 4, qstate._BELL_BRAS[outcome], _SECRET_QUBIT)
+        for outcome in BellOutcome
+    )
+    return tuple((p, None if post is None else tuple(post)) for p, post in children)
+
+
+@functools.lru_cache(maxsize=64)
 def _recovery_bra(secret: SecretState, op: CorrectionOp) -> tuple[complex, complex]:
     """<xi|G as a bra over the designee's qubit: G corrects, <xi| scores."""
     xi = np.array([secret.alpha, secret.beta], dtype=complex)
     return tuple(complex(c) for c in np.conj(xi) @ op.matrix)
 
 
-def _walk(pairs, steps, rng: np.random.Generator | None = None):
-    """Depth first from the support ``pairs`` through ``steps``: yields
-    (support, probability, outcomes) per leaf.
+def _signed(pairs, signs: int):
+    """``pairs`` with the pending class phases applied: an entry takes the
+    sign -1 when its index has an odd number of the bits set in ``signs``."""
+    if not signs:
+        return pairs
+    return [(index, -amp if (index & signs).bit_count() & 1 else amp) for index, amp in pairs]
 
-    Without ``rng`` the walk descends into every possible child, in outcome
-    order; with one, into the single child ``qstate._sample_outcome`` draws,
-    one ``rng.random()`` call per step.  The nodes still to visit sit on an
-    explicit stack, later outcomes under earlier ones, so the depth is not
-    bounded by Python's recursion limit.
+
+def _measure(branch, count: int, draw: float | None):
+    """The children (outcome, prob, post) of a measurement with ``count``
+    outcomes, ``branch(outcome)`` giving ``(prob, post)``: every possible one
+    in outcome order, or the one ``draw`` picks by ``qstate._sample_outcome``."""
+    if draw is not None:
+        return [qstate._sample_outcome(branch, count, draw)]
+    children = ((outcome, *branch(outcome)) for outcome in range(count))
+    return [child for child in children if child[2] is not None]
+
+
+def _walk(secret: SecretState, segments, draws: np.ndarray | None = None):
+    """Depth first through the class-keyed measurement tree: yields
+    (pairs, signs, probability, outcomes) per leaf, where ``signs`` are the
+    class phases not yet applied to ``pairs`` and ``outcomes`` holds one
+    byte per measurement, Alice's Bell outcome first.
+
+    Without ``draws`` the walk descends into every possible outcome, outcome
+    0 first, so the leaves come in ``itertools.product`` order.  With them,
+    ``draws[k]`` picks the outcome of the k-th measurement: a cumulative walk
+    over the outcomes' probabilities for the Bell step and the contracted
+    steps, and ``draws[k] >= 0.5`` for the steps of a run, which each have
+    probability 1/2 exactly.  The recursion is as deep as there are
+    segments, at most three whatever m and n.
     """
-    stack = [(pairs, 1.0, ())]
-    while stack:
-        pairs, prob, outcomes = stack.pop()
-        if len(outcomes) == len(steps):
-            yield pairs, prob, outcomes
-            continue
-        _, num_qubits, axis, bras = steps[len(outcomes)]
+    heads = None if draws is None else (draws >= 0.5).tobytes()
 
-        def child(outcome):
-            return qstate._contract_support(pairs, num_qubits, bras[outcome], axis)
+    def draw(outcomes):
+        """The draw of the measurement after ``outcomes``, if sampling."""
+        return None if draws is None else draws[len(outcomes)]
 
-        if rng is None:
-            children = [(outcome, *child(outcome)) for outcome in reversed(range(len(bras)))]
-        else:
-            children = [qstate._sample_outcome(child, len(bras), rng)]
-        stack.extend(
-            (post, prob * p, outcomes + (outcome,))
-            for outcome, p, post in children
-            if post is not None
-        )
+    def descend(pairs, signs, prob, outcomes, depth):
+        if depth == len(segments):
+            yield pairs, signs, prob, outcomes
+            return
+        bras, *place = segments[depth]
+        if bras is None:
+            shift, count = place
+            start = len(outcomes)
+            if heads is None:
+                runs = map(bytes, itertools.product((0, 1), repeat=count))
+            else:
+                runs = [heads[start : start + count]]
+            for bits in runs:
+                yield from descend(
+                    pairs,
+                    signs ^ (bits.count(1) & 1) << shift,
+                    prob * 0.5**count,
+                    outcomes + bits,
+                    depth + 1,
+                )
+            return
+        qubits, axis = place
+        signed = _signed(pairs, signs)
+        for outcome, p, post in _measure(
+            lambda o: qstate._contract_support(signed, qubits, bras[o], axis),
+            len(bras),
+            draw(outcomes),
+        ):
+            yield from descend(tuple(post), 0, prob * p, outcomes + bytes((outcome,)), depth + 1)
+
+    bell = _bell_children(secret)
+    for outcome, p, post in _measure(bell.__getitem__, len(bell), draw(b"")):
+        yield from descend(post, 0, p, bytes((outcome,)), 0)
 
 
 def _branch_results(
@@ -315,40 +437,43 @@ def _branch_results(
     rng: np.random.Generator | None = None,
 ):
     """Score every leaf the walk reaches: every branch without ``rng``, one
-    drawn branch with it.
+    branch drawn by a single ``rng.random(1 + helpers)`` call with it.
 
-    The first outcome of a leaf is Alice's Bell outcome.  The designee
-    applies the table correction G, and the recovery fidelity is the sum
-    over the values of the qubits still held of |<xi|G|u>|², u being the
-    designee's 2-vector for that value: the probability of contracting
-    ``_recovery_bra`` against the designee's qubit.
+    The designee applies the table correction G, picked by the Bell outcome
+    and the parities of the Bobs' and the Charlies' bits.  The recovery
+    fidelity is the sum over the values of the qubits still held of
+    |<xi|G|u>|², u being the designee's 2-vector for that value: the
+    probability of contracting ``_recovery_bra`` against the designee's
+    qubit.  It depends only on the leaf's support, its pending signs and G,
+    so an enumeration computes it once per distinct triple.
     """
-    steps, (leaf_qubits, designee_axis) = _walk_steps(sizes, designee)
-    roles = [role for role, _, _, _ in steps[1:]]
-    star = None if designee.charlie_star is None else Role.charlie(designee.charlie_star)
-    for pairs, joint_prob, (bell_index, *outcomes) in _walk(
-        _whole_support(sizes, secret), steps, rng
-    ):
-        bell = _BELL_OUTCOMES[bell_index]
-        bits = dict(zip(roles, outcomes))
-        v_g1 = parity(bits[r] for r in bits if r.grade == "bob")
-        if star is not None:
-            aux = bits[star]
+    segments, index, bobs, (leaf_qubits, designee_axis) = _walk_steps(sizes, designee)
+    draws = None if rng is None else rng.random(1 + len(index))
+    fidelities = {}
+    for pairs, signs, prob, outcomes in _walk(secret, segments, draws):
+        bell = _BELL_OUTCOMES[outcomes[0]]
+        bits = outcomes[1:]
+        v_g1 = bits.count(1, 0, bobs) & 1
+        # charlie*'s bit for a Bob designee, the other Charlies' parity for a Charlie.
+        aux = bits.count(1, bobs) & 1
+        if designee.charlie_star is not None:
             op = BOB_CORRECTIONS[bell, v_g1 ^ aux]
         else:
-            aux = parity(bits[r] for r in bits if r.grade == "charlie")
             op = CHARLIE_CORRECTIONS[bell, v_g1, aux]
-        fidelity, _ = qstate._contract_support(
-            pairs, leaf_qubits, _recovery_bra(secret, op), designee_axis
-        )
+        key = pairs, signs, op
+        if key not in fidelities:
+            fidelity, _ = qstate._contract_support(
+                _signed(pairs, signs), leaf_qubits, _recovery_bra(secret, op), designee_axis
+            )
+            fidelities[key] = min(fidelity, 1.0)
         yield TrialResult(
             bell=bell,
-            classical_bits=bits,
+            classical_bits=_HelperBits(index, bits),
             v_g1=v_g1,
             v_g2_or_charlie_star=aux,
             correction=op,
-            branch_probability=joint_prob,
-            fidelity=min(fidelity, 1.0),
+            branch_probability=prob,
+            fidelity=fidelities[key],
         )
 
 
@@ -372,8 +497,8 @@ def iter_branches(
     The designee and the branch limit are checked when the first branch is
     requested, so a failing enumeration raises before it yields anything.
     """
-    steps, _ = _walk_steps(sizes, designee)
-    total = math.prod(len(bras) for _, _, _, bras in steps)
+    _, index, _, _ = _walk_steps(sizes, designee)
+    total = len(BellOutcome) * 2 ** len(index)
     if total > branch_limit:
         raise BranchLimitError(
             f"{total} branches exceed the limit of {branch_limit}"

@@ -293,16 +293,16 @@ def project(
     return prob, StateVector(state.num_qubits, collapsed.reshape(-1))
 
 
-def _sample_outcome(branch, count: int, rng: np.random.Generator):
-    """Draw one of the ``count`` outcomes of a measurement, given
-    ``branch(outcome)`` that returns ``(prob, post)``, ``post`` ``None`` for
-    an impossible outcome.  Returns ``(outcome, prob, post)``.
+def _sample_outcome(branch, count: int, draw: float):
+    """Pick one of the ``count`` outcomes of a measurement by a uniform
+    ``draw`` in [0, 1), given ``branch(outcome)`` that returns
+    ``(prob, post)``, ``post`` ``None`` for an impossible outcome.  Returns
+    ``(outcome, prob, post)``.
 
-    Makes one ``rng.random()`` call and walks the cumulative probability of
-    the possible outcomes in order; a draw past the last sum, which only
-    rounding allows, takes the last possible outcome.
+    Walks the cumulative probability of the possible outcomes in order, and
+    computes no branch past the one drawn; a draw past the last sum, which
+    only rounding allows, takes the last possible outcome.
     """
-    draw = rng.random()
     cumulative = 0.0
     drawn = None
     for outcome in range(count):

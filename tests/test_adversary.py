@@ -210,14 +210,16 @@ def test_check_memory_does_not_grow_with_rounds():
 
 
 def test_check_cap_covers_the_joint_register(monkeypatch):
-    # m=3, n=2 under attack: 1 + 2 * 5 = 11 joint qubits, past a cap of 10
+    # m=3, n=2 under attack: 1 + 2 * 5 = 11 joint qubits, past a cap of 10.
+    # Only the dense joint state is held to the cap; the check builds none.
     monkeypatch.setenv("HQIS_MAX_QUBITS", "10")
     rng = np.random.default_rng(0)
-    correlation_check(PartySizes(3, 2), Scenario.HONEST, 10, rng)
+    build_scenario_state(PartySizes(3, 2), Scenario.HONEST)
     with pytest.raises(RegisterCapError):
-        correlation_check(PartySizes(3, 2), Scenario.INTERCEPT_RESEND, 10, rng)
-    monkeypatch.setenv("HQIS_MAX_QUBITS", "11")
+        build_scenario_state(PartySizes(3, 2), Scenario.INTERCEPT_RESEND)
     correlation_check(PartySizes(3, 2), Scenario.INTERCEPT_RESEND, 10, rng)
+    monkeypatch.setenv("HQIS_MAX_QUBITS", "11")
+    build_scenario_state(PartySizes(3, 2), Scenario.INTERCEPT_RESEND)
 
 
 def test_honest_check_memory_does_not_grow_with_the_register():

@@ -33,10 +33,16 @@ def test_party_sizes_validation():
 
 
 def test_party_sizes_respects_cap(monkeypatch):
+    # The cap bounds the dense constructors, not the sizes: (1+m+n) channel
+    # qubits pass a cap of 5 at m=n=2 and fail it at m=3, n=2.
     monkeypatch.setenv("HQIS_MAX_QUBITS", "5")
     PartySizes(1, 2)
+    make_channel(PartySizes(2, 2))
+    make_standard_form(PartySizes(2, 2))
     with pytest.raises(RegisterCapError):
-        PartySizes(2, 2)
+        make_channel(PartySizes(3, 2))
+    with pytest.raises(RegisterCapError):
+        make_standard_form(PartySizes(3, 2))
 
 
 def test_channel_m1_n1_explicit():

@@ -1,0 +1,204 @@
+"""The class-keyed walk against the qubit-by-qubit support walk it replaced.
+
+``_support_walk`` below is the protocol's earlier walk, kept as an oracle:
+every helper is one contraction of the full (m+n)-qubit support with
+``qstate._contract_support``, and a sampled run makes one scalar
+``rng.random()`` call per step.  The class-keyed walk must give the same
+branches in the same order, every non-float field equal and the
+probability and fidelity within 1e-12 (a run of |+>/|-> steps is an exact
+1/2 there, 0.49999999999999983 here).
+"""
+
+import numpy as np
+import pytest
+from conftest import random_secrets
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hqis import protocol, qstate
+from hqis.channel import PartySizes, SecretState
+from hqis.cli import derived_rng
+from hqis.protocol import (
+    BOB_CORRECTIONS,
+    CHARLIE_CORRECTIONS,
+    BellOutcome,
+    Designee,
+    Role,
+    TrialResult,
+    enumerate_branches,
+    parity,
+    run_recovery,
+)
+
+BASIS_SECRETS = [SecretState(1, 0), SecretState(0, 1), SecretState(0, 1j)]
+
+
+def _support_walk_steps(sizes, designee):
+    """(role, qubits, axis, bras) per step, the Bell step first, plus the leaf
+    register's size and the designee's axis in it; each step drops its qubit."""
+    bell_bras = tuple(qstate._BELL_BRAS[outcome] for outcome in BellOutcome)
+    steps = [(Role.alice(), 1 + sizes.channel_qubits, protocol._SECRET_QUBIT, bell_bras)]
+    register = list(range(sizes.m + sizes.n))
+    for role, basis in protocol._measurement_plan(sizes, designee):
+        q = protocol._agent_qubit(sizes, role)
+        steps.append((role, len(register), register.index(q), qstate._BASIS_BRAS[basis]))
+        register.remove(q)
+    return steps, (len(register), register.index(protocol._agent_qubit(sizes, designee.role)))
+
+
+def _support_walk(pairs, steps, rng=None):
+    """Depth first over the support, one contraction per child: yields
+    (support, probability, outcomes) per leaf.  With ``rng``, one
+    ``rng.random()`` call per step picks the child."""
+    stack = [(pairs, 1.0, ())]
+    while stack:
+        pairs, prob, outcomes = stack.pop()
+        if len(outcomes) == len(steps):
+            yield pairs, prob, outcomes
+            continue
+        _, num_qubits, axis, bras = steps[len(outcomes)]
+
+        def child(outcome):
+            return qstate._contract_support(pairs, num_qubits, bras[outcome], axis)
+
+        if rng is None:
+            children = [(outcome, *child(outcome)) for outcome in reversed(range(len(bras)))]
+        else:
+            children = [qstate._sample_outcome(child, len(bras), rng.random())]
+        stack.extend(
+            (post, prob * p, outcomes + (outcome,))
+            for outcome, p, post in children
+            if post is not None
+        )
+
+
+def _support_branch_results(sizes, designee, secret, rng=None):
+    """Every branch without ``rng``, one drawn branch with it, scored as the
+    protocol scores a leaf."""
+    protocol.check_designee(sizes, designee)
+    steps, (leaf_qubits, designee_axis) = _support_walk_steps(sizes, designee)
+    roles = [role for role, _, _, _ in steps[1:]]
+    star = None if designee.charlie_star is None else Role.charlie(designee.charlie_star)
+    whole = protocol._whole_support(sizes, secret)
+    for pairs, prob, (bell_index, *outcomes) in _support_walk(whole, steps, rng):
+        bell = tuple(BellOutcome)[bell_index]
+        bits = dict(zip(roles, outcomes))
+        v_g1 = parity(bits[r] for r in bits if r.grade == "bob")
+        if star is not None:
+            aux = bits[star]
+            op = BOB_CORRECTIONS[bell, v_g1 ^ aux]
+        else:
+            aux = parity(bits[r] for r in bits if r.grade == "charlie")
+            op = CHARLIE_CORRECTIONS[bell, v_g1, aux]
+        fidelity, _ = qstate._contract_support(
+            pairs, leaf_qubits, protocol._recovery_bra(secret, op), designee_axis
+        )
+        yield TrialResult(bell, bits, v_g1, aux, op, prob, min(fidelity, 1.0))
+
+
+def _assert_same_branch(result, expected):
+    assert result.bell is expected.bell
+    assert list(result.classical_bits.items()) == list(expected.classical_bits.items())
+    assert result.v_g1 == expected.v_g1
+    assert result.v_g2_or_charlie_star == expected.v_g2_or_charlie_star
+    assert result.correction is expected.correction
+    assert abs(result.branch_probability - expected.branch_probability) <= 1e-12
+    assert abs(result.fidelity - expected.fidelity) <= 1e-12
+
+
+def _assert_walks_agree(sizes, designee, secret, seed):
+    results = enumerate_branches(sizes, designee, secret)
+    expected = list(_support_branch_results(sizes, designee, secret))
+    assert len(results) == len(expected)
+    for result, branch in zip(results, expected):
+        _assert_same_branch(result, branch)
+    for k in range(8):
+        (branch,) = _support_branch_results(sizes, designee, secret, derived_rng(seed, 1, k))
+        _assert_same_branch(run_recovery(sizes, designee, secret, derived_rng(seed, 1, k)), branch)
+
+
+@pytest.mark.parametrize("grade", ["bob", "charlie"])
+@given(
+    m=st.integers(1, 6),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    basis=st.sampled_from([None, *BASIS_SECRETS]),
+    data=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_class_walk_matches_the_support_walk(grade, m, n, seed, basis, data):
+    if grade == "bob":
+        designee = Designee.bob(data.draw(st.integers(1, m)), data.draw(st.integers(1, n)))
+    else:
+        designee = Designee.charlie(data.draw(st.integers(1, n)))
+    secret = basis or random_secrets(1, seed)[0]
+    _assert_walks_agree(PartySizes(m, n), designee, secret, seed)
+
+
+@pytest.mark.parametrize("secret", BASIS_SECRETS, ids=["0", "1", "i1"])
+@pytest.mark.parametrize(
+    "designee", [Designee.bob(2, 3), Designee.bob(1, 1), Designee.charlie(3), Designee.charlie(1)]
+)
+def test_class_walk_matches_the_support_walk_on_basis_secrets(secret, designee):
+    _assert_walks_agree(PartySizes(3, 4), designee, secret, seed=11)
+
+
+@pytest.mark.parametrize("size", [50, 500])
+@pytest.mark.parametrize("designee", [Designee.bob(7, 3), Designee.charlie(5)])
+def test_sampled_trials_match_the_support_walk_at_large_sizes(size, designee):
+    sizes = PartySizes(size, size)
+    secret = SecretState(0.6, 0.8j)
+    for k in range(8):
+        (branch,) = _support_branch_results(sizes, designee, secret, derived_rng(29, 1, k))
+        _assert_same_branch(run_recovery(sizes, designee, secret, derived_rng(29, 1, k)), branch)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (4, 2)])
+def test_bell_children_equal_the_whole_register_bell_step(m, n):
+    # The class register's Bell step makes the same sums in the same order,
+    # so the probabilities, and the amplitudes of each (a, c) entry, are equal.
+    sizes = PartySizes(m, n)
+    for secret in BASIS_SECRETS + random_secrets(3, seed=m * 10 + n):
+        whole = protocol._whole_support(sizes, secret)
+        for outcome, (p, post) in zip(BellOutcome, protocol._bell_children(secret)):
+            whole_p, whole_post = qstate._contract_support(
+                whole, 2 + m + n, qstate._BELL_BRAS[outcome], 0
+            )
+            assert p == whole_p
+            by_class = {(index >> (m + n - 1) & 1) << 1 | index & 1: amp for index, amp in whole_post}
+            assert dict(post) == by_class
+
+
+class _FixedDraws:
+    """An rng stand-in whose every draw is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size):
+        return np.full(size, self.value)
+
+
+@pytest.mark.parametrize("grade", ["bob", "charlie"])
+def test_contractions_per_trial_do_not_grow_with_the_party_count(grade, monkeypatch):
+    calls = []
+    contract = qstate._contract_support
+
+    def counting(*args):
+        calls.append(args)
+        return contract(*args)
+
+    monkeypatch.setattr(qstate, "_contract_support", counting)
+    secret = SecretState(0.6, 0.8j)
+    designee = Designee.bob(2, 1) if grade == "bob" else Designee.charlie(2)
+    counts = {}
+    for size in (3, 300):
+        sizes = PartySizes(size, size)
+        # A draw of 0.25 stops at outcome 0 of the contracted step, 0.75 goes on to 1.
+        for value in (0.25, 0.75):
+            run_recovery(sizes, designee, secret, _FixedDraws(value))  # the Bell children cached
+            calls.clear()
+            run_recovery(sizes, designee, secret, _FixedDraws(value))
+            counts[size, value] = len(calls)
+    assert counts[3, 0.25] == counts[300, 0.25] == 2
+    assert counts[3, 0.75] == counts[300, 0.75] == 3

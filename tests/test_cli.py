@@ -306,9 +306,24 @@ def test_trials_reproducible_in_isolation():
     assert not np.array_equal(a, derived_rng(42, 1, 4).random(4))
 
 
+@pytest.mark.parametrize("seed,k", [(0, 0), (42, 3), (2**64 - 1, 999)])
+def test_one_bulk_draw_is_the_stream_of_scalar_draws(seed, k):
+    # A sampled trial draws its steps with one rng.random(1 + helpers) call.
+    for count in (1, 6, 1200):
+        scalar = derived_rng(seed, 1, k)
+        assert derived_rng(seed, 1, k).random(count).tolist() == [
+            scalar.random() for _ in range(count)
+        ]
+
+
 def test_register_cap_violation_exits_2(monkeypatch, capsys):
+    # No subcommand builds a dense register, so the cap refuses none of them;
+    # exit 2 stays the code of a resource limit, here the branch limit
+    # (m=n=10 with a Charlie designee: 4 * 2**19 branches).
     monkeypatch.setenv("HQIS_MAX_QUBITS", "8")
-    code = main(["attack", "--m", "3", "--n", "2", "--rounds", "10"])
+    assert main(["attack", "--m", "3", "--n", "2", "--rounds", "10"]) == 0
+    capsys.readouterr()
+    code = main(["run", "--m", "10", "--n", "10", "--designee", "charlie:1", "--mode", "enumerate"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
 
@@ -342,7 +357,8 @@ def test_execute_writes_records_for_a_parsed_config(tmp_path):
 
 def test_failed_run_leaves_no_output_file(tmp_path, capsys):
     out = tmp_path / "records.ndjson"
-    argv = ["run", "--m", "12", "--n", "12", "--designee", "bob:1", "--charlie-star", "1",
+    # m=n=12 with a Charlie designee: 4 * 2**23 branches, past the limit.
+    argv = ["run", "--m", "12", "--n", "12", "--designee", "charlie:1", "--mode", "enumerate",
             "--output", str(out)]
     assert main(argv) == 2
     assert not out.exists()
@@ -541,9 +557,8 @@ def test_run_records_match_golden(tmp_path, name):
     _assert_matches([json.loads(line) for line in out.read_text().splitlines()], want)
 
 
-def test_run_walks_deeper_than_the_recursion_limit(monkeypatch, tmp_path):
-    # m=n=600 with a Charlie designee: 1199 helpers, one walk level each.
-    monkeypatch.setenv("HQIS_MAX_QUBITS", "1202")
+def test_run_walks_deeper_than_the_recursion_limit(tmp_path):
+    # m=n=600 with a Charlie designee: 1199 helpers.
     out = tmp_path / "records.ndjson"
     argv = ["run", "--m", "600", "--n", "600", "--designee", "charlie:1", "--trials", "1",
             "--output", str(out)]
@@ -551,6 +566,41 @@ def test_run_walks_deeper_than_the_recursion_limit(monkeypatch, tmp_path):
     (record,) = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(record["bits"]) == 1199
     assert record["fidelity"] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("size", [12, 500])
+def test_runs_and_attacks_pass_the_dense_register_cap(monkeypatch, tmp_path, size):
+    # 2 + 2 * size qubits with the secret attached, past the default cap of 24.
+    monkeypatch.delenv("HQIS_MAX_QUBITS", raising=False)
+    out = tmp_path / "records.ndjson"
+    sizes = ["--m", str(size), "--n", str(size)]
+    for designee in (["--designee", "bob:1", "--charlie-star", "1"], ["--designee", "charlie:2"]):
+        assert main(["run", *sizes, *designee, "--trials", "3", "--output", str(out)]) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(records) == 3
+        for record in records:
+            assert len(record["bits"]) == (size if designee[1] == "bob:1" else 2 * size - 1)
+            assert record["fidelity"] == pytest.approx(1.0, abs=1e-9)
+    for scenario in ("honest", "intercept-resend"):
+        argv = ["attack", *sizes, "--scenario", scenario, "--rounds", "1000", "--output", str(out)]
+        assert main(argv) == 0
+        (record,) = [json.loads(line) for line in out.read_text().splitlines()]
+        expected = 0.0 if scenario == "honest" else 0.5
+        assert record["exact_mismatch_probability"] == pytest.approx(expected, abs=1e-12)
+
+
+def test_enumeration_passes_the_dense_register_cap(monkeypatch, tmp_path):
+    # m=n=12 with a Bob designee: 11 Bobs and charlie*, 4 * 2**12 branches.
+    monkeypatch.delenv("HQIS_MAX_QUBITS", raising=False)
+    out = tmp_path / "records.ndjson"
+    argv = ["run", "--m", "12", "--n", "12", "--designee", "bob:1", "--charlie-star", "1",
+            "--mode", "enumerate", "--output", str(out)]
+    assert main(argv) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    summary = records[-1]
+    assert summary["branches"] == len(records) - 1 == 4 * 2**12
+    assert summary["probability_sum"] == pytest.approx(1.0, abs=1e-9)
+    assert summary["min_fidelity"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_nothing_at_run_time_builds_a_dense_register(monkeypatch, capsys):

@@ -165,6 +165,21 @@ def test_trial_records_consistent_classical_data():
     assert 0 < result.branch_probability <= 1
 
 
+def test_classical_bits_read_as_a_mapping_in_plan_order():
+    result = run_recovery(PartySizes(3, 2), Designee.bob(2, 1), SECRETS[3], np.random.default_rng(5))
+    bits = result.classical_bits
+    plan = [Role.bob(1), Role.bob(3), Role.charlie(1)]
+    assert list(bits) == plan and len(bits) == 3
+    assert bits.values() == tuple(bits[role] for role in plan)
+    assert bits.items() == tuple(zip(plan, bits.values()))
+    assert all(type(bit) is int for bit in bits.values())
+    assert bits == dict(bits.items()) and dict(bits.items()) == bits
+    assert repr(bits) == repr(dict(bits.items()))
+    assert Role.bob(2) not in bits
+    with pytest.raises(TypeError):
+        bits[Role.bob(1)] = 1
+
+
 # --- exhaustive enumeration ---
 
 def test_enumeration_smallest_bob_case():

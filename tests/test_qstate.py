@@ -198,7 +198,7 @@ def _sample(pairs, num_qubits, q, bras, rng):
     """One sampled measurement as the protocol's walk makes it:
     ``_sample_outcome`` over ``_contract_support`` branches, one per bra."""
     outcome, _, _ = qstate._sample_outcome(
-        lambda o: qstate._contract_support(pairs, num_qubits, bras[o], q), len(bras), rng
+        lambda o: qstate._contract_support(pairs, num_qubits, bras[o], q), len(bras), rng.random()
     )
     return outcome
 
