@@ -4,13 +4,23 @@ Subcommands: ``run`` (sampled trials or exhaustive enumeration), ``attack``
 (correlation-check sessions plus the exact detection rate), and ``tables``
 (the correction lookup tables as records).  Identical arguments and seed
 produce byte-identical output; every record carries mode, m, n, and seed.
+
+Every line is one JSON object with its keys sorted, compact separators and
+strict JSON: a NaN or an infinity fails the run instead of being written.
+``_dumps`` owns that format.  The trial and branch records of a run are not
+built as dicts: ``_record_encoder`` encodes the fields a run shares once,
+into a template, and each record fills in only the fields that vary, with
+the bytes ``_dumps`` would give.  A run that fails after its first record
+removes its ``--output`` file, if that path names a regular file.
 """
 
 import argparse
 import itertools
 import json
 import math
+import operator
 import os
+import stat
 import sys
 from dataclasses import dataclass
 
@@ -27,6 +37,8 @@ from .channel import PartySizes, SecretState
 from .protocol import (
     BOB_CORRECTIONS,
     CHARLIE_CORRECTIONS,
+    BellOutcome,
+    CorrectionOp,
     Designee,
     Role,
     TrialResult,
@@ -209,6 +221,17 @@ def resolve_secret(config: RunConfig) -> SecretState:
     return SecretState.haar_random(derived_rng(config.seed, _STREAM_SECRET))
 
 
+def _dumps(value) -> str:
+    """The records' one JSON format: keys sorted, compact separators, and
+    strict, so a NaN or an infinity raises ValueError."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+# The enum-valued fields of a trial or branch record, encoded once per member.
+_BELL_JSON = {bell: _dumps(bell.value) for bell in BellOutcome}
+_CORRECTION_JSON = {op: _dumps(op.value) for op in CorrectionOp}
+
+
 def _base_record(config: RunConfig, record: str) -> dict:
     sizes = config.sizes
     return {
@@ -224,19 +247,70 @@ def _secret_fields(secret: SecretState) -> list[float]:
     return [secret.alpha.real, secret.alpha.imag, secret.beta.real, secret.beta.imag]
 
 
-def _result_fields(result: TrialResult, labels: tuple[str, ...]) -> dict:
-    return {
-        "bell": result.bell.value,
-        "bits": dict(zip(labels, result.classical_bits.values())),
-        "v_g1": result.v_g1,
-        "v_g2_or_charlie_star": result.v_g2_or_charlie_star,
-        "correction": result.correction.value,
-        "branch_probability": result.branch_probability,
-        "fidelity": result.fidelity,
-    }
+def _record_encoder(constants: dict, counter: str, labels: tuple[str, ...]):
+    """``encode(k, result)``: the line of record ``k`` of a run, the
+    ``_dumps`` of its dict byte for byte, plus a newline.
+
+    The dict would be ``constants``, ``counter: k`` and the result's fields,
+    ``bits`` mapping the helpers' ``labels`` (plan order) to their bits.  A
+    template built once holds the keys in sort_keys order and the constants
+    already encoded, with a slot per varying field, so a record costs only
+    those.  ``bits`` has its own %-template over the labels in the same
+    order, so bob:10 comes before bob:2.  Ints and floats are ``int.__repr__``
+    and ``float.__repr__``, as in json's encoder, and floats are checked
+    first, as ``allow_nan=False`` checks them.
+    """
+    # The varying fields, in the order ``encode`` passes them.
+    varying = (
+        counter,
+        "bell",
+        "bits",
+        "v_g1",
+        "v_g2_or_charlie_star",
+        "correction",
+        "branch_probability",
+        "fidelity",
+    )
+    # A NUL marks each slot: _dumps escapes any NUL in the data itself.
+    fields = {key: _dumps(value) for key, value in constants.items()}
+    fields |= dict.fromkeys(varying, "\0")
+    text = "{" + ",".join(f"{_dumps(key)}:{fields[key]}" for key in sorted(fields)) + "}\n"
+    template = [None] * (2 * len(varying) + 1)
+    template[::2] = text.split("\0")
+    # ``arrange`` puts the values in the order of their slots, sort_keys order.
+    arrange = operator.itemgetter(*sorted(range(len(varying)), key=varying.__getitem__))
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    bits = "{" + ",".join(f"{_dumps(labels[i])}:%d" for i in order) + "}"
+    # One helper makes ``pick`` return a bare int, which % takes as its one value.
+    pick = operator.itemgetter(*order)
+    isfinite, int_repr, float_repr = math.isfinite, int.__repr__, float.__repr__
+
+    def encode(k: int, result: TrialResult) -> str:
+        p, f = result.branch_probability, result.fidelity
+        if not (isfinite(p) and isfinite(f)):
+            _dumps([p, f])  # raises json's own ValueError
+        line = template.copy()
+        line[1::2] = arrange((
+            int_repr(k),
+            _BELL_JSON[result.bell],
+            bits % pick(result.classical_bits.values()),
+            int_repr(result.v_g1),
+            int_repr(result.v_g2_or_charlie_star),
+            _CORRECTION_JSON[result.correction],
+            float_repr(p),
+            float_repr(f),
+        ))
+        # Joined, not %-formatted: the % writer over-allocates the line and
+        # then shrinks it, which fragments the heap (+0.1 MiB peak RSS over
+        # 4096 records).
+        return "".join(line)
+
+    return encode
 
 
 def _run_records(config: RunConfig):
+    """The lines of a ``run``: one record per trial or branch, and for an
+    enumeration a summary record last."""
     sizes, designee = config.sizes, config.designee
     secret = resolve_secret(config)
     # The helpers' labels in plan order, which is the order of classical_bits.
@@ -247,29 +321,29 @@ def _run_records(config: RunConfig):
         "secret": _secret_fields(secret),
     }
     if config.mode == "sample":
+        encode = _record_encoder(_base_record(config, "trial") | context, "trial", labels)
         for k in range(config.trials):
             rng = derived_rng(config.seed, _STREAM_TRIAL, k)
-            result = run_recovery(sizes, designee, secret, rng)
-            record = _base_record(config, "trial") | context | {"trial": k}
-            yield record | _result_fields(result, labels)
+            yield encode(k, run_recovery(sizes, designee, secret, rng))
         return
     # Records stream as the walk reaches each branch; the summary is
     # accumulated on the way, in the order the branches come.
+    encode = _record_encoder(_base_record(config, "branch") | context, "branch", labels)
     branches, probability_sum = 0, 0
     min_fidelity, max_fidelity = math.inf, -math.inf
     for result in iter_branches(sizes, designee, secret):
-        record = _base_record(config, "branch") | context | {"branch": branches}
-        yield record | _result_fields(result, labels)
+        yield encode(branches, result)
         branches += 1
         probability_sum += result.branch_probability
         min_fidelity = min(min_fidelity, result.fidelity)
         max_fidelity = max(max_fidelity, result.fidelity)
-    yield _base_record(config, "summary") | context | {
+    summary = _base_record(config, "summary") | context | {
         "branches": branches,
         "probability_sum": probability_sum,
         "min_fidelity": min_fidelity,
         "max_fidelity": max_fidelity,
     }
+    yield _dumps(summary) + "\n"
 
 
 def _attack_records(config: RunConfig):
@@ -281,7 +355,7 @@ def _attack_records(config: RunConfig):
         derived_rng(config.seed, _STREAM_ATTACK),
         threshold=config.threshold,
     )
-    yield _base_record(config, "check") | {
+    check = _base_record(config, "check") | {
         "scenario": config.attack_scenario.value,
         "rounds": stats.rounds,
         "threshold": config.threshold,
@@ -292,46 +366,52 @@ def _attack_records(config: RunConfig):
         "exact_mismatch_probability": exact_detection_probability(sizes, config.attack_scenario),
         "missed_detection_probability": missed_detection_probability(sizes, config.rounds),
     }
+    yield _dumps(check) + "\n"
 
 
 def _table_records(config: RunConfig):
     # The tables' own order: Bell outcomes as declared, then bit values.
-    for (bell, v_sum), op in BOB_CORRECTIONS.items():
-        yield _base_record(config, "table_row") | {
-            "table": "bob",
-            "bell": bell.value,
-            "v_sum": v_sum,
-            "operation": op.value,
-        }
-    for (bell, v_g1, v_g2), op in CHARLIE_CORRECTIONS.items():
-        yield _base_record(config, "table_row") | {
-            "table": "charlie",
-            "bell": bell.value,
-            "v_g1": v_g1,
-            "v_g2": v_g2,
-            "operation": op.value,
-        }
+    rows = [
+        {"table": "bob", "bell": bell.value, "v_sum": v_sum, "operation": op.value}
+        for (bell, v_sum), op in BOB_CORRECTIONS.items()
+    ] + [
+        {"table": "charlie", "bell": bell.value, "v_g1": v_g1, "v_g2": v_g2, "operation": op.value}
+        for (bell, v_g1, v_g2), op in CHARLIE_CORRECTIONS.items()
+    ]
+    for row in rows:
+        yield _dumps(_base_record(config, "table_row") | row) + "\n"
 
 
 def execute(config: RunConfig) -> int:
     """Emit all records for the config; returns the process exit status."""
     register_cap()  # validates HQIS_MAX_QUBITS in every mode, tables included
     if config.mode in ("sample", "enumerate"):
-        records = _run_records(config)
+        lines = _run_records(config)
     elif config.mode == "attack":
-        records = _attack_records(config)
+        lines = _attack_records(config)
     else:
-        records = _table_records(config)
+        lines = _table_records(config)
 
     # A failing run (rounds, threshold, branch limit) raises before its
     # first record, so drawing that record first opens no file on failure.
-    records = itertools.chain([next(records)], records)
+    lines = itertools.chain([next(lines)], lines)
     if config.output_path:
         with open(config.output_path, "w") as handle:
-            _emit(records, handle)
+            try:
+                _emit(lines, handle)
+            except BaseException:
+                # A run that fails later leaves no partial file.  Only a path
+                # that names the regular file written goes: a FIFO stays, and
+                # so does a symlink such as /dev/stdout.
+                written = os.fstat(handle.fileno())
+                if stat.S_ISREG(written.st_mode) and os.path.samestat(
+                    written, os.lstat(config.output_path)
+                ):
+                    os.unlink(config.output_path)
+                raise
         return 0
     try:
-        _emit(records, sys.stdout)
+        _emit(lines, sys.stdout)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout.  Python flushes stdout again at exit;
@@ -341,10 +421,8 @@ def execute(config: RunConfig) -> int:
     return 0
 
 
-def _emit(records, handle) -> None:
-    for record in records:
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False)
-        handle.write(line + "\n")
+def _emit(lines, handle) -> None:
+    handle.writelines(lines)
 
 
 def main(argv: list[str] | None = None) -> int:

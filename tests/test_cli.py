@@ -1,4 +1,3 @@
-import io
 import json
 import os
 import subprocess
@@ -18,7 +17,7 @@ from hqis import cli
 from hqis.cli import (
     RunConfig,
     UsageError,
-    _emit,
+    _dumps,
     _run_records,
     derived_rng,
     execute,
@@ -627,7 +626,7 @@ def test_nothing_at_run_time_builds_a_dense_register(monkeypatch, capsys):
 
 def test_emitted_json_is_strict():
     with pytest.raises(ValueError):
-        _emit([{"rate": float("nan")}], io.StringIO())
+        _dumps({"rate": float("nan")})
 
 
 @pytest.mark.parametrize("secret", ["1,0,0,nan", "nan,0,0,0", "1,0,inf,0", "0,-inf,1,0"])
@@ -676,10 +675,10 @@ def test_enumerate_streams_one_record_per_branch(monkeypatch):
             yield result
 
     monkeypatch.setattr(cli, "iter_branches", counting_branches)
-    records = _run_records(parse_args(ENUMERATE_ARGV))
-    assert next(records)["branch"] == 0
+    lines = _run_records(parse_args(ENUMERATE_ARGV))
+    assert json.loads(next(lines))["branch"] == 0
     assert len(produced) == 1
-    assert next(records)["branch"] == 1
+    assert json.loads(next(lines))["branch"] == 1
     assert len(produced) == 2
 
 
@@ -688,7 +687,7 @@ def test_streamed_enumeration_matches_the_branch_list():
     results = enumerate_branches(
         PartySizes(2, 3), Designee.bob(2, 3), resolve_secret(config)
     )
-    records = list(_run_records(config))
+    records = [json.loads(line) for line in _run_records(config)]
     assert [r["branch_probability"] for r in records[:-1]] == [
         r.branch_probability for r in results
     ]

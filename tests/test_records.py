@@ -1,0 +1,242 @@
+"""The encoding of run records, against the dicts they encode.
+
+``_oracle_record`` builds a trial or branch record as a dict, and each line
+the CLI emits must equal ``json.dumps`` of that dict with the records'
+settings, byte for byte.  The CLI itself never builds the dict: it fills a
+template encoded once per run.
+"""
+
+import dataclasses
+import hashlib
+import itertools
+import json
+import math
+import os
+import threading
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hqis import cli
+from hqis.cli import _run_records, derived_rng, main, parse_args, resolve_secret
+from hqis.protocol import enumerate_branches, run_recovery
+
+MAX_SEED = 2**64 - 1
+
+
+def _json(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+def _oracle_context(config, secret, record: str) -> dict:
+    """The fields every record of a run shares."""
+    sizes, designee = config.sizes, config.designee
+    return {
+        "record": record,
+        "mode": config.mode,
+        "m": sizes.m,
+        "n": sizes.n,
+        "seed": config.seed,
+        "designee": designee.role.label,
+        "charlie_star": designee.charlie_star,
+        "secret": [secret.alpha.real, secret.alpha.imag, secret.beta.real, secret.beta.imag],
+    }
+
+
+def _oracle_record(config, secret, counter: str, k: int, result) -> dict:
+    return _oracle_context(config, secret, counter) | {
+        counter: k,
+        "bell": result.bell.value,
+        "bits": {role.label: bit for role, bit in result.classical_bits.items()},
+        "v_g1": result.v_g1,
+        "v_g2_or_charlie_star": result.v_g2_or_charlie_star,
+        "correction": result.correction.value,
+        "branch_probability": result.branch_probability,
+        "fidelity": result.fidelity,
+    }
+
+
+def _oracle_lines(config) -> list[str]:
+    """A run's lines as the dicts of its records, each through json.dumps."""
+    sizes, designee, secret = config.sizes, config.designee, resolve_secret(config)
+    if config.mode == "sample":
+        return [
+            _json(_oracle_record(config, secret, "trial", k, run_recovery(
+                sizes, designee, secret, derived_rng(config.seed, cli._STREAM_TRIAL, k)
+            )))
+            for k in range(config.trials)
+        ]
+    results = enumerate_branches(sizes, designee, secret)
+    probability_sum = 0
+    for result in results:
+        probability_sum += result.branch_probability
+    summary = _oracle_context(config, secret, "summary") | {
+        "branches": len(results),
+        "probability_sum": probability_sum,
+        "min_fidelity": min(r.fidelity for r in results),
+        "max_fidelity": max(r.fidelity for r in results),
+    }
+    lines = [_json(_oracle_record(config, secret, "branch", k, r)) for k, r in enumerate(results)]
+    return lines + [_json(summary)]
+
+
+_SECRETS = st.one_of(
+    st.just("random"),
+    st.sampled_from(["0,-1,0,0", "1,0,0,0", "-0.6,0,0,-0.8", "0,0.6,-0.8,0"]),
+    st.tuples(*[st.floats(-1, 1)] * 4)
+    .filter(lambda c: math.hypot(*c) > 0.1)
+    .map(lambda c: ",".join(repr(x / math.hypot(*c)) for x in c)),
+)
+
+
+@st.composite
+def _run_argvs(draw):
+    mode = draw(st.sampled_from(["sample", "enumerate"]))
+    # Enumerations stay at m + n <= 8 (at most 512 branches); samples reach
+    # m, n >= 10, where bob:10 sorts before bob:2.
+    largest = 13 if mode == "sample" else 4
+    m, n = draw(st.integers(1, largest)), draw(st.integers(1, largest))
+    if draw(st.booleans()):
+        designee = [f"bob:{draw(st.integers(1, m))}", "--charlie-star", str(draw(st.integers(1, n)))]
+    else:
+        designee = [f"charlie:{draw(st.integers(1, n))}"]
+    seed = draw(st.sampled_from([0, MAX_SEED]) | st.integers(0, MAX_SEED))
+    argv = ["run", "--mode", mode, "--m", str(m), "--n", str(n), "--designee", *designee,
+            f"--secret={draw(_SECRETS)}", "--seed", str(seed)]
+    if mode == "sample":
+        argv += ["--trials", str(draw(st.integers(1, 4)))]
+    return argv
+
+
+def _argv(text: str) -> list[str]:
+    return text.split()
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_run_argvs())
+@example(argv=_argv(f"run --mode sample --m 12 --n 3 --designee bob:11 --charlie-star 2 "
+                    f"--secret=random --seed {MAX_SEED} --trials 4"))
+@example(argv=_argv("run --mode sample --m 2 --n 11 --designee charlie:4 "
+                    "--secret=0,-1,0,0 --seed 0 --trials 4"))
+@example(argv=_argv("run --mode enumerate --m 10 --n 1 --designee bob:1 --charlie-star 1 "
+                    "--secret=-0.6,0,0,-0.8 --seed 0"))
+@example(argv=_argv(f"run --mode enumerate --m 2 --n 3 --designee charlie:2 "
+                    f"--secret=random --seed {MAX_SEED}"))
+def test_run_lines_equal_json_dumps_of_the_record_dicts(argv):
+    config = parse_args(argv)
+    assert list(_run_records(config)) == _oracle_lines(config)
+
+
+# stdout of the bench argvs at seed 17 and of the README commands, byte for
+# byte as the dict-encoding CLI wrote them.
+PINNED_STDOUT_SHA256 = {
+    "run --mode sample --m 3 --n 3 --designee charlie:2 --secret random --trials 1000 --seed 17":
+        "e28ec3a16f7a662d37c8e511c8d2f60b3bd0338f50cc9bfc5b05304aa8660813",
+    "run --mode enumerate --m 5 --n 6 --designee charlie:3 --secret random --seed 17":
+        "d5346b7c3129538998864377e828feb6ae1cff268203fc6aacda2a2ef5ae18dd",
+    "attack --scenario intercept-resend --m 5 --n 6 --rounds 3000000 --seed 17":
+        "3a96ebabd97642dfe41679dac56eefdd2c142b283eabd4b5cda5fa7390c25e19",
+    "run --m 2 --n 2 --designee bob:1 --charlie-star 1 --secret 0.6,0,0.8,0 --trials 100 --seed 42":
+        "f23c13c538d7d58f06b686b066c9cfcd01b727b32cbdb409ce51bd7c58d0ea29",
+    "run --m 2 --n 2 --designee charlie:2 --secret random --mode enumerate --seed 7":
+        "4f210fcf3dbb1cd7083890bdd148b6af7b40b93615ecd8d9eac8ca623c8f470d",
+    "attack --m 1 --n 1 --scenario intercept-resend --rounds 100000 --seed 5":
+        "f347403592ca4b89da08a5778e57d9f061cec3d908e0ba49906b29af04393759",
+    "tables":
+        "a726f8ed4fe97a5d06e4b319d755b7e84afc8c0b4c79bc806c36753d250439ee",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_STDOUT_SHA256))
+def test_stdout_keeps_its_pinned_bytes(capsys, command):
+    assert main(command.split()) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == PINNED_STDOUT_SHA256[command]
+
+
+SAMPLE_ARGV = ["run", "--m", "2", "--n", "2", "--designee", "charlie:1", "--trials", "5"]
+ENUMERATE_ARGV = ["run", "--m", "2", "--n", "2", "--designee", "bob:1", "--charlie-star", "2",
+                  "--mode", "enumerate"]
+
+
+def _break_result_at(monkeypatch, name: str, at: int, **fields):
+    """Make ``cli.<name>`` (``run_recovery`` or ``iter_branches``) give result
+    number ``at`` of the run with ``fields`` replaced."""
+    real = getattr(cli, name)
+    count = itertools.count()
+
+    def broken(result):
+        return dataclasses.replace(result, **fields) if next(count) == at else result
+
+    if name == "run_recovery":
+        monkeypatch.setattr(cli, name, lambda *args: broken(real(*args)))
+    else:
+        monkeypatch.setattr(cli, name, lambda *args: map(broken, real(*args)))
+
+
+@pytest.mark.parametrize("field", ["fidelity", "branch_probability"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "name, argv", [("run_recovery", SAMPLE_ARGV), ("iter_branches", ENUMERATE_ARGV)]
+)
+def test_non_finite_float_raises_json_error(monkeypatch, capsys, name, argv, field, value):
+    with pytest.raises(ValueError) as strict:
+        _json({field: value})
+    with monkeypatch.context() as patch:
+        _break_result_at(patch, name, 0, **{field: value})
+        with pytest.raises(ValueError) as caught:
+            next(_run_records(parse_args(argv)))
+    assert str(caught.value) == str(strict.value)
+    _break_result_at(monkeypatch, name, 0, **{field: value})
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {strict.value}"]
+
+
+def test_failure_after_the_first_record_leaves_no_output_file(monkeypatch, tmp_path, capsys):
+    _break_result_at(monkeypatch, "run_recovery", 3, fidelity=math.nan)
+    out = tmp_path / "records.ndjson"
+    assert main(SAMPLE_ARGV + ["--output", str(out)]) == 1
+    assert list(tmp_path.iterdir()) == []
+    (error,) = capsys.readouterr().err.splitlines()
+    assert error.startswith("error: Out of range float values")
+
+
+def test_failure_at_the_first_record_leaves_an_existing_file_alone(monkeypatch, tmp_path):
+    _break_result_at(monkeypatch, "run_recovery", 0, fidelity=math.nan)
+    out = tmp_path / "records.ndjson"
+    out.write_text("kept\n")
+    assert main(SAMPLE_ARGV + ["--output", str(out)]) == 1
+    assert out.read_text() == "kept\n"
+
+
+def test_failure_keeps_a_fifo_target(monkeypatch, tmp_path):
+    _break_result_at(monkeypatch, "run_recovery", 3, fidelity=math.nan)
+    fifo = tmp_path / "records.fifo"
+    os.mkfifo(fifo)
+    received = []
+
+    def read():
+        with open(fifo) as handle:
+            received.extend(handle)
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    assert main(SAMPLE_ARGV + ["--output", str(fifo)]) == 1
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert fifo.is_fifo()
+    assert [json.loads(line)["trial"] for line in received] == [0, 1, 2]
+
+
+def test_failure_keeps_a_symlink_and_its_target(monkeypatch, tmp_path):
+    # The path names a link, not the file written: nothing is unlinked
+    # through it, as /dev/stdout must never be.
+    _break_result_at(monkeypatch, "run_recovery", 3, fidelity=math.nan)
+    target = tmp_path / "records.ndjson"
+    link = tmp_path / "link.ndjson"
+    link.symlink_to(target)
+    assert main(SAMPLE_ARGV + ["--output", str(link)]) == 1
+    assert link.is_symlink() and target.is_file()
