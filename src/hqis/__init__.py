@@ -8,84 +8,32 @@ knowledge each agent holds, and models intercept-resend eavesdropping
 with its correlation-check detection.
 """
 
-from .adversary import (
-    CheckStats,
-    Scenario,
-    build_scenario_state,
-    correlation_check,
-    exact_detection_probability,
-    missed_detection_probability,
-)
-from .channel import (
-    PartySizes,
-    compose_with_secret,
-    make_channel,
-    make_fake_channel,
-    make_standard_form,
-)
-from .protocol import (
-    BellOutcome,
-    CorrectionOp,
-    Designee,
-    Role,
-    TrialResult,
-    agent_marginal,
-    check_designee,
-    enumerate_branches,
-    iter_branches,
-    parity,
-    run_recovery,
-)
-from .qstate import (
-    MeasBasis,
-    RegisterCapError,
-    ResourceLimitError,
-    SecretState,
-    StateVector,
-    apply_gate,
-    basis_state,
-    bell_project,
-    permute_qubits,
-    project,
-    reduced_density,
-    tensor,
-)
+from importlib import import_module
 
-__all__ = [
-    "BellOutcome",
-    "CheckStats",
-    "CorrectionOp",
-    "Designee",
-    "MeasBasis",
-    "PartySizes",
-    "RegisterCapError",
-    "ResourceLimitError",
-    "Role",
-    "Scenario",
-    "SecretState",
-    "StateVector",
-    "TrialResult",
-    "agent_marginal",
-    "apply_gate",
-    "basis_state",
-    "bell_project",
-    "build_scenario_state",
-    "check_designee",
-    "compose_with_secret",
-    "correlation_check",
-    "enumerate_branches",
-    "exact_detection_probability",
-    "iter_branches",
-    "make_channel",
-    "make_fake_channel",
-    "make_standard_form",
-    "missed_detection_probability",
-    "parity",
-    "permute_qubits",
-    "project",
-    "reduced_density",
-    "run_recovery",
-    "tensor",
-]
+# Each export, named once, under the module that owns it.  The module is
+# imported the first time one of its names is used.
+_OWNERS = {
+    name: module
+    for module, names in {
+        "adversary": "CheckStats Scenario correlation_check exact_detection_probability"
+        " missed_detection_probability",
+        "channel": "PartySizes",
+        "dense": "StateVector apply_gate basis_state bell_project build_scenario_state"
+        " compose_with_secret make_channel make_fake_channel make_standard_form"
+        " permute_qubits project reduced_density tensor",
+        "protocol": "CorrectionOp Designee Role TrialResult agent_marginal check_designee"
+        " enumerate_branches iter_branches parity run_recovery",
+        "qstate": "BellOutcome MeasBasis RegisterCapError ResourceLimitError SecretState",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_OWNERS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _OWNERS:
+        return getattr(import_module(f".{_OWNERS[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,6 +5,10 @@ with no A qubit.  That preserves the correlations inside each agent group
 but cuts the link to Alice, so sacrificed rounds of computational-basis
 comparison expose her: each Alice-vs-Bob comparison mismatches with
 probability 1/2 per round.
+
+The checks work on the joint state's support alone.  The dense joint state,
+``build_scenario_state``, lives in :mod:`hqis.dense` as the reference the
+tests compare with, and is still served here.
 """
 
 from dataclasses import dataclass
@@ -12,14 +16,10 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import (
-    PartySizes,
-    _channel_support,
-    _fake_channel_support,
-    make_channel,
-    make_fake_channel,
-)
-from .qstate import StateVector, _check_cap, tensor
+from .channel import PartySizes, _channel_support, _fake_channel_support
+from .qstate import _from_dense
+
+__getattr__ = _from_dense(__name__, {"build_scenario_state"})
 
 # The check's one multinomial takes numpy's int64 trial count.
 MAX_ROUNDS = 2**63 - 1
@@ -46,24 +46,6 @@ class CheckStats:
     detection_rule: str
 
 
-def build_scenario_state(sizes: PartySizes, scenario: Scenario) -> StateVector:
-    """Joint state of every qubit in play for the scenario.
-
-    Honest: the channel itself.  Under attack: channel (Alice + Eve's
-    captured block) tensored with the fake channel the agents receive.
-    Raises RegisterCapError when the combined register exceeds the cap.
-    :func:`correlation_check` and :func:`exact_detection_probability` work
-    on this state's support alone; the dense state is kept as the reference
-    the tests compare with.
-    """
-    total, _ = _joint_support(sizes, scenario)
-    _check_cap(total)
-    honest = make_channel(sizes)
-    if scenario is Scenario.HONEST:
-        return honest
-    return tensor(honest, make_fake_channel(sizes))
-
-
 def _delivered_qubits(sizes: PartySizes, scenario: Scenario) -> tuple[int, list[int], list[int]]:
     """(alice qubit, delivered Bob qubits, delivered Charlie qubits)."""
     if scenario is Scenario.HONEST:
@@ -77,7 +59,7 @@ def _delivered_qubits(sizes: PartySizes, scenario: Scenario) -> tuple[int, list[
 
 def _joint_support(sizes: PartySizes, scenario: Scenario):
     """(qubit count, (basis index, amplitude) pairs) of
-    :func:`build_scenario_state`, in index order.
+    :func:`hqis.dense.build_scenario_state`, in index order.
 
     Built from the channel module's pairs: under attack the support is the
     outer product of the channel's 4 and the fake channel's 4.
@@ -124,7 +106,7 @@ def correlation_check(
 
     Eve's retained block never enters the statistics, so it is left
     unmeasured.  All the measured observables commute, so each round is one
-    draw from the outcome distribution of :func:`build_scenario_state`.
+    draw from the outcome distribution of :func:`hqis.dense.build_scenario_state`.
     That state is never built: its support is the outer product of the
     factors' supports (4 entries honest, 16 under attack), taken from the
     channel module's pairs.  The tallies read only how many rounds fell on
@@ -167,7 +149,7 @@ def exact_detection_probability(
     """Per-round probability that some Alice-vs-Bob comparison mismatches.
 
     No sampling: one minus the total probability of the support entries of
-    :func:`build_scenario_state` where Alice's bit equals every Bob's bit.
+    :func:`hqis.dense.build_scenario_state` where Alice's bit equals every Bob's bit.
     The support has 16 entries at most and no register is built, so the
     register cap does not apply.
     """

@@ -11,7 +11,8 @@ strict JSON: a NaN or an infinity fails the run instead of being written.
 built as dicts: ``_record_encoder`` encodes the fields a run shares once,
 into a template, and each record fills in only the fields that vary, with
 the bytes ``_dumps`` would give.  A run that fails after its first record
-removes its ``--output`` file, if that path names a regular file.
+removes its ``--output`` file, if that path names a regular file, and
+empties the regular file a symlinked path reaches.
 """
 
 import argparse
@@ -98,19 +99,35 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
+def _four_numbers(text: str) -> list[float] | None:
+    """The four comma-separated numbers ``text`` spells, or None."""
+    parts = text.split(",")
+    try:
+        return [float(part) for part in parts] if len(parts) == 4 else None
+    except ValueError:
+        return None
+
+
+def _join_secret(argv: list[str]) -> list[str]:
+    """argv with ``--secret X`` written ``--secret=X`` when X is four numbers,
+    so that argparse does not read a leading minus, as in
+    ``-0.6,0,0,-0.8``, as an option."""
+    joined = []
+    for token in argv:
+        if joined[-1:] == ["--secret"] and _four_numbers(token) is not None:
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def _parse_secret(text: str) -> SecretState | None:
     """Parse 'random' or four comma-separated reals Re(a),Im(a),Re(b),Im(b)."""
     if text == "random":
         return None
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise UsageError(
-            f"secret must be 'random' or four comma-separated reals, got {text!r}"
-        )
-    try:
-        components = [float(p) for p in parts]
-    except ValueError:
-        raise UsageError(f"secret components must be numbers, got {text!r}") from None
+    components = _four_numbers(text)
+    if components is None:
+        raise UsageError(f"secret must be 'random' or four comma-separated reals, got {text!r}")
     if not all(math.isfinite(c) for c in components):
         raise UsageError(f"secret components must be finite, got {text!r}")
     re_a, im_a, re_b, im_b = components
@@ -176,7 +193,7 @@ def parse_args(argv: list[str]) -> RunConfig:
     ``check_designee``.  No subcommand builds a dense register, so the
     register cap bounds no size here.
     """
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_join_secret(argv))
 
     if args.command == "tables":
         return RunConfig(mode="tables", output_path=args.output)
@@ -400,14 +417,17 @@ def execute(config: RunConfig) -> int:
             try:
                 _emit(lines, handle)
             except BaseException:
-                # A run that fails later leaves no partial file.  Only a path
-                # that names the regular file written goes: a FIFO stays, and
-                # so does a symlink such as /dev/stdout.
+                # A run that fails later leaves no partial file.  A path that
+                # names the regular file written goes.  A regular file reached
+                # through a symlink, such as /dev/stdout, is emptied instead:
+                # opening it emptied it, so only this run's records go.  A
+                # FIFO, a pipe or a terminal is left alone.
                 written = os.fstat(handle.fileno())
-                if stat.S_ISREG(written.st_mode) and os.path.samestat(
-                    written, os.lstat(config.output_path)
-                ):
-                    os.unlink(config.output_path)
+                if stat.S_ISREG(written.st_mode):
+                    if os.path.samestat(written, os.lstat(config.output_path)):
+                        os.unlink(config.output_path)
+                    else:
+                        handle.truncate(0)  # flushes the buffer first
                 raise
         return 0
     try:

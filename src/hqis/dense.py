@@ -1,0 +1,251 @@
+"""Dense state vectors: the oracle the support runtime is tested against,
+and the library API.  No CLI path imports this module.
+
+A :class:`StateVector` holds all ``2**num_qubits`` amplitudes, qubit 0 at the
+most significant bit of the index, so ``basis_state(3, "110")`` puts its one
+nonzero amplitude at index ``0b110``.  States are immutable values: every
+operation returns a fresh one.  The builders that allocate a register refuse
+more qubits than ``qstate.register_cap()``.  ``qstate``, ``channel`` and
+``adversary`` still serve the names that moved here from them.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .adversary import Scenario, _joint_support
+from .channel import PartySizes, _channel_support, _fake_channel_support
+from .qstate import (
+    _BASIS_VECTORS,
+    _UNITARY_TOL,
+    NORM_TOL,
+    ZERO_BRANCH_TOL,
+    BellOutcome,
+    I,
+    MeasBasis,
+    RegisterCapError,
+    SecretState,
+    register_cap,
+)
+
+
+def _check_cap(num_qubits: int) -> None:
+    cap = register_cap()
+    if num_qubits > cap:
+        raise RegisterCapError(
+            f"register of {num_qubits} qubits exceeds the cap of {cap}; "
+            f"raise HQIS_MAX_QUBITS to allow larger dense states"
+        )
+
+
+@dataclass(frozen=True)
+class StateVector:
+    """Normalized amplitude vector over ``2**num_qubits`` basis states."""
+
+    num_qubits: int
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        if self.num_qubits < 1:
+            raise ValueError(f"register needs at least one qubit, got {self.num_qubits}")
+        amps = np.asarray(self.amplitudes, dtype=complex)
+        if amps.shape != (2**self.num_qubits,):
+            raise ValueError(
+                f"expected {2**self.num_qubits} amplitudes for {self.num_qubits} "
+                f"qubits, got shape {amps.shape}"
+            )
+        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN fails this comparison too
+            raise ValueError(f"state is not normalized: sum |amp|^2 = {norm_sq!r}")
+        amps = amps.copy()
+        amps.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amps)
+
+    def _tensor(self) -> np.ndarray:
+        return self.amplitudes.reshape((2,) * self.num_qubits)
+
+
+def _check_qubit(state: StateVector, q: int) -> None:
+    if not 0 <= q < state.num_qubits:
+        raise ValueError(f"qubit {q} out of range for a {state.num_qubits}-qubit register")
+
+
+def _check_unitary(gate: np.ndarray) -> np.ndarray:
+    gate = np.asarray(gate, dtype=complex)
+    if gate.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 gate, got shape {gate.shape}")
+    if np.max(np.abs(gate @ gate.conj().T - I)) > _UNITARY_TOL:
+        raise ValueError("gate is not unitary")
+    return gate
+
+
+def basis_state(num_qubits: int, bits: str) -> StateVector:
+    """Computational basis state |bits>, e.g. ``basis_state(2, "10")``."""
+    if len(bits) != num_qubits:
+        raise ValueError(f"bit string {bits!r} does not match {num_qubits} qubits")
+    if set(bits) - {"0", "1"}:
+        raise ValueError(f"bit string may only contain 0 and 1, got {bits!r}")
+    _check_cap(num_qubits)
+    amps = np.zeros(2**num_qubits, dtype=complex)
+    amps[int(bits, 2)] = 1.0
+    return StateVector(num_qubits, amps)
+
+
+def apply_gate(state: StateVector, q: int, gate: np.ndarray) -> StateVector:
+    """Apply a single-qubit unitary to qubit ``q``."""
+    _check_qubit(state, q)
+    gate = _check_unitary(gate)
+    t = np.tensordot(gate, state._tensor(), axes=([1], [q]))
+    t = np.moveaxis(t, 0, q)
+    return StateVector(state.num_qubits, t.reshape(-1))
+
+
+def tensor(a: StateVector, b: StateVector) -> StateVector:
+    """Kronecker composition; a's qubits come first in the combined register."""
+    _check_cap(a.num_qubits + b.num_qubits)
+    return StateVector(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
+
+
+def permute_qubits(state: StateVector, perm: list[int]) -> StateVector:
+    """Relabel qubits: input qubit ``i`` becomes output qubit ``perm[i]``."""
+    if sorted(perm) != list(range(state.num_qubits)):
+        raise ValueError(f"{perm!r} is not a permutation of 0..{state.num_qubits - 1}")
+    t = np.moveaxis(state._tensor(), list(range(state.num_qubits)), perm)
+    return StateVector(state.num_qubits, t.reshape(-1))
+
+
+def _contract(
+    t: np.ndarray, bra: np.ndarray, axes: tuple[int, ...]
+) -> tuple[float, np.ndarray | None]:
+    """Contract ``bra`` against ``axes`` of the amplitude tensor ``t``.
+
+    The contracted axes leave the tensor; the rest keep their order.  Returns
+    the probability and the renormalized remainder ``coeff/√p``, or ``None``
+    in place of the remainder below ``ZERO_BRANCH_TOL``.
+    """
+    coeff = np.tensordot(bra, t, axes=(list(range(bra.ndim)), list(axes)))
+    prob = float(np.sum(np.abs(coeff) ** 2))
+    if prob < ZERO_BRANCH_TOL:
+        return prob, None
+    return prob, coeff / np.sqrt(prob)
+
+
+def project(
+    state: StateVector, q: int, basis: MeasBasis, outcome: int
+) -> tuple[float, StateVector | None]:
+    """Project qubit ``q`` onto the given basis outcome.
+
+    Returns the branch probability and the renormalized post-measurement
+    state (same register size, measured qubit left in its eigenstate).
+    Branches with probability below ``ZERO_BRANCH_TOL`` return ``None``
+    instead of a state, so exhaustive enumeration can skip them uniformly.
+    """
+    _check_qubit(state, q)
+    if outcome not in (0, 1):
+        raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
+    vec = _BASIS_VECTORS[basis][outcome]
+    prob, coeff = _contract(state._tensor(), np.conj(vec), (q,))
+    if coeff is None:
+        return prob, None
+    collapsed = np.moveaxis(np.multiply.outer(vec, coeff), 0, q)
+    return prob, StateVector(state.num_qubits, collapsed.reshape(-1))
+
+
+def bell_project(
+    state: StateVector, q1: int, q2: int, outcome: BellOutcome
+) -> tuple[float, StateVector | None]:
+    """Project qubits (q1, q2) onto a Bell state and drop them from the register.
+
+    The collapsed state has ``num_qubits - 2`` qubits; the remaining qubits
+    keep their relative order.  Zero-probability branches return ``None``
+    as in :func:`project`.
+    """
+    _check_qubit(state, q1)
+    _check_qubit(state, q2)
+    if q1 == q2:
+        raise ValueError("Bell projection needs two distinct qubits")
+    if state.num_qubits < 3:
+        raise ValueError("Bell projection would leave an empty register")
+    bell = np.conj(outcome.vector).reshape(2, 2)
+    prob, coeff = _contract(state._tensor(), bell, (q1, q2))
+    if coeff is None:
+        return prob, None
+    return prob, StateVector(state.num_qubits - 2, coeff.reshape(-1))
+
+
+def reduced_density(state: StateVector, q: int) -> np.ndarray:
+    """Single-qubit density matrix of ``q`` (partial trace over the rest)."""
+    _check_qubit(state, q)
+    if state.num_qubits == 1:
+        amps = state.amplitudes
+        return np.outer(amps, amps.conj())
+    t = np.moveaxis(state._tensor(), q, 0).reshape(2, -1)
+    return t @ t.conj().T
+
+
+def _dense(num_qubits: int, pairs) -> StateVector:
+    _check_cap(num_qubits)
+    amps = np.zeros(2**num_qubits, dtype=complex)
+    for index, amp in pairs:
+        amps[index] = amp
+    return StateVector(num_qubits, amps)
+
+
+def make_channel(sizes: PartySizes) -> StateVector:
+    """The (1+m+n)-qubit channel shared by Alice, the Bobs, and the Charlies."""
+    return _dense(sizes.channel_qubits, _channel_support(sizes))
+
+
+def make_standard_form(sizes: PartySizes) -> StateVector:
+    """The channel in graph product form, built from its sign expansion.
+
+    Expanding the product (|0_A> + |1_A> Z_B1)(|0_B1> + |1_B1> Z_B2..Z_Bm Z_C1)
+    (|0_B2>+|1_B2>)..(|0_C1> + |1_C1> Z_C2..Z_Cn).. gives one term per bit
+    string, with sign -1 raised to the number of "both ends set" pairs along
+    the edges A-B1, B1-Bi, B1-C1, and C1-Cj.  Equivalent to Hadamards on every
+    qubit except B1 and C1 of :func:`make_channel`; deliberately not computed
+    that way, so the equivalence stays a two-path check.
+    """
+    m, n = sizes.m, sizes.n
+    total = sizes.channel_qubits
+    _check_cap(total)
+    a_q, b1_q, c1_q = 0, 1, 1 + m
+    shifts = total - 1 - np.arange(total)
+    bits = (np.arange(2**total)[:, None] >> shifts[None, :]) & 1
+    other_bobs = bits[:, 2 : 1 + m].sum(axis=1)
+    other_charlies = bits[:, 2 + m :].sum(axis=1)
+    exponent = (
+        bits[:, a_q] * bits[:, b1_q]
+        + bits[:, b1_q] * (other_bobs + bits[:, c1_q])
+        + bits[:, c1_q] * other_charlies
+    )
+    amps = np.where(exponent % 2 == 0, 1.0, -1.0).astype(complex)
+    return StateVector(total, amps / 2 ** (total / 2))
+
+
+def make_fake_channel(sizes: PartySizes) -> StateVector:
+    """Eve's (m+n)-qubit substitute: the channel structure with no A qubit."""
+    return _dense(sizes.m + sizes.n, _fake_channel_support(sizes))
+
+
+def compose_with_secret(secret: SecretState, channel: StateVector) -> StateVector:
+    """Prepend the secret qubit S to the channel register."""
+    return tensor(secret.as_state(), channel)
+
+
+def build_scenario_state(sizes: PartySizes, scenario: Scenario) -> StateVector:
+    """Joint state of every qubit in play for the scenario.
+
+    Honest: the channel itself.  Under attack: channel (Alice + Eve's
+    captured block) tensored with the fake channel the agents receive.
+    Raises RegisterCapError when the combined register exceeds the cap.
+    ``adversary.correlation_check`` and ``adversary.exact_detection_probability``
+    work on this state's support alone; the dense state is kept as the
+    reference the tests compare with.
+    """
+    total, _ = _joint_support(sizes, scenario)
+    _check_cap(total)
+    honest = make_channel(sizes)
+    if scenario is Scenario.HONEST:
+        return honest
+    return tensor(honest, make_fake_channel(sizes))

@@ -35,7 +35,7 @@ of at most 4 entries with ``qstate._contract_support``, after the pending
 signs are applied, as is the designee's leaf.  A sampled trial therefore
 makes O(1) contractions at any m and n.  ``agent_marginal`` reads the
 post-Bell support of the whole register, so no path of this module builds
-a dense register; the dense ``qstate`` operations, and the qubit-by-qubit
+a dense register; the :mod:`hqis.dense` operations, and the qubit-by-qubit
 support walk kept in the tests, are the oracles the tests compare with.
 """
 

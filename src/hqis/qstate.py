@@ -1,13 +1,13 @@
-"""Complex state core: a support-only contraction, plus dense state vectors.
+"""Support-only state core: one contraction and one sampling rule.
 
 The protocol's runs hold each state as its support, ``(basis index,
 amplitude)`` pairs plus the qubit count, measured with
-:func:`_contract_support` and sampled with :func:`_sample_outcome`.  The
-dense :class:`StateVector` operations are the oracle those are tested
-against, and the API the acceptance tests use.  Qubit 0 sits at the most
-significant bit of the amplitude index, so ``basis_state(3, "110")`` puts
-its single nonzero amplitude at index ``0b110``.  States are immutable
-values: every operation returns a fresh :class:`StateVector`.
+:func:`_contract_support` and sampled with :func:`_sample_outcome`.  Qubit 0
+sits at the most significant bit of the index.  This module also owns the
+register cap, the tolerances, the gate constants and the measurement bases.
+The dense :class:`StateVector` layer, the oracle the support runtime is
+tested against, lives in :mod:`hqis.dense`; the names that moved there from
+here are still served, and load it the first time one of them is used.
 """
 
 import math
@@ -57,15 +57,6 @@ def register_cap() -> int:
     if cap < 1:
         raise ValueError(f"HQIS_MAX_QUBITS must be a positive integer, got {override!r}")
     return cap
-
-
-def _check_cap(num_qubits: int) -> None:
-    cap = register_cap()
-    if num_qubits > cap:
-        raise RegisterCapError(
-            f"register of {num_qubits} qubits exceeds the cap of {cap}; "
-            f"raise HQIS_MAX_QUBITS to allow larger dense states"
-        )
 
 
 class MeasBasis(Enum):
@@ -126,33 +117,6 @@ _BELL_BRAS = {outcome: _as_bra(vec) for outcome, vec in _BELL_VECTORS.items()}
 
 
 @dataclass(frozen=True)
-class StateVector:
-    """Normalized amplitude vector over ``2**num_qubits`` basis states."""
-
-    num_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if self.num_qubits < 1:
-            raise ValueError(f"register needs at least one qubit, got {self.num_qubits}")
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (2**self.num_qubits,):
-            raise ValueError(
-                f"expected {2**self.num_qubits} amplitudes for {self.num_qubits} "
-                f"qubits, got shape {amps.shape}"
-            )
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN fails this comparison too
-            raise ValueError(f"state is not normalized: sum |amp|^2 = {norm_sq!r}")
-        amps = amps.copy()
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    def _tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape((2,) * self.num_qubits)
-
-
-@dataclass(frozen=True)
 class SecretState:
     """Normalized single-qubit amplitude pair (alpha, beta)."""
 
@@ -164,7 +128,10 @@ class SecretState:
         if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN fails this comparison too
             raise ValueError(f"secret is not normalized: |a|^2+|b|^2 = {norm_sq!r}")
 
-    def as_state(self) -> StateVector:
+    def as_state(self):
+        """The secret as a one-qubit dense :class:`hqis.dense.StateVector`."""
+        from .dense import StateVector
+
         return StateVector(1, np.array([self.alpha, self.beta], dtype=complex))
 
     @classmethod
@@ -176,75 +143,10 @@ class SecretState:
         return cls(complex(vec[0]), complex(vec[1]))
 
 
-def _check_qubit(state: StateVector, q: int) -> None:
-    if not 0 <= q < state.num_qubits:
-        raise ValueError(f"qubit {q} out of range for a {state.num_qubits}-qubit register")
-
-
-def _check_unitary(gate: np.ndarray) -> np.ndarray:
-    gate = np.asarray(gate, dtype=complex)
-    if gate.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 gate, got shape {gate.shape}")
-    if np.max(np.abs(gate @ gate.conj().T - I)) > _UNITARY_TOL:
-        raise ValueError("gate is not unitary")
-    return gate
-
-
-def basis_state(num_qubits: int, bits: str) -> StateVector:
-    """Computational basis state |bits>, e.g. ``basis_state(2, "10")``."""
-    if len(bits) != num_qubits:
-        raise ValueError(f"bit string {bits!r} does not match {num_qubits} qubits")
-    if set(bits) - {"0", "1"}:
-        raise ValueError(f"bit string may only contain 0 and 1, got {bits!r}")
-    _check_cap(num_qubits)
-    amps = np.zeros(2**num_qubits, dtype=complex)
-    amps[int(bits, 2)] = 1.0
-    return StateVector(num_qubits, amps)
-
-
-def apply_gate(state: StateVector, q: int, gate: np.ndarray) -> StateVector:
-    """Apply a single-qubit unitary to qubit ``q``."""
-    _check_qubit(state, q)
-    gate = _check_unitary(gate)
-    t = np.tensordot(gate, state._tensor(), axes=([1], [q]))
-    t = np.moveaxis(t, 0, q)
-    return StateVector(state.num_qubits, t.reshape(-1))
-
-
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Kronecker composition; a's qubits come first in the combined register."""
-    _check_cap(a.num_qubits + b.num_qubits)
-    return StateVector(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
-
-
-def permute_qubits(state: StateVector, perm: list[int]) -> StateVector:
-    """Relabel qubits: input qubit ``i`` becomes output qubit ``perm[i]``."""
-    if sorted(perm) != list(range(state.num_qubits)):
-        raise ValueError(f"{perm!r} is not a permutation of 0..{state.num_qubits - 1}")
-    t = np.moveaxis(state._tensor(), list(range(state.num_qubits)), perm)
-    return StateVector(state.num_qubits, t.reshape(-1))
-
-
-def _contract(
-    t: np.ndarray, bra: np.ndarray, axes: tuple[int, ...]
-) -> tuple[float, np.ndarray | None]:
-    """Contract ``bra`` against ``axes`` of the amplitude tensor ``t``.
-
-    The contracted axes leave the tensor; the rest keep their order.  Returns
-    the probability and the renormalized remainder ``coeff/√p``, or ``None``
-    in place of the remainder below ``ZERO_BRANCH_TOL``.
-    """
-    coeff = np.tensordot(bra, t, axes=(list(range(bra.ndim)), list(axes)))
-    prob = float(np.sum(np.abs(coeff) ** 2))
-    if prob < ZERO_BRANCH_TOL:
-        return prob, None
-    return prob, coeff / np.sqrt(prob)
-
-
 def _contract_support(
     pairs, num_qubits: int, bra: tuple[complex, ...], axis: int
 ) -> tuple[float, list[tuple[int, complex]] | None]:
-    """:func:`_contract` on a state held as its support.
+    """:func:`hqis.dense._contract` on a state held as its support.
 
     ``pairs`` are the ``(basis index, amplitude)`` entries of a
     ``num_qubits``-qubit state, and ``bra`` lists a bra's components over
@@ -272,27 +174,6 @@ def _contract_support(
     return prob, [(key, c / norm) for key, c in coeffs.items()]
 
 
-def project(
-    state: StateVector, q: int, basis: MeasBasis, outcome: int
-) -> tuple[float, StateVector | None]:
-    """Project qubit ``q`` onto the given basis outcome.
-
-    Returns the branch probability and the renormalized post-measurement
-    state (same register size, measured qubit left in its eigenstate).
-    Branches with probability below ``ZERO_BRANCH_TOL`` return ``None``
-    instead of a state, so exhaustive enumeration can skip them uniformly.
-    """
-    _check_qubit(state, q)
-    if outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
-    vec = _BASIS_VECTORS[basis][outcome]
-    prob, coeff = _contract(state._tensor(), np.conj(vec), (q,))
-    if coeff is None:
-        return prob, None
-    collapsed = np.moveaxis(np.multiply.outer(vec, coeff), 0, q)
-    return prob, StateVector(state.num_qubits, collapsed.reshape(-1))
-
-
 def _sample_outcome(branch, count: int, draw: float):
     """Pick one of the ``count`` outcomes of a measurement by a uniform
     ``draw`` in [0, 1), given ``branch(outcome)`` that returns
@@ -316,33 +197,22 @@ def _sample_outcome(branch, count: int, draw: float):
     return drawn
 
 
-def bell_project(
-    state: StateVector, q1: int, q2: int, outcome: BellOutcome
-) -> tuple[float, StateVector | None]:
-    """Project qubits (q1, q2) onto a Bell state and drop them from the register.
+def _from_dense(module: str, names: set[str]):
+    """A PEP 562 ``__getattr__`` for ``module`` that serves ``names``, the
+    names that moved from it to :mod:`hqis.dense`, importing that module the
+    first time one of them is used."""
 
-    The collapsed state has ``num_qubits - 2`` qubits; the remaining qubits
-    keep their relative order.  Zero-probability branches return ``None``
-    as in :func:`project`.
-    """
-    _check_qubit(state, q1)
-    _check_qubit(state, q2)
-    if q1 == q2:
-        raise ValueError("Bell projection needs two distinct qubits")
-    if state.num_qubits < 3:
-        raise ValueError("Bell projection would leave an empty register")
-    bell = np.conj(outcome.vector).reshape(2, 2)
-    prob, coeff = _contract(state._tensor(), bell, (q1, q2))
-    if coeff is None:
-        return prob, None
-    return prob, StateVector(state.num_qubits - 2, coeff.reshape(-1))
+    def __getattr__(name: str):
+        if name in names:
+            from . import dense
+
+            return getattr(dense, name)
+        raise AttributeError(f"module {module!r} has no attribute {name!r}")
+
+    return __getattr__
 
 
-def reduced_density(state: StateVector, q: int) -> np.ndarray:
-    """Single-qubit density matrix of ``q`` (partial trace over the rest)."""
-    _check_qubit(state, q)
-    if state.num_qubits == 1:
-        amps = state.amplitudes
-        return np.outer(amps, amps.conj())
-    t = np.moveaxis(state._tensor(), q, 0).reshape(2, -1)
-    return t @ t.conj().T
+__getattr__ = _from_dense(__name__, {
+    "StateVector", "_check_cap", "_check_qubit", "_check_unitary", "_contract", "basis_state",
+    "apply_gate", "tensor", "permute_qubits", "project", "bell_project", "reduced_density",
+})

@@ -136,6 +136,29 @@ def test_parse_rejects_malformed_secret():
         parse_args(base + ["1,0,1,0"])
 
 
+@pytest.mark.parametrize("secret", ["-0.6,0,0,-0.8", "-0.6,0,0,0.8", "-1,0,0,0", "-0,1e0,0,0"])
+def test_secret_may_start_with_a_minus(capsys, secret):
+    base = ["run", "--m", "1", "--n", "1", "--designee", "charlie:1", "--seed", "3"]
+    config = parse_args(base + ["--secret", secret])
+    assert config == parse_args(base + [f"--secret={secret}"])
+    re_a, im_a, re_b, im_b = map(float, secret.split(","))
+    assert config.secret == SecretState(complex(re_a, im_a), complex(re_b, im_b))
+    assert main(base + ["--secret", secret]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["secret"] == [re_a, im_a, re_b, im_b]
+    assert captured.err == ""
+
+
+def test_a_minus_token_that_is_not_four_numbers_stays_an_option():
+    base = ["run", "--m", "1", "--n", "1", "--designee", "charlie:1"]
+    for token in ("--seed", "-1,0,0", "-1,0,0,x"):
+        with pytest.raises(UsageError, match="expected one argument"):
+            parse_args(base + ["--secret", token, "3"])
+    # Four numbers are the secret, and then rejected as one.
+    with pytest.raises(UsageError, match="finite"):
+        parse_args(base + ["--secret", "-inf,0,0,1"])
+
+
 def test_parse_renormalizes_slightly_off_secret(capsys):
     config = parse_args(
         ["run", "--m", "1", "--n", "1", "--designee", "charlie:1",

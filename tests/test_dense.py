@@ -1,0 +1,87 @@
+"""The dense layer's split from the runtime: ``hqis.dense`` owns the
+StateVector oracle, no CLI path loads it, and the names that moved there
+keep their old import paths, served by the very objects in ``hqis.dense``."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hqis
+from hqis import adversary, channel, dense, qstate
+
+# The names that moved to hqis.dense, by the module that still serves them.
+MOVED = {
+    qstate: [
+        "StateVector", "_check_cap", "_check_qubit", "_check_unitary", "_contract", "basis_state",
+        "apply_gate", "tensor", "permute_qubits", "project", "bell_project", "reduced_density",
+    ],
+    channel: ["_dense", "make_channel", "make_standard_form", "make_fake_channel",
+              "compose_with_secret"],
+    adversary: ["build_scenario_state"],
+}
+SERVED = [(module, name) for module, names in MOVED.items() for name in names]
+
+# A run in each mode and grade, an attack in each scenario, and the tables.
+CLI_ARGVS = [
+    ["run", "--m", "5", "--n", "6", "--designee", "charlie:3", "--trials", "20"],
+    ["run", "--m", "2", "--n", "3", "--designee", "bob:2", "--charlie-star", "1",
+     "--mode", "enumerate"],
+    ["attack", "--m", "5", "--n", "6", "--scenario", "honest"],
+    ["attack", "--m", "5", "--n", "6", "--scenario", "intercept-resend"],
+    ["tables"],
+]
+
+
+def test_no_cli_path_loads_the_dense_module():
+    script = (
+        "import contextlib, io, sys\n"
+        "import hqis.cli\n"
+        "assert 'hqis.dense' not in sys.modules, 'importing hqis.cli loaded hqis.dense'\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    for argv in {CLI_ARGVS!r}:\n"
+        "        assert hqis.cli.main(argv) == 0, argv\n"
+        "assert 'hqis.dense' not in sys.modules, 'a CLI path loaded hqis.dense'\n"
+    )
+    env = {key: value for key, value in os.environ.items() if key != "HQIS_MAX_QUBITS"}
+    env["PYTHONPATH"] = str(Path(hqis.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_package_export_resolves():
+    namespace = {}
+    exec("from hqis import *", namespace)
+    for name in hqis.__all__:
+        assert namespace[name] is getattr(hqis, name)
+
+
+def test_dense_package_exports_are_the_dense_objects():
+    for name in ("StateVector", "apply_gate", "make_channel", "build_scenario_state"):
+        assert getattr(hqis, name) is getattr(dense, name)
+
+
+@pytest.mark.parametrize("module, name", SERVED, ids=lambda x: getattr(x, "__name__", x))
+def test_a_moved_name_is_served_not_copied(module, name):
+    assert getattr(module, name) is getattr(dense, name)
+    assert name not in vars(module)
+    assert getattr(dense, name).__module__ == "hqis.dense"
+
+
+@pytest.mark.parametrize("module", [hqis, qstate, channel, adversary], ids=lambda m: m.__name__)
+def test_an_unknown_name_raises_attribute_error(module):
+    with pytest.raises(AttributeError, match=f"module '{module.__name__}' has no attribute"):
+        module.no_such_name
+    assert not hasattr(module, "_dense_no_such_name")
+
+
+def test_a_hook_serves_only_the_names_that_left_its_module():
+    with pytest.raises(AttributeError):
+        qstate.make_channel
+    with pytest.raises(AttributeError):
+        channel.StateVector
+    with pytest.raises(AttributeError):
+        adversary.tensor

@@ -233,10 +233,12 @@ def test_failure_keeps_a_fifo_target(monkeypatch, tmp_path):
 
 def test_failure_keeps_a_symlink_and_its_target(monkeypatch, tmp_path):
     # The path names a link, not the file written: nothing is unlinked
-    # through it, as /dev/stdout must never be.
+    # through it, as /dev/stdout must never be.  The target it reaches, which
+    # opening it emptied, is emptied of this run's records.
     _break_result_at(monkeypatch, "run_recovery", 3, fidelity=math.nan)
     target = tmp_path / "records.ndjson"
     link = tmp_path / "link.ndjson"
     link.symlink_to(target)
     assert main(SAMPLE_ARGV + ["--output", str(link)]) == 1
     assert link.is_symlink() and target.is_file()
+    assert target.read_text() == ""
