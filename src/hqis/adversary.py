@@ -14,8 +14,6 @@ tests compare with, and is still served here.
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .channel import PartySizes, _channel_support, _fake_channel_support
 from .qstate import _from_dense
 
@@ -80,6 +78,8 @@ def _joint_support(sizes: PartySizes, scenario: Scenario):
 def _outcomes(sizes: PartySizes, scenario: Scenario):
     """Each support entry's probability and computational outcome bits:
     ``(probs, [(alice bit, Bob bits, Charlie bits), ...])``."""
+    import numpy as np
+
     total, pairs = _joint_support(sizes, scenario)
     alice_q, bob_qs, charlie_qs = _delivered_qubits(sizes, scenario)
 
@@ -99,7 +99,7 @@ def correlation_check(
     sizes: PartySizes,
     scenario: Scenario,
     rounds: int,
-    rng: np.random.Generator,
+    rng: "numpy.random.Generator",
     threshold: float = 0.99,
 ) -> CheckStats:
     """Run sacrificed check rounds where everyone measures computationally.

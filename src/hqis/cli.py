@@ -25,8 +25,6 @@ import stat
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .adversary import (
     CheckStats,
     Scenario,
@@ -48,7 +46,7 @@ from .protocol import (
     iter_branches,
     run_recovery,
 )
-from .qstate import ResourceLimitError, register_cap
+from .qstate import ResourceLimitError, Stream, register_cap
 
 SECRET_NORM_SLACK = 1e-6
 
@@ -64,6 +62,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Options spelled in full only, the subcommands' too: an abbreviation
+    such as --secr would escape ``_join_secret``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -84,9 +88,10 @@ class RunConfig:
     output_path: str | None = None
 
 
-def derived_rng(seed: int, *path: int) -> np.random.Generator:
-    """Independent stream for (seed, purpose path): SeedSequence spawn keys."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=path))
+def derived_rng(seed: int, purpose: int, *path: int) -> Stream:
+    """Independent stream for (seed, purpose, path): numpy's PCG64 stream
+    seeded by ``SeedSequence(entropy=seed, spawn_key=(purpose, *path))``."""
+    return Stream(seed, purpose, *path)
 
 
 def _parse_seed(text: str) -> int:
@@ -140,7 +145,7 @@ def _parse_secret(text: str) -> SecretState | None:
             f"warning: renormalizing secret (|a|^2+|b|^2 = {norm_sq!r})",
             file=sys.stderr,
         )
-    scale = 1.0 / np.sqrt(norm_sq)
+    scale = 1.0 / math.sqrt(norm_sq)
     return SecretState(alpha * scale, beta * scale)
 
 
@@ -369,7 +374,7 @@ def _attack_records(config: RunConfig):
         sizes,
         config.attack_scenario,
         config.rounds,
-        derived_rng(config.seed, _STREAM_ATTACK),
+        derived_rng(config.seed, _STREAM_ATTACK).numpy(),
         threshold=config.threshold,
     )
     check = _base_record(config, "check") | {

@@ -16,17 +16,32 @@ import numpy as np
 from .adversary import Scenario, _joint_support
 from .channel import PartySizes, _channel_support, _fake_channel_support
 from .qstate import (
-    _BASIS_VECTORS,
+    _BASIS_BRAS,
+    _BELL_BRAS,
+    _SQRT2_INV,
     _UNITARY_TOL,
     NORM_TOL,
     ZERO_BRANCH_TOL,
     BellOutcome,
-    I,
     MeasBasis,
     RegisterCapError,
     SecretState,
     register_cap,
 )
+
+# Single-qubit gate constants.  IY is i*sigma_y written as a real matrix;
+# the factor i only shifts global phase, which no fidelity can see.
+I = np.eye(2, dtype=complex)
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+IY = np.array([[0, 1], [-1, 0]], dtype=complex)
+Z = np.array([[1, 0], [0, -1]], dtype=complex)
+H = np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV
+
+# The kets of qstate's bras: basis eigenvectors indexed by outcome bit,
+# 0 -> |0> / |+>, 1 -> |1> / |->, and the Bell states.
+_BASIS_VECTORS = {basis: tuple(map(np.conj, bras)) for basis, bras in _BASIS_BRAS.items()}
+_BELL_VECTORS = {outcome: np.conj(bra) for outcome, bra in _BELL_BRAS.items()}
 
 
 def _check_cap(num_qubits: int) -> None:

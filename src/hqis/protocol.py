@@ -45,8 +45,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from . import qstate
 from .channel import PartySizes, SecretState, _channel_support
 from .qstate import BellOutcome, MeasBasis, ResourceLimitError
@@ -134,19 +132,34 @@ class CorrectionOp(Enum):
     ZH = "ZH"
 
     @property
-    def matrix(self) -> np.ndarray:
-        return _CORRECTION_MATRICES[self]
+    def matrix(self) -> "numpy.ndarray":
+        import numpy as np
+
+        return np.array(_CORRECTION_ROWS[self], dtype=complex)
 
 
-_CORRECTION_MATRICES = {
-    CorrectionOp.I: qstate.I,
-    CorrectionOp.X: qstate.X,
-    CorrectionOp.IY: qstate.IY,
-    CorrectionOp.Z: qstate.Z,
-    CorrectionOp.H: qstate.H,
-    CorrectionOp.XH: qstate.X @ qstate.H,
-    CorrectionOp.IYH: qstate.IY @ qstate.H,
-    CorrectionOp.ZH: qstate.Z @ qstate.H,
+def _times_h(rows):
+    """The rows of ``rows`` times H."""
+    h = qstate._SQRT2_INV
+    return tuple((h * (r0 + r1), h * (r0 - r1)) for r0, r1 in rows)
+
+
+# Each op's 2x2 matrix as rows; iY is i*sigma_y written as a real matrix,
+# the factor i only shifting global phase, which no fidelity can see.
+_PAULI_ROWS = {
+    CorrectionOp.I: ((1, 0), (0, 1)),
+    CorrectionOp.X: ((0, 1), (1, 0)),
+    CorrectionOp.IY: ((0, 1), (-1, 0)),
+    CorrectionOp.Z: ((1, 0), (0, -1)),
+}
+_CORRECTION_ROWS = _PAULI_ROWS | {
+    composite: _times_h(_PAULI_ROWS[pauli])
+    for composite, pauli in (
+        (CorrectionOp.H, CorrectionOp.I),
+        (CorrectionOp.XH, CorrectionOp.X),
+        (CorrectionOp.IYH, CorrectionOp.IY),
+        (CorrectionOp.ZH, CorrectionOp.Z),
+    )
 }
 
 
@@ -353,8 +366,9 @@ def _bell_children(secret: SecretState) -> tuple[tuple[float, tuple | None], ...
 @functools.lru_cache(maxsize=64)
 def _recovery_bra(secret: SecretState, op: CorrectionOp) -> tuple[complex, complex]:
     """<xi|G as a bra over the designee's qubit: G corrects, <xi| scores."""
-    xi = np.array([secret.alpha, secret.beta], dtype=complex)
-    return tuple(complex(c) for c in np.conj(xi) @ op.matrix)
+    (g00, g01), (g10, g11) = _CORRECTION_ROWS[op]
+    a, b = secret.alpha.conjugate(), secret.beta.conjugate()
+    return a * g00 + b * g10, a * g01 + b * g11
 
 
 def _signed(pairs, signs: int):
@@ -375,7 +389,7 @@ def _measure(branch, count: int, draw: float | None):
     return [child for child in children if child[2] is not None]
 
 
-def _walk(secret: SecretState, segments, draws: np.ndarray | None = None):
+def _walk(secret: SecretState, segments, draws=None):
     """Depth first through the class-keyed measurement tree: yields
     (pairs, signs, probability, outcomes) per leaf, where ``signs`` are the
     class phases not yet applied to ``pairs`` and ``outcomes`` holds one
@@ -389,7 +403,8 @@ def _walk(secret: SecretState, segments, draws: np.ndarray | None = None):
     probability 1/2 exactly.  The recursion is as deep as there are
     segments, at most three whatever m and n.
     """
-    heads = None if draws is None else (draws >= 0.5).tobytes()
+    # float.__le__ gives a bool for a list's floats and an ndarray's np.float64 alike.
+    heads = None if draws is None else bytes(map((0.5).__le__, draws))
 
     def draw(outcomes):
         """The draw of the measurement after ``outcomes``, if sampling."""
@@ -434,7 +449,7 @@ def _branch_results(
     sizes: PartySizes,
     designee: Designee,
     secret: SecretState,
-    rng: np.random.Generator | None = None,
+    rng: "qstate.Stream | numpy.random.Generator | None" = None,
 ):
     """Score every leaf the walk reaches: every branch without ``rng``, one
     branch drawn by a single ``rng.random(1 + helpers)`` call with it.
@@ -478,7 +493,10 @@ def _branch_results(
 
 
 def run_recovery(
-    sizes: PartySizes, designee: Designee, secret: SecretState, rng: np.random.Generator
+    sizes: PartySizes,
+    designee: Designee,
+    secret: SecretState,
+    rng: "qstate.Stream | numpy.random.Generator",
 ) -> TrialResult:
     """One sampled run: the Bell outcome and each helper's outcome are drawn
     from ``rng``, and the designee's grade picks the helpers and the table."""
@@ -522,13 +540,15 @@ def enumerate_branches(
 
 def agent_marginal(
     sizes: PartySizes, secret: SecretState, bell: BellOutcome, agent: Role
-) -> np.ndarray:
+) -> "numpy.ndarray":
     """Single-qubit density matrix an agent holds right after Alice's broadcast.
 
     A partial trace over the post-Bell support: the entries that differ only
     in the agent's bit make up one 2-vector of the agent's amplitudes, and
     the matrix is the sum of those vectors' outer products.
     """
+    import numpy as np
+
     _check_role(sizes, agent)
     whole = _whole_support(sizes, secret)
     _, post = qstate._contract_support(

@@ -1,37 +1,29 @@
-"""Support-only state core: one contraction and one sampling rule.
+"""Support-only state core: one contraction, one sampling rule, one stream.
 
 The protocol's runs hold each state as its support, ``(basis index,
 amplitude)`` pairs plus the qubit count, measured with
-:func:`_contract_support` and sampled with :func:`_sample_outcome`.  Qubit 0
-sits at the most significant bit of the index.  This module also owns the
-register cap, the tolerances, the gate constants and the measurement bases.
-The dense :class:`StateVector` layer, the oracle the support runtime is
-tested against, lives in :mod:`hqis.dense`; the names that moved there from
+:func:`_contract_support` and sampled with :func:`_sample_outcome` from the
+draws of a :class:`Stream`, numpy's seeded generator reproduced in plain
+Python.  Qubit 0 sits at the most significant bit of the index.  This module
+also owns the register cap, the tolerances and the measurement bases' bras,
+and imports no numpy.  The dense :class:`StateVector` layer, the oracle the
+support runtime is tested against, lives in :mod:`hqis.dense` with the gate
+matrices and the basis vectors as arrays; the names that moved there from
 here are still served, and load it the first time one of them is used.
 """
 
+import functools
 import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 DEFAULT_MAX_QUBITS = 24
 NORM_TOL = 1e-10
 ZERO_BRANCH_TOL = 1e-14
 _UNITARY_TOL = 1e-12
 
-_SQRT2_INV = 1.0 / np.sqrt(2.0)
-
-# Single-qubit gate constants.  IY is i*sigma_y written as a real matrix;
-# the factor i only shifts global phase, which no fidelity can see.
-I = np.eye(2, dtype=complex)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-IY = np.array([[0, 1], [-1, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
-H = np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV
+_SQRT2_INV = 1.0 / math.sqrt(2.0)
 
 
 class ResourceLimitError(RuntimeError):
@@ -64,16 +56,14 @@ class MeasBasis(Enum):
     PLUS_MINUS = "plus_minus"
 
 
-# Basis eigenvectors indexed by outcome bit: 0 -> |0> / |+>, 1 -> |1> / |->.
-_BASIS_VECTORS = {
-    MeasBasis.COMPUTATIONAL: (
-        np.array([1, 0], dtype=complex),
-        np.array([0, 1], dtype=complex),
-    ),
-    MeasBasis.PLUS_MINUS: (
-        np.array([1, 1], dtype=complex) * _SQRT2_INV,
-        np.array([1, -1], dtype=complex) * _SQRT2_INV,
-    ),
+def _bra(ket) -> tuple[complex, ...]:
+    return tuple(complex(c).conjugate() for c in ket)
+
+
+# Basis eigenvector bras indexed by outcome bit: 0 -> <0| / <+|, 1 -> <1| / <-|.
+_BASIS_BRAS = {
+    MeasBasis.COMPUTATIONAL: (_bra((1, 0)), _bra((0, 1))),
+    MeasBasis.PLUS_MINUS: (_bra((_SQRT2_INV, _SQRT2_INV)), _bra((_SQRT2_INV, -_SQRT2_INV))),
 }
 
 
@@ -95,25 +85,19 @@ class BellOutcome(Enum):
         return 0 if self in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS) else 1
 
     @property
-    def vector(self) -> np.ndarray:
+    def vector(self) -> "numpy.ndarray":
+        from .dense import _BELL_VECTORS
+
         return _BELL_VECTORS[self]
 
 
-_BELL_VECTORS = {
-    BellOutcome.PHI_PLUS: np.array([1, 0, 0, 1], dtype=complex) * _SQRT2_INV,
-    BellOutcome.PHI_MINUS: np.array([1, 0, 0, -1], dtype=complex) * _SQRT2_INV,
-    BellOutcome.PSI_PLUS: np.array([0, 1, 1, 0], dtype=complex) * _SQRT2_INV,
-    BellOutcome.PSI_MINUS: np.array([0, 1, -1, 0], dtype=complex) * _SQRT2_INV,
+# The Bell bras over a pair's four basis indices, as :func:`_contract_support` takes them.
+_BELL_BRAS = {
+    outcome: _bra(c * _SQRT2_INV for c in ket)
+    for outcome, ket in zip(
+        BellOutcome, ((1, 0, 0, 1), (1, 0, 0, -1), (0, 1, 1, 0), (0, 1, -1, 0))
+    )
 }
-
-
-def _as_bra(vec: np.ndarray) -> tuple[complex, ...]:
-    return tuple(complex(c) for c in np.conj(vec))
-
-
-# The same bras as plain tuples, as :func:`_contract_support` takes them.
-_BASIS_BRAS = {basis: tuple(map(_as_bra, vecs)) for basis, vecs in _BASIS_VECTORS.items()}
-_BELL_BRAS = {outcome: _as_bra(vec) for outcome, vec in _BELL_VECTORS.items()}
 
 
 @dataclass(frozen=True)
@@ -132,15 +116,39 @@ class SecretState:
         """The secret as a one-qubit dense :class:`hqis.dense.StateVector`."""
         from .dense import StateVector
 
-        return StateVector(1, np.array([self.alpha, self.beta], dtype=complex))
+        return StateVector(1, [self.alpha, self.beta])
 
     @classmethod
-    def haar_random(cls, rng: np.random.Generator) -> "SecretState":
-        """Draw uniformly from the single-qubit pure-state distribution."""
-        raw = rng.normal(size=4)
-        vec = raw[:2] + 1j * raw[2:]
-        vec /= np.linalg.norm(vec)
-        return cls(complex(vec[0]), complex(vec[1]))
+    def haar_random(cls, rng: "Stream | numpy.random.Generator") -> "SecretState":
+        """Draw uniformly from the single-qubit pure-state distribution.
+
+        Four normals from ``rng`` are Re(a), Re(b), Im(a), Im(b), scaled to
+        unit norm by numpy's rule for ``vec / numpy.linalg.norm(vec)``: the
+        norm's dot products round as fused multiply-adds, and dividing by a
+        real multiplies by its reciprocal.  So a seed draws one secret, on any
+        BLAS, with or without numpy.
+        """
+        re_a, re_b, im_a, im_b = map(float, rng.normal(size=4))
+        scale = 1.0 / math.sqrt(_fma(re_b, re_b, re_a * re_a) + _fma(im_b, im_b, im_a * im_a))
+        return cls(complex(re_a * scale, im_a * scale), complex(re_b * scale, im_b * scale))
+
+
+def _fma(a: float, b: float, c: float) -> float:
+    """``a * b + c`` rounded once, as C's ``fma``: Dekker's exact product,
+    ``p + e`` with Veltkamp's split, summed exactly by ``math.fsum``.  Exact
+    while ``a * b`` neither overflows nor falls below about 2**-900."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return math.fsum((p, e, c))
+
+
+def _split(a: float) -> tuple[float, float]:
+    """``a`` as ``hi + lo``, each with at most 26 significant bits."""
+    t = 134217729.0 * a  # 2**27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
 
 
 def _contract_support(
@@ -197,6 +205,173 @@ def _sample_outcome(branch, count: int, draw: float):
     return drawn
 
 
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe) over a pool of four
+# uint32 words, its PCG64 (XSL-RR 128/64) and its ziggurat's tail.
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_ZIGGURAT_R = 3.6541528853610088
+_ZIGGURAT_INV_R = 0.27366123732975828
+
+
+def _uint32_words(value: int) -> list[int]:
+    """SeedSequence's uint32 words of a nonnegative int, least significant first."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hashmix(value: int, const: int) -> tuple[int, int]:
+    """SeedSequence's ``hashmix``: the hashed word and the next hash constant."""
+    value ^= const
+    const = const * _MULT_A & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _mix(x: int, y: int) -> int:
+    mixed = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return mixed ^ mixed >> 16
+
+
+def _mix_in(pool, const: int, words) -> tuple[list[int], int]:
+    """The pool and hash constant after SeedSequence mixes entropy ``words``,
+    those past the pool's size, into every pool word."""
+    pool = list(pool)
+    for word in words:
+        for dst in range(_POOL_SIZE):
+            value, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], value)
+    return pool, const
+
+
+@functools.lru_cache(maxsize=64)
+def _seeded_pool(seed: int, purpose: int) -> tuple[tuple[int, ...], int]:
+    """The pool and hash constant of ``SeedSequence(entropy=seed,
+    spawn_key=(purpose, ...))`` once ``seed`` and ``purpose`` are mixed in,
+    shared by every stream of a run.  A spawn key pads the seed's words to
+    the pool's size."""
+    words = _uint32_words(seed)
+    words += [0] * (_POOL_SIZE - len(words))
+    pool, const = [], _INIT_A
+    for word in words[:_POOL_SIZE]:
+        value, const = _hashmix(word, const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], value)
+    pool, const = _mix_in(pool, const, words[_POOL_SIZE:] + _uint32_words(purpose))
+    return tuple(pool), const
+
+
+def _pcg64_seed(pool) -> tuple[int, int]:
+    """PCG64's (state, increment) seeded from the pool's
+    ``generate_state(4, uint64)``: (state seed, sequence) as 128-bit words."""
+    words, const = [], _INIT_B
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const & _MASK32
+        words.append(value ^ value >> 16)
+    # Little-endian pairs of uint32 make the uint64s; high uint64 first in each 128-bit word.
+    seed = (words[0] | words[1] << 32) << 64 | words[2] | words[3] << 32
+    sequence = (words[4] | words[5] << 32) << 64 | words[6] | words[7] << 32
+    inc = (sequence << 1 | 1) & _MASK128
+    return ((inc + seed) * _PCG_MULT + inc) & _MASK128, inc
+
+
+@functools.cache
+def _ziggurat() -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]:
+    """numpy's ziggurat tables for ``standard_normal``, ``ki``, ``wi`` and
+    ``fi``, read from the package's data file on the first normal draw."""
+    with open(os.path.join(os.path.dirname(__file__), "ziggurat.txt")) as handle:
+        rows = [line.split() for line in handle if not line.startswith("#")]
+    ki, wi, fi = zip(*rows)
+    return tuple(map(int, ki)), tuple(map(float, wi)), tuple(map(float, fi))
+
+
+class Stream:
+    """The draws of numpy's PCG64 Generator seeded by
+    ``SeedSequence(entropy=seed, spawn_key=(purpose, *path))``, bit for bit,
+    in plain Python.
+
+    Serves the part of ``numpy.random.Generator`` the package draws with:
+    :meth:`random` and :meth:`normal`.  A run hashes its seed and purpose
+    once; each stream of the run mixes in only its own path.
+    """
+
+    __slots__ = ("state", "inc")
+
+    def __init__(self, seed: int, purpose: int, *path: int):
+        pool, const = _seeded_pool(seed, purpose)
+        if path:
+            pool, _ = _mix_in(pool, const, [w for k in path for w in _uint32_words(k)])
+        self.state, self.inc = _pcg64_seed(pool)
+
+    def _next64(self) -> int:
+        self.state = state = (self.state * _PCG_MULT + self.inc) & _MASK128
+        word, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        return (word >> rot | word << (64 - rot)) & _MASK64
+
+    def random(self, size: int | None = None) -> "float | list[float]":
+        """A uniform double in [0, 1), or a list of ``size`` of them: the top
+        53 bits of a word, scaled."""
+        if size is None:
+            return (self._next64() >> 11) * 2**-53
+        return [(self._next64() >> 11) * 2**-53 for _ in range(size)]
+
+    def normal(self, size: int | None = None) -> "float | list[float]":
+        """A standard normal, or a list of ``size`` of them, as
+        ``Generator.normal(0.0, 1.0, size)``: ``0.0 + 1.0 * x``, which turns
+        a -0.0 into 0.0 as numpy's ``loc + scale * x`` does."""
+        if size is None:
+            return 0.0 + 1.0 * self._standard_normal()
+        return [0.0 + 1.0 * self._standard_normal() for _ in range(size)]
+
+    def _standard_normal(self) -> float:
+        """numpy's ``random_standard_normal``: Marsaglia and Tsang's ziggurat."""
+        ki, wi, fi = _ziggurat()
+        while True:
+            r = self._next64()
+            idx = r & 0xFF
+            r >>= 8
+            rabs = (r >> 1) & 0x000FFFFFFFFFFFFF
+            x = rabs * wi[idx]
+            if r & 1:
+                x = -x
+            if rabs < ki[idx]:
+                return x
+            if idx == 0:
+                # The tail beyond r; log1p(-U) is log(1 - U), never log(0).
+                while True:
+                    xx = -_ZIGGURAT_INV_R * math.log1p(-self.random())
+                    yy = -math.log1p(-self.random())
+                    if yy + yy > xx * xx:
+                        return -(_ZIGGURAT_R + xx) if (rabs >> 8) & 1 else _ZIGGURAT_R + xx
+            elif (fi[idx - 1] - fi[idx]) * self.random() + fi[idx] < math.exp(-0.5 * x * x):
+                return x
+
+    def numpy(self) -> "numpy.random.Generator":
+        """A numpy Generator whose PCG64 is in this stream's state, for the
+        draws this class does not serve."""
+        import numpy as np
+
+        bits = np.random.PCG64()  # its own seed is replaced below
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": self.state, "inc": self.inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return np.random.Generator(bits)
+
+
 def _from_dense(module: str, names: set[str]):
     """A PEP 562 ``__getattr__`` for ``module`` that serves ``names``, the
     names that moved from it to :mod:`hqis.dense`, importing that module the
@@ -215,4 +390,5 @@ def _from_dense(module: str, names: set[str]):
 __getattr__ = _from_dense(__name__, {
     "StateVector", "_check_cap", "_check_qubit", "_check_unitary", "_contract", "basis_state",
     "apply_gate", "tensor", "permute_qubits", "project", "bell_project", "reduced_density",
+    "I", "X", "Y", "IY", "Z", "H", "_BASIS_VECTORS", "_BELL_VECTORS",
 })

@@ -333,7 +333,7 @@ def test_one_bulk_draw_is_the_stream_of_scalar_draws(seed, k):
     # A sampled trial draws its steps with one rng.random(1 + helpers) call.
     for count in (1, 6, 1200):
         scalar = derived_rng(seed, 1, k)
-        assert derived_rng(seed, 1, k).random(count).tolist() == [
+        assert list(derived_rng(seed, 1, k).random(count)) == [
             scalar.random() for _ in range(count)
         ]
 
@@ -734,6 +734,10 @@ def test_streamed_enumeration_matches_the_branch_list():
         ["run", "--m", "2", "--n", "2", "--designee", "alice:1"],
         ["run", "--m", "0", "--n", "2", "--designee", "charlie:1"],
         ["attack", "--m", "0", "--n", "2"],
+        # Options are spelled in full.
+        ["run", "--m", "1", "--n", "1", "--designee", "charlie:1", "--secr", "0.6,0,0,-0.8"],
+        ["run", "--m", "1", "--n", "1", "--designee", "charlie:1", "--secr", "-0.6,0,0,-0.8"],
+        ["run", "--m", "1", "--n", "1", "--designee", "charlie:1", "--tri", "2"],
     ],
 )
 def test_bad_sizes_and_designees_are_usage_errors(tmp_path, capsys, argv):

@@ -17,6 +17,7 @@ MOVED = {
     qstate: [
         "StateVector", "_check_cap", "_check_qubit", "_check_unitary", "_contract", "basis_state",
         "apply_gate", "tensor", "permute_qubits", "project", "bell_project", "reduced_density",
+        "I", "X", "Y", "IY", "Z", "H", "_BASIS_VECTORS", "_BELL_VECTORS",
     ],
     channel: ["_dense", "make_channel", "make_standard_form", "make_fake_channel",
               "compose_with_secret"],
@@ -24,15 +25,28 @@ MOVED = {
 }
 SERVED = [(module, name) for module, names in MOVED.items() for name in names]
 
-# A run in each mode and grade, an attack in each scenario, and the tables.
-CLI_ARGVS = [
+# Runs in each mode and grade, with random and explicit secrets, and the
+# tables: none of them loads numpy.  Then an attack in each scenario.
+NUMPY_FREE_ARGVS = [
     ["run", "--m", "5", "--n", "6", "--designee", "charlie:3", "--trials", "20"],
     ["run", "--m", "2", "--n", "3", "--designee", "bob:2", "--charlie-star", "1",
      "--mode", "enumerate"],
-    ["attack", "--m", "5", "--n", "6", "--scenario", "honest"],
-    ["attack", "--m", "5", "--n", "6", "--scenario", "intercept-resend"],
+    ["run", "--m", "2", "--n", "3", "--designee", "bob:1", "--charlie-star", "2",
+     "--trials", "5", "--secret", "-0.6,0,0,-0.8"],
+    ["run", "--m", "2", "--n", "3", "--designee", "charlie:1", "--mode", "enumerate",
+     "--secret", "0.6,0,0.8,0"],
     ["tables"],
 ]
+ATTACK_ARGVS = [
+    ["attack", "--m", "5", "--n", "6", "--scenario", "honest"],
+    ["attack", "--m", "5", "--n", "6", "--scenario", "intercept-resend"],
+]
+
+
+def _child_env():
+    env = {key: value for key, value in os.environ.items() if key != "HQIS_MAX_QUBITS"}
+    env["PYTHONPATH"] = str(Path(hqis.__file__).resolve().parents[1])
+    return env
 
 
 def test_no_cli_path_loads_the_dense_module():
@@ -41,15 +55,21 @@ def test_no_cli_path_loads_the_dense_module():
         "import hqis.cli\n"
         "assert 'hqis.dense' not in sys.modules, 'importing hqis.cli loaded hqis.dense'\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    for argv in {CLI_ARGVS!r}:\n"
+        f"    for argv in {NUMPY_FREE_ARGVS!r}:\n"
+        "        assert hqis.cli.main(argv) == 0, argv\n"
+        "    assert 'numpy' not in sys.modules, 'a run or the tables loaded numpy'\n"
+        f"    for argv in {ATTACK_ARGVS!r}:\n"
         "        assert hqis.cli.main(argv) == 0, argv\n"
         "assert 'hqis.dense' not in sys.modules, 'a CLI path loaded hqis.dense'\n"
     )
-    env = {key: value for key, value in os.environ.items() if key != "HQIS_MAX_QUBITS"}
-    env["PYTHONPATH"] = str(Path(hqis.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", script], env=_child_env(), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    # A `python -m hqis.cli tables` process: -X importtime lists every module it imports.
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "hqis.cli", "tables"],
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "numpy" not in proc.stderr
 
 
 def test_every_package_export_resolves():
@@ -66,9 +86,11 @@ def test_dense_package_exports_are_the_dense_objects():
 
 @pytest.mark.parametrize("module, name", SERVED, ids=lambda x: getattr(x, "__name__", x))
 def test_a_moved_name_is_served_not_copied(module, name):
-    assert getattr(module, name) is getattr(dense, name)
+    moved = getattr(dense, name)
+    assert getattr(module, name) is moved
     assert name not in vars(module)
-    assert getattr(dense, name).__module__ == "hqis.dense"
+    # Functions and classes name the module that defines them; arrays and dicts do not.
+    assert getattr(moved, "__module__", "hqis.dense") == "hqis.dense"
 
 
 @pytest.mark.parametrize("module", [hqis, qstate, channel, adversary], ids=lambda m: m.__name__)
