@@ -11,16 +11,18 @@ The checks work on the joint state's support alone.  The dense joint state,
 tests compare with, and is still served here.
 """
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
 from .channel import PartySizes, _channel_support, _fake_channel_support
-from .qstate import _from_dense
+from .qstate import MAX_TRIALS, _from_dense
 
 __getattr__ = _from_dense(__name__, {"build_scenario_state"})
 
-# The check's one multinomial takes numpy's int64 trial count.
-MAX_ROUNDS = 2**63 - 1
+# 2**63 - 1, numpy's int64 trial count: the most rounds the check's one
+# multinomial takes, from a qstate.Stream or from a numpy Generator.
+MAX_ROUNDS = MAX_TRIALS
 
 
 def _check_rounds(rounds: int) -> None:
@@ -75,23 +77,26 @@ def _joint_support(sizes: PartySizes, scenario: Scenario):
     return total, pairs
 
 
+@functools.lru_cache(maxsize=64)
 def _outcomes(sizes: PartySizes, scenario: Scenario):
     """Each support entry's probability and computational outcome bits:
-    ``(probs, [(alice bit, Bob bits, Charlie bits), ...])``."""
-    import numpy as np
-
+    ``(probs, ((alice bit, Bob bits, Charlie bits), ...))``.  Every amplitude
+    is +-1/2 or a product of two, so the probabilities are exact and sum to 1."""
     total, pairs = _joint_support(sizes, scenario)
     alice_q, bob_qs, charlie_qs = _delivered_qubits(sizes, scenario)
 
     def bit(index, q):
         return (index >> (total - 1 - q)) & 1
 
-    probs = np.abs(np.array([amp for _, amp in pairs])) ** 2
-    probs /= probs.sum()
-    bits = [
-        (bit(index, alice_q), [bit(index, q) for q in bob_qs], [bit(index, q) for q in charlie_qs])
+    probs = tuple(abs(amp) ** 2 for _, amp in pairs)
+    bits = tuple(
+        (
+            bit(index, alice_q),
+            tuple(bit(index, q) for q in bob_qs),
+            tuple(bit(index, q) for q in charlie_qs),
+        )
         for index, _ in pairs
-    ]
+    )
     return probs, bits
 
 
@@ -99,7 +104,7 @@ def correlation_check(
     sizes: PartySizes,
     scenario: Scenario,
     rounds: int,
-    rng: "numpy.random.Generator",
+    rng: "qstate.Stream | numpy.random.Generator",
     threshold: float = 0.99,
 ) -> CheckStats:
     """Run sacrificed check rounds where everyone measures computationally.
@@ -115,14 +120,15 @@ def correlation_check(
     ``rounds`` must lie in 1..``MAX_ROUNDS`` and ``threshold`` in [0, 1], or
     ValueError is raised.  A multinomial draws nothing for a zero-probability
     category, so a seed gives the same counts as a multinomial over every
-    amplitude of the dense state.  Nothing here is dense, so the register
-    cap does not apply.
+    amplitude of the dense state.  A :class:`hqis.qstate.Stream` and a numpy
+    Generator in the same state draw the same counts, by the same algorithm.
+    Nothing here is dense, so the register cap does not apply.
     """
     _check_rounds(rounds)
     if not 0.0 <= threshold <= 1.0:  # NaN fails this comparison too
         raise ValueError(f"threshold must be a number in [0, 1], got {threshold!r}")
     probs, bits = _outcomes(sizes, scenario)
-    counts = rng.multinomial(rounds, probs).tolist()
+    counts = [int(count) for count in rng.multinomial(rounds, probs)]
 
     bob_matches = [
         sum(count for count, (alice, bobs, _) in zip(counts, bits) if bobs[k] == alice)
@@ -155,7 +161,7 @@ def exact_detection_probability(
     """
     probs, bits = _outcomes(sizes, scenario)
     match_prob = sum(
-        float(p) for p, (alice, bobs, _) in zip(probs, bits) if all(b == alice for b in bobs)
+        p for p, (alice, bobs, _) in zip(probs, bits) if all(b == alice for b in bobs)
     )
     return 1.0 - match_prob
 

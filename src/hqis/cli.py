@@ -374,7 +374,7 @@ def _attack_records(config: RunConfig):
         sizes,
         config.attack_scenario,
         config.rounds,
-        derived_rng(config.seed, _STREAM_ATTACK).numpy(),
+        derived_rng(config.seed, _STREAM_ATTACK),
         threshold=config.threshold,
     )
     check = _base_record(config, "check") | {

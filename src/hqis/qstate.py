@@ -215,6 +215,8 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _ZIGGURAT_R = 3.6541528853610088
 _ZIGGURAT_INV_R = 0.27366123732975828
+# numpy's int64 trial count: the most trials its multinomial takes.
+MAX_TRIALS = 2**63 - 1
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -302,8 +304,8 @@ class Stream:
     in plain Python.
 
     Serves the part of ``numpy.random.Generator`` the package draws with:
-    :meth:`random` and :meth:`normal`.  A run hashes its seed and purpose
-    once; each stream of the run mixes in only its own path.
+    :meth:`random`, :meth:`normal` and :meth:`multinomial`.  A run hashes its
+    seed and purpose once; each stream of the run mixes in only its own path.
     """
 
     __slots__ = ("state", "inc")
@@ -324,7 +326,18 @@ class Stream:
         53 bits of a word, scaled."""
         if size is None:
             return (self._next64() >> 11) * 2**-53
-        return [(self._next64() >> 11) * 2**-53 for _ in range(size)]
+        # _next64 inlined, with the state in a local written back once.  A
+        # word masked to its top 53 bits, times 2**-64, is (word >> 11) * 2**-53.
+        state, inc, mult, mask64, mask128 = self.state, self.inc, _PCG_MULT, _MASK64, _MASK128
+        top53 = mask64 ^ 0x7FF
+        draws = []
+        append = draws.append
+        for _ in range(size):
+            state = (state * mult + inc) & mask128
+            word, rot = (state >> 64 ^ state) & mask64, state >> 122
+            append(((word >> rot | word << 64 - rot) & top53) * 2**-64)
+        self.state = state
+        return draws
 
     def normal(self, size: int | None = None) -> "float | list[float]":
         """A standard normal, or a list of ``size`` of them, as
@@ -357,19 +370,13 @@ class Stream:
             elif (fi[idx - 1] - fi[idx]) * self.random() + fi[idx] < math.exp(-0.5 * x * x):
                 return x
 
-    def numpy(self) -> "numpy.random.Generator":
-        """A numpy Generator whose PCG64 is in this stream's state, for the
-        draws this class does not serve."""
-        import numpy as np
+    def multinomial(self, n: int, pvals) -> list[int]:
+        """The counts of ``n`` trials over the categories ``pvals``, as
+        ``Generator.multinomial(n, pvals).tolist()``, drawn from this stream
+        by :func:`hqis.binomial.multinomial`, which is loaded on first use."""
+        from .binomial import multinomial
 
-        bits = np.random.PCG64()  # its own seed is replaced below
-        bits.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": self.state, "inc": self.inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return np.random.Generator(bits)
+        return multinomial(self.random, n, pvals)
 
 
 def _from_dense(module: str, names: set[str]):

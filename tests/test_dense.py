@@ -25,9 +25,9 @@ MOVED = {
 }
 SERVED = [(module, name) for module, names in MOVED.items() for name in names]
 
-# Runs in each mode and grade, with random and explicit secrets, and the
-# tables: none of them loads numpy.  Then an attack in each scenario.
-NUMPY_FREE_ARGVS = [
+# Runs in each mode and grade, with random and explicit secrets, the tables,
+# and an attack in each scenario: none of them loads numpy.
+CLI_ARGVS = [
     ["run", "--m", "5", "--n", "6", "--designee", "charlie:3", "--trials", "20"],
     ["run", "--m", "2", "--n", "3", "--designee", "bob:2", "--charlie-star", "1",
      "--mode", "enumerate"],
@@ -36,8 +36,6 @@ NUMPY_FREE_ARGVS = [
     ["run", "--m", "2", "--n", "3", "--designee", "charlie:1", "--mode", "enumerate",
      "--secret", "0.6,0,0.8,0"],
     ["tables"],
-]
-ATTACK_ARGVS = [
     ["attack", "--m", "5", "--n", "6", "--scenario", "honest"],
     ["attack", "--m", "5", "--n", "6", "--scenario", "intercept-resend"],
 ]
@@ -54,22 +52,22 @@ def test_no_cli_path_loads_the_dense_module():
         "import contextlib, io, sys\n"
         "import hqis.cli\n"
         "assert 'hqis.dense' not in sys.modules, 'importing hqis.cli loaded hqis.dense'\n"
+        "assert 'hqis.binomial' not in sys.modules, 'importing hqis.cli loaded hqis.binomial'\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    for argv in {NUMPY_FREE_ARGVS!r}:\n"
+        f"    for argv in {CLI_ARGVS!r}:\n"
         "        assert hqis.cli.main(argv) == 0, argv\n"
-        "    assert 'numpy' not in sys.modules, 'a run or the tables loaded numpy'\n"
-        f"    for argv in {ATTACK_ARGVS!r}:\n"
-        "        assert hqis.cli.main(argv) == 0, argv\n"
+        "assert 'numpy' not in sys.modules, 'a CLI path loaded numpy'\n"
         "assert 'hqis.dense' not in sys.modules, 'a CLI path loaded hqis.dense'\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], env=_child_env(), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    # A `python -m hqis.cli tables` process: -X importtime lists every module it imports.
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "hqis.cli", "tables"],
-                          env=_child_env(), capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert "numpy" not in proc.stderr
+    # `python -m hqis.cli` processes: -X importtime lists every module each imports.
+    for argv in (["tables"], ["attack", "--scenario", "intercept-resend", "--m", "5", "--n", "6"]):
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "hqis.cli", *argv],
+                              env=_child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "numpy" not in proc.stderr, argv
 
 
 def test_every_package_export_resolves():

@@ -1,6 +1,6 @@
-"""``qstate.Stream`` against numpy: the pure-Python SeedSequence, PCG64 and
-ziggurat give numpy's draws bit for bit, so every seed keeps its secret and
-its trials."""
+"""``qstate.Stream`` against numpy: the pure-Python SeedSequence, PCG64,
+ziggurat and multinomial give numpy's draws bit for bit, so every seed keeps
+its secret, its trials and its check tallies."""
 
 from fractions import Fraction
 
@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqis import qstate
+from hqis.adversary import Scenario, correlation_check
+from hqis.channel import PartySizes
 from hqis.qstate import SecretState, Stream
 
 SEEDS = st.one_of(
@@ -35,14 +37,6 @@ def test_random_is_numpys(seed, purpose, path, count):
     assert stream.random() == reference.random()
 
 
-def test_a_numpy_generator_continues_the_stream():
-    stream, reference = Stream(2**64 - 1, 2), _numpy_rng(2**64 - 1, 2)
-    stream.random(3)
-    reference.random(3)
-    counts = stream.numpy().multinomial(1000, [0.25] * 4)
-    assert counts.tolist() == reference.multinomial(1000, [0.25] * 4).tolist()
-
-
 _PCG_INVERSE = pow(qstate._PCG_MULT, -1, 2**128)
 
 
@@ -53,6 +47,133 @@ def _steps(start: int, end: int, inc: int) -> int:
             return steps
         start = (start * qstate._PCG_MULT + inc) & qstate._MASK128
     raise AssertionError("the draw consumed more than 63 words")
+
+
+def _numpy_at(stream: Stream) -> np.random.Generator:
+    """A numpy Generator whose PCG64 is in ``stream``'s state."""
+    reference = np.random.default_rng(0)
+    reference.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": stream.state, "inc": stream.inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return reference
+
+
+def _stream_at(*words: int) -> Stream:
+    """A stream whose next one or two 64-bit outputs are ``words``.  A state
+    with no high word outputs its low word unrotated; the increment is
+    chosen so that the step after the first lands on the second word's
+    state, and is odd as PCG64 needs."""
+    stream = Stream(0, 0)
+    first = words[0]
+    if len(words) == 2:
+        for high in (0, 1):
+            second_state = high << 64 | words[1] ^ high
+            stream.inc = (second_state - first * qstate._PCG_MULT) & qstate._MASK128
+            if stream.inc & 1:
+                break
+    stream.state = ((first - stream.inc) * _PCG_INVERSE) & qstate._MASK128
+    return stream
+
+
+def _assert_multinomial_is_numpys(stream: Stream, reference, n: int, pvals) -> None:
+    assert stream.multinomial(n, pvals) == reference.multinomial(n, pvals).tolist(), (n, pvals)
+    assert stream.state == reference.bit_generator.state["state"]["state"], (n, pvals)
+
+
+# 481 * 1/16 is past 30, where a binomial turns from inversion to BTPE; 2**63 - 1
+# is numpy's largest count, where BTPE's int64 n + 1 wraps.
+ROUNDS = (1, 7, 480, 481, 65536, 3 * 10**6, 10**12, 2**63 - 1)
+
+
+@pytest.mark.parametrize("categories", [4, 16])
+def test_multinomial_is_numpys(categories):
+    # These seeds reach every region of BTPE: the triangle, the
+    # parallelograms, both exponential tails, the exact ratio near the
+    # mode, and the squeeze and Stirling bound of its step 52.
+    pvals = [1 / categories] * categories
+    for rounds in ROUNDS:
+        for seed in range(60):
+            _assert_multinomial_is_numpys(Stream(seed, 2), _numpy_rng(seed, 2), rounds, pvals)
+
+
+@pytest.mark.parametrize("pvals", [
+    [0.5, 0.0, 0.25, 0.0, 0.25],
+    [0.1, 0.0, 0.6, 0.3, 0.0],  # 0.6 / 0.9 > 1/2: its failures are drawn
+    [0.5, 0.0, 0.5, 0.0],  # 0.5 / 0.5 = 1 draws once and takes every trial
+    [0.3, 0.7000000000000001, 0.0],  # a share past 1 does the same
+    [0.015625, 0.984375],
+    [1.0],
+])
+def test_multinomial_is_numpys_on_uneven_pvals(pvals):
+    for rounds in (0, *ROUNDS):
+        for seed in range(8):
+            _assert_multinomial_is_numpys(Stream(seed, 2), _numpy_rng(seed, 2), rounds, pvals)
+
+
+def test_multinomial_is_numpys_where_a_double_rounds_n():
+    # A share of 1e-16 puts BTPE's mean near 100-1000, where its exact ratio
+    # (with numpy's int64 n + 1, which wraps at 2**63 - 1) and its Stirling
+    # bound (with n rounded to a double) decide often enough to be reached.
+    pvals = [1e-16, 0.0, 1.0 - 1e-16]
+    for rounds in (10**18 + 4321, 2**63 - 601, 2**63 - 1):
+        for seed in range(100):
+            _assert_multinomial_is_numpys(Stream(seed, 2), _numpy_rng(seed, 2), rounds, pvals)
+
+
+def _top53(fraction: float) -> int:
+    return int(fraction * 2**53) << 11
+
+
+# (n, pvals, the next output words), named for what the first draw does.  At
+# n = 61 and p = 1/2 BTPE's left tail holds u / p4 in (0.831, 0.922] and its
+# right tail the rest above; a second draw v of 0, or of 2**-53, lands past
+# either end.
+RARE = [
+    pytest.param(3, [0.21875, 0.78125], [2**64 - 1], id="inversion-redraws-past-its-bound"),
+    pytest.param(61, [0.5, 0.5], [_top53(0.88), 0], id="left-tail-v-0"),
+    pytest.param(61, [0.5, 0.5], [_top53(0.88), 1 << 11], id="left-tail-y-below-0"),
+    pytest.param(61, [0.5, 0.5], [_top53(0.97), 0], id="right-tail-v-0"),
+    pytest.param(61, [0.5, 0.5], [_top53(0.97), 1 << 11], id="right-tail-y-above-n"),
+]
+
+
+@pytest.mark.parametrize("n, pvals, words", RARE)
+def test_multinomial_rejections_are_numpys(n, pvals, words):
+    stream = _stream_at(*words)
+    start, reference = stream.state, _numpy_at(stream)
+    assert stream.random(len(words)) == [(word >> 11) * 2**-53 for word in words]
+    stream.state = start
+    _assert_multinomial_is_numpys(stream, reference, n, pvals)
+    # The first draw (inversion) or pair (BTPE) was rejected, so more followed.
+    assert _steps(start, stream.state, stream.inc) > len(words)
+
+
+@pytest.mark.parametrize("n, pvals", [
+    (-1, [0.5, 0.5]),
+    (2**63, [0.5, 0.5]),
+    (5, []),
+    (5, [1.5, -0.5]),
+    (5, [float("nan"), 0.5]),
+    (5, [0.6, 0.5, 0.1]),
+])
+def test_multinomial_rejects_what_numpy_rejects(n, pvals):
+    with pytest.raises((ValueError, OverflowError)):
+        np.random.default_rng(0).multinomial(n, pvals)
+    with pytest.raises(ValueError):
+        Stream(0, 0).multinomial(n, pvals)
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_check_is_one_rule_for_numpy_and_the_stream(scenario):
+    for sizes in (PartySizes(1, 1), PartySizes(5, 6)):
+        for rounds in (1, 64, 3 * 10**6, 2**63 - 1):
+            for seed in range(5):
+                assert correlation_check(sizes, scenario, rounds, Stream(seed, 2)) == (
+                    correlation_check(sizes, scenario, rounds, _numpy_rng(seed, 2))
+                ), (sizes, rounds, seed)
 
 
 def test_normal_is_numpys_on_every_ziggurat_path():
