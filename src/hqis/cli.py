@@ -9,10 +9,11 @@ Every line is one JSON object with its keys sorted, compact separators and
 strict JSON: a NaN or an infinity fails the run instead of being written.
 ``_dumps`` owns that format.  The trial and branch records of a run are not
 built as dicts: ``_record_encoder`` encodes the fields a run shares once,
-into a template, and each record fills in only the fields that vary, with
-the bytes ``_dumps`` would give.  A run that fails after its first record
-removes its ``--output`` file, if that path names a regular file, and
-empties the regular file a symlinked path reaches.
+into a template, and the fields a leaf of the protocol's tree fixes once per
+distinct leaf, so each record encodes only its helpers' bits and its
+counter, with the bytes ``_dumps`` would give.  A run that fails after its
+first record removes its ``--output`` file, if that path names a regular
+file, and empties the regular file a symlinked path reaches.
 """
 
 import argparse
@@ -276,17 +277,24 @@ def _record_encoder(constants: dict, counter: str, labels: tuple[str, ...]):
     The dict would be ``constants``, ``counter: k`` and the result's fields,
     ``bits`` mapping the helpers' ``labels`` (plan order) to their bits.  A
     template built once holds the keys in sort_keys order and the constants
-    already encoded, with a slot per varying field, so a record costs only
-    those.  ``bits`` has its own %-template over the labels in the same
-    order, so bob:10 comes before bob:2.  Ints and floats are ``int.__repr__``
-    and ``float.__repr__``, as in json's encoder, and floats are checked
-    first, as ``allow_nan=False`` checks them.
+    already encoded, with a slot per varying field.  A run has few distinct
+    leaves, so ``encode`` fills the slots of a leaf's six fields once per
+    distinct ``(bell, v_g1, v_g2_or_charlie_star, correction, p, f)`` and
+    keeps the line split around the two slots left, ``bits`` and the
+    counter; a record then costs those two and one join.  ``bits`` has its
+    own %-template over the labels in the same order, so bob:10 comes before
+    bob:2.  Ints and floats are ``int.__repr__`` and ``float.__repr__``, as
+    in json's encoder, and the floats of each new leaf are checked first, as
+    ``allow_nan=False`` checks them, so no non-finite float is ever cached.
+    A probability is never -0.0, the one float that equals another with a
+    different repr.
     """
-    # The varying fields, in the order ``encode`` passes them.
+    # The varying fields, in the order ``encode`` passes them: the two a
+    # leaf's records do not share first.
     varying = (
+        "bits",
         counter,
         "bell",
-        "bits",
         "v_g1",
         "v_g2_or_charlie_star",
         "correction",
@@ -301,31 +309,50 @@ def _record_encoder(constants: dict, counter: str, labels: tuple[str, ...]):
     template[::2] = text.split("\0")
     # ``arrange`` puts the values in the order of their slots, sort_keys order.
     arrange = operator.itemgetter(*sorted(range(len(varying)), key=varying.__getitem__))
+    counter_first = counter < "bits"
     order = sorted(range(len(labels)), key=labels.__getitem__)
     bits = "{" + ",".join(f"{_dumps(labels[i])}:%d" for i in order) + "}"
     # One helper makes ``pick`` return a bare int, which % takes as its one value.
     pick = operator.itemgetter(*order)
     isfinite, int_repr, float_repr = math.isfinite, int.__repr__, float.__repr__
+    leaves = {}
 
-    def encode(k: int, result: TrialResult) -> str:
-        p, f = result.branch_probability, result.fidelity
+    def leaf_parts(key) -> list[str]:
+        """A new leaf's line, split around its bits and counter slots."""
+        bell, v_g1, aux, op, p, f = key
         if not (isfinite(p) and isfinite(f)):
             _dumps([p, f])  # raises json's own ValueError
         line = template.copy()
         line[1::2] = arrange((
-            int_repr(k),
-            _BELL_JSON[result.bell],
-            bits % pick(result.classical_bits.values()),
-            int_repr(result.v_g1),
-            int_repr(result.v_g2_or_charlie_star),
-            _CORRECTION_JSON[result.correction],
+            "\0",
+            "\0",
+            _BELL_JSON[bell],
+            int_repr(v_g1),
+            int_repr(aux),
+            _CORRECTION_JSON[op],
             float_repr(p),
             float_repr(f),
         ))
+        parts = leaves[key] = "".join(line).split("\0")
+        return parts
+
+    def encode(k: int, result: TrialResult) -> str:
+        key = (
+            result.bell,
+            result.v_g1,
+            result.v_g2_or_charlie_star,
+            result.correction,
+            result.branch_probability,
+            result.fidelity,
+        )
+        head, middle, tail = leaves.get(key) or leaf_parts(key)
+        first, second = bits % pick(result.classical_bits.values()), int_repr(k)
+        if counter_first:
+            first, second = second, first
         # Joined, not %-formatted: the % writer over-allocates the line and
         # then shrinks it, which fragments the heap (+0.1 MiB peak RSS over
         # 4096 records).
-        return "".join(line)
+        return "".join((head, first, middle, second, tail))
 
     return encode
 

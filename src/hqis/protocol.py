@@ -14,11 +14,12 @@ then measure according to the designee's grade:
 
 So a run is one measurement tree: its root is Alice's Bell measurement,
 with four children, and every level below measures one helper.  Both the
-exhaustive and the sampled runs are one depth-first walk over that tree.
-``iter_branches`` (and ``enumerate_branches``, its list) descends into every
-possible outcome, in the order ``itertools.product`` would list them;
-``run_recovery`` descends into one outcome per step, picked by one
-``rng.random(1 + helpers)`` call, one draw per step in plan order.
+exhaustive and the sampled runs descend one table of that tree, built once
+per run (``_leaf_table``).  ``iter_branches`` (and ``enumerate_branches``,
+its list) descends into every possible outcome, in the order
+``itertools.product`` would list them; ``run_recovery`` descends into one
+outcome per step, picked by one ``rng.random(1 + helpers)`` call, one draw
+per step in plan order.
 
 The walk is keyed by class, not by qubit.  After the Bell measurement every
 Bob's bit equals one bit a and every Charlie's one bit c, so the state is at
@@ -32,8 +33,13 @@ its outcomes are ``draw >= 0.5`` when sampled, and the state is not touched.
 The one step that measures the last member of a class (the last Bob under a
 Charlie designee), or charlie* under a Bob designee, is a real contraction
 of at most 4 entries with ``qstate._contract_support``, after the pending
-signs are applied, as is the designee's leaf.  A sampled trial therefore
-makes O(1) contractions at any m and n.  ``agent_marginal`` reads the
+signs are applied, as is the designee's leaf.  So a class path (the Bell
+outcome, each run's parity, each contracted outcome) fixes the state, the
+branch probability, the correction and the fidelity, and there are at most
+4·2³ of them.  The table keeps one node per class path reached, with its
+contracted children, and one scored leaf: a run makes at most one
+contraction per table node, and a trial makes none once its path has been
+reached, at any m and n.  ``agent_marginal`` reads the
 post-Bell support of the whole register, so no path of this module builds
 a dense register; the :mod:`hqis.dense` operations, and the qubit-by-qubit
 support walk kept in the tests, are the oracles the tests compare with.
@@ -379,117 +385,160 @@ def _signed(pairs, signs: int):
     return [(index, -amp if (index & signs).bit_count() & 1 else amp) for index, amp in pairs]
 
 
-def _measure(branch, count: int, draw: float | None):
-    """The children (outcome, prob, post) of a measurement with ``count``
-    outcomes, ``branch(outcome)`` giving ``(prob, post)``: every possible one
-    in outcome order, or the one ``draw`` picks by ``qstate._sample_outcome``."""
-    if draw is not None:
-        return [qstate._sample_outcome(branch, count, draw)]
-    children = ((outcome, *branch(outcome)) for outcome in range(count))
-    return [child for child in children if child[2] is not None]
+class _Children(dict):
+    """The children of one contracted measurement, outcome -> (prob, post),
+    each contracted the first time it is looked up: a sampled trial computes
+    no child past the one it draws, and no child twice."""
+
+    def __init__(self, pairs, qubits: int, bras, axis: int):
+        super().__init__()
+        self.pairs, self.qubits, self.bras, self.axis = pairs, qubits, bras, axis
+
+    def __missing__(self, outcome):
+        child = self[outcome] = qstate._contract_support(
+            self.pairs, self.qubits, self.bras[outcome], self.axis
+        )
+        return child
 
 
-def _walk(secret: SecretState, segments, draws=None):
-    """Depth first through the class-keyed measurement tree: yields
-    (pairs, signs, probability, outcomes) per leaf, where ``signs`` are the
-    class phases not yet applied to ``pairs`` and ``outcomes`` holds one
-    byte per measurement, Alice's Bell outcome first.
+class _LeafTable:
+    """One run's class-keyed measurement tree, filled in as the walk first
+    reaches each part of it.
 
-    Without ``draws`` the walk descends into every possible outcome, outcome
-    0 first, so the leaves come in ``itertools.product`` order.  With them,
-    ``draws[k]`` picks the outcome of the k-th measurement: a cumulative walk
-    over the outcomes' probabilities for the Bell step and the contracted
-    steps, and ``draws[k] >= 0.5`` for the steps of a run, which each have
-    probability 1/2 exactly.  The recursion is as deep as there are
-    segments, at most three whatever m and n.
+    A node is keyed by its class path, one byte per step: Alice's Bell
+    outcome, then each run's parity and each contracted step's outcome.  A
+    run's outcomes differ only in their signs, so the path fixes the support,
+    its pending signs, the probability and both parities, and every helper
+    bit string with that path shares one leaf.  ``nodes`` holds the children
+    ``(prob, post)`` of the Bell step (``_bell_children``, at ``b""``) and of
+    each contracted step reached; ``leaves`` holds one scored leaf per path
+    reached, ``(bell, v_g1, aux, op, branch_probability, fidelity)``, at most
+    4·2³ of them.  A lookup fills in only what it misses, so a run makes at
+    most one contraction per node, and a trial none once its path has been
+    reached.
     """
-    # float.__le__ gives a bool for a list's floats and an ndarray's np.float64 alike.
-    heads = None if draws is None else bytes(map((0.5).__le__, draws))
 
-    def draw(outcomes):
-        """The draw of the measurement after ``outcomes``, if sampling."""
-        return None if draws is None else draws[len(outcomes)]
+    def __init__(self, sizes: PartySizes, designee: Designee, secret: SecretState):
+        self.segments, self.index, self.bobs, (self.leaf_qubits, self.designee_axis) = (
+            _walk_steps(sizes, designee)
+        )
+        self.secret = secret
+        self.bob_designee = designee.charlie_star is not None
+        self.nodes = {b"": _bell_children(secret)}
+        self.leaves = {}
 
-    def descend(pairs, signs, prob, outcomes, depth):
-        if depth == len(segments):
-            yield pairs, signs, prob, outcomes
-            return
-        bras, *place = segments[depth]
+    def _state(self, path: bytes):
+        """(pairs, signs, prob) at the end of a path the walk has reached:
+        the support, the class phases not yet applied to it, and the path's
+        probability, multiplied out step by step as the walk took them."""
+        if len(path) == 1:
+            prob, pairs = self.nodes[b""][path[0]]
+            return pairs, 0, prob
+        pairs, signs, prob = self._state(path[:-1])
+        bras, *place = self.segments[len(path) - 2]
         if bras is None:
             shift, count = place
-            start = len(outcomes)
-            if heads is None:
-                runs = map(bytes, itertools.product((0, 1), repeat=count))
+            return pairs, signs ^ path[-1] << shift, prob * 0.5**count
+        p, post = self.nodes[path[:-1]][path[-1]]
+        return tuple(post), 0, prob * p
+
+    def _children(self, path: bytes) -> _Children:
+        """The children of the contracted step at the end of ``path``."""
+        children = self.nodes.get(path)
+        if children is None:
+            pairs, signs, _ = self._state(path)
+            bras, qubits, axis = self.segments[len(path) - 1]
+            children = self.nodes[path] = _Children(_signed(pairs, signs), qubits, bras, axis)
+        return children
+
+    def _leaf(self, path: bytes, bits: bytes) -> tuple:
+        """The scored leaf at ``path``, which ``bits`` reached.
+
+        The designee applies the table correction G, picked by the Bell
+        outcome and the parities of the Bobs' and the Charlies' bits.  The
+        recovery fidelity is the sum over the values of the qubits still held
+        of |<xi|G|u>|², u being the designee's 2-vector for that value: the
+        probability of contracting ``_recovery_bra`` against the designee's
+        qubit.
+        """
+        leaf = self.leaves.get(path)
+        if leaf is None:
+            pairs, signs, prob = self._state(path)
+            bell = _BELL_OUTCOMES[path[0]]
+            v_g1 = bits.count(1, 0, self.bobs) & 1
+            # charlie*'s bit for a Bob designee, the other Charlies' parity for a Charlie.
+            aux = bits.count(1, self.bobs) & 1
+            if self.bob_designee:
+                op = BOB_CORRECTIONS[bell, v_g1 ^ aux]
             else:
-                runs = [heads[start : start + count]]
-            for bits in runs:
-                yield from descend(
-                    pairs,
-                    signs ^ (bits.count(1) & 1) << shift,
-                    prob * 0.5**count,
-                    outcomes + bits,
-                    depth + 1,
-                )
-            return
-        qubits, axis = place
-        signed = _signed(pairs, signs)
-        for outcome, p, post in _measure(
-            lambda o: qstate._contract_support(signed, qubits, bras[o], axis),
-            len(bras),
-            draw(outcomes),
-        ):
-            yield from descend(tuple(post), 0, prob * p, outcomes + bytes((outcome,)), depth + 1)
-
-    bell = _bell_children(secret)
-    for outcome, p, post in _measure(bell.__getitem__, len(bell), draw(b"")):
-        yield from descend(post, 0, p, bytes((outcome,)), 0)
-
-
-def _branch_results(
-    sizes: PartySizes,
-    designee: Designee,
-    secret: SecretState,
-    rng: "qstate.Stream | numpy.random.Generator | None" = None,
-):
-    """Score every leaf the walk reaches: every branch without ``rng``, one
-    branch drawn by a single ``rng.random(1 + helpers)`` call with it.
-
-    The designee applies the table correction G, picked by the Bell outcome
-    and the parities of the Bobs' and the Charlies' bits.  The recovery
-    fidelity is the sum over the values of the qubits still held of
-    |<xi|G|u>|², u being the designee's 2-vector for that value: the
-    probability of contracting ``_recovery_bra`` against the designee's
-    qubit.  It depends only on the leaf's support, its pending signs and G,
-    so an enumeration computes it once per distinct triple.
-    """
-    segments, index, bobs, (leaf_qubits, designee_axis) = _walk_steps(sizes, designee)
-    draws = None if rng is None else rng.random(1 + len(index))
-    fidelities = {}
-    for pairs, signs, prob, outcomes in _walk(secret, segments, draws):
-        bell = _BELL_OUTCOMES[outcomes[0]]
-        bits = outcomes[1:]
-        v_g1 = bits.count(1, 0, bobs) & 1
-        # charlie*'s bit for a Bob designee, the other Charlies' parity for a Charlie.
-        aux = bits.count(1, bobs) & 1
-        if designee.charlie_star is not None:
-            op = BOB_CORRECTIONS[bell, v_g1 ^ aux]
-        else:
-            op = CHARLIE_CORRECTIONS[bell, v_g1, aux]
-        key = pairs, signs, op
-        if key not in fidelities:
+                op = CHARLIE_CORRECTIONS[bell, v_g1, aux]
             fidelity, _ = qstate._contract_support(
-                _signed(pairs, signs), leaf_qubits, _recovery_bra(secret, op), designee_axis
+                _signed(pairs, signs),
+                self.leaf_qubits,
+                _recovery_bra(self.secret, op),
+                self.designee_axis,
             )
-            fidelities[key] = min(fidelity, 1.0)
-        yield TrialResult(
-            bell=bell,
-            classical_bits=_HelperBits(index, bits),
-            v_g1=v_g1,
-            v_g2_or_charlie_star=aux,
-            correction=op,
-            branch_probability=prob,
-            fidelity=fidelities[key],
-        )
+            leaf = self.leaves[path] = (bell, v_g1, aux, op, prob, min(fidelity, 1.0))
+        return leaf
+
+    def result(self, path: bytes, bits: bytes) -> TrialResult:
+        bell, v_g1, aux, op, prob, fidelity = self._leaf(path, bits)
+        return TrialResult(bell, _HelperBits(self.index, bits), v_g1, aux, op, prob, fidelity)
+
+    def sample(self, draws) -> TrialResult:
+        """The branch ``draws`` pick, one draw per measurement in plan order,
+        Alice's first: ``qstate._sample_outcome`` for the Bell step and the
+        contracted steps, and ``draw >= 0.5`` for each step of a run, which
+        has probability 1/2 exactly."""
+        # float.__le__ gives a bool for a list's floats and an ndarray's np.float64 alike.
+        heads = bytes(map((0.5).__le__, draws))
+        bell = self.nodes[b""]
+        outcome, _, _ = qstate._sample_outcome(bell.__getitem__, len(bell), draws[0])
+        path, bits = bytes((outcome,)), b""
+        for bras, *place in self.segments:
+            start = 1 + len(bits)
+            if bras is None:
+                run = heads[start : start + place[1]]
+                outcome = run.count(1) & 1
+            else:
+                children = self._children(path)
+                outcome, _, _ = qstate._sample_outcome(children.__getitem__, len(bras), draws[start])
+                run = bytes((outcome,))
+            path += bytes((outcome,))
+            bits += run
+        return self.result(path, bits)
+
+    def branches(self):
+        """Every possible branch, outcome 0 first at every step, so in
+        ``itertools.product`` order.  The recursion is as deep as there are
+        segments, at most three whatever m and n."""
+        segments = self.segments
+
+        def descend(path, bits, depth):
+            if depth == len(segments):
+                yield self.result(path, bits)
+                return
+            bras, *place = segments[depth]
+            if bras is None:
+                for run in map(bytes, itertools.product((0, 1), repeat=place[1])):
+                    yield from descend(path + bytes((run.count(1) & 1,)), bits + run, depth + 1)
+                return
+            children = self._children(path)
+            for outcome in range(len(bras)):
+                if children[outcome][1] is not None:
+                    step = bytes((outcome,))
+                    yield from descend(path + step, bits + step, depth + 1)
+
+        for outcome, (_, post) in enumerate(self.nodes[b""]):
+            if post is not None:
+                yield from descend(bytes((outcome,)), b"", 0)
+
+
+@functools.lru_cache(maxsize=64)
+def _leaf_table(sizes: PartySizes, designee: Designee, secret: SecretState) -> _LeafTable:
+    """The run's leaf table, which every trial and branch of the run shares.
+    Raises ValueError unless the designee exists at ``sizes``."""
+    return _LeafTable(sizes, designee, secret)
 
 
 def run_recovery(
@@ -499,9 +548,10 @@ def run_recovery(
     rng: "qstate.Stream | numpy.random.Generator",
 ) -> TrialResult:
     """One sampled run: the Bell outcome and each helper's outcome are drawn
-    from ``rng``, and the designee's grade picks the helpers and the table."""
-    (result,) = _branch_results(sizes, designee, secret, rng)
-    return result
+    from ``rng`` with a single ``rng.random(1 + helpers)`` call, and the
+    designee's grade picks the helpers and the table."""
+    table = _leaf_table(sizes, designee, secret)
+    return table.sample(rng.random(1 + len(table.index)))
 
 
 def iter_branches(
@@ -515,13 +565,13 @@ def iter_branches(
     The designee and the branch limit are checked when the first branch is
     requested, so a failing enumeration raises before it yields anything.
     """
-    _, index, _, _ = _walk_steps(sizes, designee)
-    total = len(BellOutcome) * 2 ** len(index)
+    table = _leaf_table(sizes, designee, secret)
+    total = len(BellOutcome) * 2 ** len(table.index)
     if total > branch_limit:
         raise BranchLimitError(
             f"{total} branches exceed the limit of {branch_limit}"
         )
-    yield from _branch_results(sizes, designee, secret)
+    yield from table.branches()
 
 
 def enumerate_branches(

@@ -179,6 +179,18 @@ class _FixedDraws:
         return np.full(size, self.value)
 
 
+def _tree_nodes(sizes, designee):
+    """The nodes of the class-keyed tree: the Bell step's four children, two
+    children per node at each segment (a run's parity or a contracted step's
+    outcome), and the designee's scoring under each leaf."""
+    segments, _, _, _ = protocol._walk_steps(sizes, designee)
+    return sum(4 * 2**depth for depth in range(len(segments) + 1)) + 4 * 2 ** len(segments)
+
+
+def _table_size(table):
+    return len(table.nodes) + len(table.leaves)
+
+
 @pytest.mark.parametrize("grade", ["bob", "charlie"])
 def test_contractions_per_trial_do_not_grow_with_the_party_count(grade, monkeypatch):
     calls = []
@@ -191,14 +203,55 @@ def test_contractions_per_trial_do_not_grow_with_the_party_count(grade, monkeypa
     monkeypatch.setattr(qstate, "_contract_support", counting)
     secret = SecretState(0.6, 0.8j)
     designee = Designee.bob(2, 1) if grade == "bob" else Designee.charlie(2)
-    counts = {}
+    first, repeat = {}, {}
     for size in (3, 300):
         sizes = PartySizes(size, size)
         # A draw of 0.25 stops at outcome 0 of the contracted step, 0.75 goes on to 1.
         for value in (0.25, 0.75):
             run_recovery(sizes, designee, secret, _FixedDraws(value))  # the Bell children cached
+            protocol._leaf_table.cache_clear()
             calls.clear()
             run_recovery(sizes, designee, secret, _FixedDraws(value))
-            counts[size, value] = len(calls)
-    assert counts[3, 0.25] == counts[300, 0.25] == 2
-    assert counts[3, 0.75] == counts[300, 0.75] == 3
+            first[size, value] = len(calls)
+            calls.clear()
+            run_recovery(sizes, designee, secret, _FixedDraws(value))
+            repeat[size, value] = len(calls)
+    # The first trial down a path contracts its step and scores its leaf;
+    # a repeat reads the table.
+    assert first[3, 0.25] == first[300, 0.25] == 2
+    assert first[3, 0.75] == first[300, 0.75] == 3
+    assert set(repeat.values()) == {0}
+
+    sizes = PartySizes(300, 300)
+    protocol._leaf_table.cache_clear()
+    protocol._bell_children.cache_clear()
+    calls.clear()
+    rng = np.random.default_rng(5)
+    for _ in range(1000):
+        run_recovery(sizes, designee, secret, rng)
+    table = protocol._leaf_table(sizes, designee, secret)
+    size = _table_size(table)
+    for _ in range(9000):
+        run_recovery(sizes, designee, secret, rng)
+    assert _table_size(table) == size
+    assert len(table.leaves) == 4 * 2 ** len(protocol._walk_steps(sizes, designee)[0])
+    # Once each: the Bell children, both children of each contracted step, each leaf.
+    assert len(calls) == 4 + 2 * (len(table.nodes) - 1) + len(table.leaves)
+    assert len(calls) <= _tree_nodes(sizes, designee)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (3, 3), (5, 6)])
+@pytest.mark.parametrize("grade", ["bob", "charlie"])
+def test_sampled_trials_equal_enumerated_branches_exactly(grade, m, n):
+    sizes = PartySizes(m, n)
+    designee = Designee.bob(m, 1) if grade == "bob" else Designee.charlie(n)
+    secret = random_secrets(1, seed=10 * m + n)[0]
+    branches = {
+        (branch.bell, tuple(branch.classical_bits.values())): branch
+        for branch in enumerate_branches(sizes, designee, secret)
+    }
+    # The trials fill a table of their own, in the order their draws reach it.
+    protocol._leaf_table.cache_clear()
+    for seed in range(200):
+        result = run_recovery(sizes, designee, secret, derived_rng(seed, 1, 0))
+        assert result == branches[result.bell, tuple(result.classical_bits.values())]

@@ -156,6 +156,7 @@ def test_stdout_keeps_its_pinned_bytes(capsys, command):
 
 
 SAMPLE_ARGV = ["run", "--m", "2", "--n", "2", "--designee", "charlie:1", "--trials", "5"]
+SAMPLE_ARGV_10 = SAMPLE_ARGV[:-1] + ["10"]
 ENUMERATE_ARGV = ["run", "--m", "2", "--n", "2", "--designee", "bob:1", "--charlie-star", "2",
                   "--mode", "enumerate"]
 
@@ -178,21 +179,26 @@ def _break_result_at(monkeypatch, name: str, at: int, **fields):
 @pytest.mark.parametrize("field", ["fidelity", "branch_probability"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
-    "name, argv", [("run_recovery", SAMPLE_ARGV), ("iter_branches", ENUMERATE_ARGV)]
+    "name, argv", [("run_recovery", SAMPLE_ARGV_10), ("iter_branches", ENUMERATE_ARGV)]
 )
 def test_non_finite_float_raises_json_error(monkeypatch, capsys, name, argv, field, value):
     with pytest.raises(ValueError) as strict:
         _json({field: value})
-    with monkeypatch.context() as patch:
-        _break_result_at(patch, name, 0, **{field: value})
-        with pytest.raises(ValueError) as caught:
-            next(_run_records(parse_args(argv)))
-    assert str(caught.value) == str(strict.value)
-    _break_result_at(monkeypatch, name, 0, **{field: value})
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [f"error: {strict.value}"]
+    # Record 5 comes after the encoder has cached the leaves of the records before it.
+    for at in (0, 5):
+        with monkeypatch.context() as patch:
+            _break_result_at(patch, name, at, **{field: value})
+            records = _run_records(parse_args(argv))
+            assert len(list(itertools.islice(records, at))) == at
+            with pytest.raises(ValueError) as caught:
+                next(records)
+        assert str(caught.value) == str(strict.value)
+        with monkeypatch.context() as patch:
+            _break_result_at(patch, name, at, **{field: value})
+            assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == at
+        assert captured.err.splitlines() == [f"error: {strict.value}"]
 
 
 def test_failure_after_the_first_record_leaves_no_output_file(monkeypatch, tmp_path, capsys):
