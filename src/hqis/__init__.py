@@ -36,4 +36,7 @@ __version__ = "0.1.0"
 def __getattr__(name: str):
     if name in _OWNERS:
         return getattr(import_module(f".{_OWNERS[name]}", __name__), name)
+    # The owners themselves, which ``import hqis.cli`` need not have loaded.
+    if name in _OWNERS.values():
+        return import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

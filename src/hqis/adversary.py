@@ -12,7 +12,7 @@ tests compare with, and is still served here.
 """
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .channel import PartySizes, _channel_support, _fake_channel_support
@@ -35,15 +35,12 @@ class Scenario(Enum):
     INTERCEPT_RESEND = "intercept-resend"
 
 
-@dataclass(frozen=True)
-class CheckStats:
-    """Tallies of one correlation-check session."""
+class CheckStats(namedtuple("CheckStats", "rounds alice_bob_match_rates"
+                            " charlie_group_consistent_rate detected detection_rule")):
+    """Tallies of one correlation-check session: the round count, a match
+    rate per Bob, the Charlies' consistent rate, the verdict and its rule."""
 
-    rounds: int
-    alice_bob_match_rates: tuple[float, ...]
-    charlie_group_consistent_rate: float
-    detected: bool
-    detection_rule: str
+    __slots__ = ()
 
 
 def _delivered_qubits(sizes: PartySizes, scenario: Scenario) -> tuple[int, list[int], list[int]]:

@@ -12,7 +12,7 @@ are still served here.
 """
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .qstate import SecretState, _from_dense
 
@@ -22,16 +22,16 @@ __getattr__ = _from_dense(
 )
 
 
-@dataclass(frozen=True)
-class PartySizes:
+class PartySizes(namedtuple("PartySizes", "m n")):
     """Number of higher-grade agents (m Bobs) and lower-grade agents (n Charlies)."""
 
-    m: int
-    n: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError(f"need at least one agent per grade, got m={self.m}, n={self.n}")
+    def __new__(cls, m: int, n: int):
+        if m < 1 or n < 1:
+            raise ValueError(f"need at least one agent per grade, got m={m}, n={n}")
+        return super().__new__(cls, m, n)
 
     @property
     def channel_qubits(self) -> int:

@@ -24,30 +24,18 @@ import operator
 import os
 import stat
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .adversary import (
-    CheckStats,
     Scenario,
     correlation_check,
     exact_detection_probability,
     missed_detection_probability,
 )
 from .channel import PartySizes, SecretState
-from .protocol import (
-    BOB_CORRECTIONS,
-    CHARLIE_CORRECTIONS,
-    BellOutcome,
-    CorrectionOp,
-    Designee,
-    Role,
-    TrialResult,
-    _measurement_plan,
-    check_designee,
-    iter_branches,
-    run_recovery,
-)
 from .qstate import ResourceLimitError, Stream, register_cap
+
+# Only the functions that use hqis.protocol import it: ``attack`` never loads it.
 
 SECRET_NORM_SLACK = 1e-6
 
@@ -73,20 +61,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(namedtuple(
+    "RunConfig",
+    "mode sizes designee secret trials seed attack_scenario rounds threshold output_path",
+    defaults=(None, None, None, 1, None, None, None, None, None),
+)):
     """Fully validated invocation settings."""
 
-    mode: str
-    sizes: PartySizes | None = None
-    designee: Designee | None = None
-    secret: SecretState | None = None
-    trials: int = 1
-    seed: int | None = None
-    attack_scenario: Scenario | None = None
-    rounds: int | None = None
-    threshold: float | None = None
-    output_path: str | None = None
+    __slots__ = ()
 
 
 def derived_rng(seed: int, purpose: int, *path: int) -> Stream:
@@ -150,7 +132,9 @@ def _parse_secret(text: str) -> SecretState | None:
     return SecretState(alpha * scale, beta * scale)
 
 
-def _parse_designee(text: str) -> Role:
+def _parse_designee(text: str) -> "Role":
+    from .protocol import Role
+
     grade, sep, index_text = text.partition(":")
     # isdigit alone admits digits such as "²" that int() rejects.
     ascii_digits = index_text.isascii() and index_text.isdigit()
@@ -217,6 +201,8 @@ def parse_args(argv: list[str]) -> RunConfig:
                 output_path=args.output,
             )
 
+        from .protocol import Designee, check_designee
+
         role = _parse_designee(args.designee)
         if args.trials < 1:
             raise UsageError(f"trials must be >= 1, got {args.trials}")
@@ -248,11 +234,6 @@ def _dumps(value) -> str:
     """The records' one JSON format: keys sorted, compact separators, and
     strict, so a NaN or an infinity raises ValueError."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
-
-
-# The enum-valued fields of a trial or branch record, encoded once per member.
-_BELL_JSON = {bell: _dumps(bell.value) for bell in BellOutcome}
-_CORRECTION_JSON = {op: _dumps(op.value) for op in CorrectionOp}
 
 
 def _base_record(config: RunConfig, record: str) -> dict:
@@ -326,17 +307,17 @@ def _record_encoder(constants: dict, counter: str, labels: tuple[str, ...]):
         line[1::2] = arrange((
             "\0",
             "\0",
-            _BELL_JSON[bell],
+            _dumps(bell.value),
             int_repr(v_g1),
             int_repr(aux),
-            _CORRECTION_JSON[op],
+            _dumps(op.value),
             float_repr(p),
             float_repr(f),
         ))
         parts = leaves[key] = "".join(line).split("\0")
         return parts
 
-    def encode(k: int, result: TrialResult) -> str:
+    def encode(k: int, result: "TrialResult") -> str:
         key = (
             result.bell,
             result.v_g1,
@@ -360,6 +341,8 @@ def _record_encoder(constants: dict, counter: str, labels: tuple[str, ...]):
 def _run_records(config: RunConfig):
     """The lines of a ``run``: one record per trial or branch, and for an
     enumeration a summary record last."""
+    from .protocol import _measurement_plan, iter_branches, run_recovery
+
     sizes, designee = config.sizes, config.designee
     secret = resolve_secret(config)
     # The helpers' labels in plan order, which is the order of classical_bits.
@@ -397,7 +380,7 @@ def _run_records(config: RunConfig):
 
 def _attack_records(config: RunConfig):
     sizes = config.sizes
-    stats: CheckStats = correlation_check(
+    stats = correlation_check(
         sizes,
         config.attack_scenario,
         config.rounds,
@@ -419,6 +402,8 @@ def _attack_records(config: RunConfig):
 
 
 def _table_records(config: RunConfig):
+    from .protocol import BOB_CORRECTIONS, CHARLIE_CORRECTIONS
+
     # The tables' own order: Bell outcomes as declared, then bit values.
     rows = [
         {"table": "bob", "bell": bell.value, "v_sum": v_sum, "operation": op.value}

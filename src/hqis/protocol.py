@@ -47,8 +47,8 @@ support walk kept in the tests, are the oracles the tests compare with.
 
 import functools
 import itertools
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from enum import Enum
 
 from . import qstate
@@ -65,21 +65,21 @@ class BranchLimitError(ResourceLimitError):
     pass
 
 
-@dataclass(frozen=True)
-class Role:
+class Role(namedtuple("Role", "grade index")):
     """A protocol participant: alice, bob:i, or charlie:j (1-based indices)."""
 
-    grade: str
-    index: int = 0
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self):
-        if self.grade not in ("alice", "bob", "charlie"):
-            raise ValueError(f"unknown grade {self.grade!r}")
-        if self.grade == "alice":
-            if self.index != 0:
+    def __new__(cls, grade: str, index: int = 0):
+        if grade not in ("alice", "bob", "charlie"):
+            raise ValueError(f"unknown grade {grade!r}")
+        if grade == "alice":
+            if index != 0:
                 raise ValueError("alice takes no index")
-        elif self.index < 1:
-            raise ValueError(f"{self.grade} index must be >= 1, got {self.index}")
+        elif index < 1:
+            raise ValueError(f"{grade} index must be >= 1, got {index}")
+        return super().__new__(cls, grade, index)
 
     @classmethod
     def alice(cls) -> "Role":
@@ -98,23 +98,23 @@ class Role:
         return self.grade if self.grade == "alice" else f"{self.grade}:{self.index}"
 
 
-@dataclass(frozen=True)
-class Designee:
+class Designee(namedtuple("Designee", "role charlie_star")):
     """The agent who ends up holding the secret, plus the assisting charlie*
     when that agent is a Bob."""
 
-    role: Role
-    charlie_star: int | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self):
-        if self.role.grade == "bob":
-            if self.charlie_star is None:
+    def __new__(cls, role: Role, charlie_star: int | None = None):
+        if role.grade == "bob":
+            if charlie_star is None:
                 raise ValueError("a Bob designee needs a charlie-star index")
-        elif self.role.grade == "charlie":
-            if self.charlie_star is not None:
+        elif role.grade == "charlie":
+            if charlie_star is not None:
                 raise ValueError("charlie-star only applies to Bob designees")
         else:
             raise ValueError("the designee must be a Bob or a Charlie")
+        return super().__new__(cls, role, charlie_star)
 
     @classmethod
     def bob(cls, i: int, charlie_star: int) -> "Designee":
@@ -136,6 +136,8 @@ class CorrectionOp(Enum):
     XH = "XH"
     IYH = "iYH"
     ZH = "ZH"
+
+    __hash__ = object.__hash__  # the members are singletons: hash by identity, in C
 
     @property
     def matrix(self) -> "numpy.ndarray":
@@ -227,17 +229,12 @@ class _HelperBits(Mapping):
         return repr(dict(self.items()))
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    """Outcome record of one protocol execution branch."""
+class TrialResult(namedtuple("TrialResult", "bell classical_bits v_g1 v_g2_or_charlie_star"
+                             " correction branch_probability fidelity")):
+    """Outcome record of one protocol execution branch: a BellOutcome, the
+    helpers' bits (a Mapping, Role -> bit), two bits, a CorrectionOp, two floats."""
 
-    bell: BellOutcome
-    classical_bits: Mapping[Role, int]
-    v_g1: int
-    v_g2_or_charlie_star: int
-    correction: CorrectionOp
-    branch_probability: float
-    fidelity: float
+    __slots__ = ()
 
 
 def parity(bits) -> int:

@@ -15,7 +15,7 @@ here are still served, and load it the first time one of them is used.
 import functools
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 DEFAULT_MAX_QUBITS = 24
@@ -75,6 +75,8 @@ class BellOutcome(Enum):
     PSI_PLUS = "psi+"
     PSI_MINUS = "psi-"
 
+    __hash__ = object.__hash__  # the members are singletons: hash by identity, in C
+
     @property
     def is_phi(self) -> bool:
         return self in (BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS)
@@ -100,17 +102,17 @@ _BELL_BRAS = {
 }
 
 
-@dataclass(frozen=True)
-class SecretState:
-    """Normalized single-qubit amplitude pair (alpha, beta)."""
+class SecretState(namedtuple("SecretState", "alpha beta")):
+    """Normalized single-qubit amplitude pair (alpha, beta), two complexes."""
 
-    alpha: complex
-    beta: complex
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self):
-        norm_sq = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+    def __new__(cls, alpha: complex, beta: complex):
+        norm_sq = abs(alpha) ** 2 + abs(beta) ** 2
         if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN fails this comparison too
             raise ValueError(f"secret is not normalized: |a|^2+|b|^2 = {norm_sq!r}")
+        return super().__new__(cls, alpha, beta)
 
     def as_state(self):
         """The secret as a one-qubit dense :class:`hqis.dense.StateVector`."""
@@ -227,12 +229,10 @@ def _uint32_words(value: int) -> list[int]:
     return words
 
 
-def _hashmix(value: int, const: int) -> tuple[int, int]:
-    """SeedSequence's ``hashmix``: the hashed word and the next hash constant."""
-    value ^= const
-    const = const * _MULT_A & _MASK32
-    value = value * const & _MASK32
-    return value ^ value >> 16, const
+def _hashmix(value: int, xor: int, mult: int) -> int:
+    """SeedSequence's ``hashmix``, given its constants from ``_hash_pairs``."""
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
 
 
 def _mix(x: int, y: int) -> int:
@@ -240,15 +240,30 @@ def _mix(x: int, y: int) -> int:
     return mixed ^ mixed >> 16
 
 
+@functools.lru_cache(maxsize=64)
+def _hash_pairs(const: int, count: int, mult: int = _MULT_A) -> tuple[tuple[int, int], ...]:
+    """The (xor, multiplier) constants of ``count`` SeedSequence hashes in a
+    row from hash constant ``const``.  Each hash steps the constant by
+    ``mult`` whatever it hashes, so the streams of a run share one chain."""
+    pairs = []
+    for _ in range(count):
+        xor, const = const, const * mult & _MASK32
+        pairs.append((xor, const))
+    return tuple(pairs)
+
+
 def _mix_in(pool, const: int, words) -> tuple[list[int], int]:
     """The pool and hash constant after SeedSequence mixes entropy ``words``,
     those past the pool's size, into every pool word."""
     pool = list(pool)
-    for word in words:
-        for dst in range(_POOL_SIZE):
-            value, const = _hashmix(word, const)
-            pool[dst] = _mix(pool[dst], value)
-    return pool, const
+    pairs = _hash_pairs(const, _POOL_SIZE * len(words))
+    # _hashmix and _mix inlined: this runs once per sampled trial.
+    for step, (xor, mult) in enumerate(pairs):
+        dst = step % _POOL_SIZE
+        value = (words[step // _POOL_SIZE] ^ xor) * mult & _MASK32
+        mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (value ^ value >> 16)) & _MASK32
+        pool[dst] = mixed ^ mixed >> 16
+    return pool, pairs[-1][1] if pairs else const
 
 
 @functools.lru_cache(maxsize=64)
@@ -259,28 +274,30 @@ def _seeded_pool(seed: int, purpose: int) -> tuple[tuple[int, ...], int]:
     the pool's size."""
     words = _uint32_words(seed)
     words += [0] * (_POOL_SIZE - len(words))
-    pool, const = [], _INIT_A
-    for word in words[:_POOL_SIZE]:
-        value, const = _hashmix(word, const)
-        pool.append(value)
+    # A hash per pool word, then one per ordered pair of pool words.
+    pairs = _hash_pairs(_INIT_A, _POOL_SIZE * _POOL_SIZE)
+    pool = [_hashmix(word, *pair) for word, pair in zip(words[:_POOL_SIZE], pairs)]
+    cross = iter(pairs[_POOL_SIZE:])
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
-                value, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], value)
-    pool, const = _mix_in(pool, const, words[_POOL_SIZE:] + _uint32_words(purpose))
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(cross)))
+    pool, const = _mix_in(pool, pairs[-1][1], words[_POOL_SIZE:] + _uint32_words(purpose))
     return tuple(pool), const
+
+
+# generate_state's hash constants: its chain starts afresh at _INIT_B.
+_GENERATE_PAIRS = _hash_pairs(_INIT_B, 2 * _POOL_SIZE, _MULT_B)
 
 
 def _pcg64_seed(pool) -> tuple[int, int]:
     """PCG64's (state, increment) seeded from the pool's
     ``generate_state(4, uint64)``: (state seed, sequence) as 128-bit words."""
-    words, const = [], _INIT_B
-    for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ const
-        const = const * _MULT_B & _MASK32
-        value = value * const & _MASK32
-        words.append(value ^ value >> 16)
+    # _hashmix inlined: this runs once per sampled trial.
+    words = [
+        (v := (word ^ xor) * mult & _MASK32) ^ v >> 16
+        for word, (xor, mult) in zip(pool * 2, _GENERATE_PAIRS)
+    ]
     # Little-endian pairs of uint32 make the uint64s; high uint64 first in each 128-bit word.
     seed = (words[0] | words[1] << 32) << 64 | words[2] | words[3] << 32
     sequence = (words[4] | words[5] << 32) << 64 | words[6] | words[7] << 32

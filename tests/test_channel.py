@@ -30,6 +30,10 @@ def test_party_sizes_validation():
         PartySizes(0, 1)
     with pytest.raises(ValueError):
         PartySizes(1, -2)
+    for m, n in ((0, 1), (1, -2), (0, 0)):
+        with pytest.raises(ValueError) as caught:
+            PartySizes(m=m, n=n)
+        assert str(caught.value) == f"need at least one agent per grade, got m={m}, n={n}"
 
 
 def test_party_sizes_respects_cap(monkeypatch):

@@ -25,7 +25,7 @@ from hqis.cli import (
     parse_args,
     resolve_secret,
 )
-from hqis import qstate
+from hqis import protocol, qstate
 from hqis.protocol import (
     BellOutcome,
     Designee,
@@ -697,7 +697,7 @@ def test_enumerate_streams_one_record_per_branch(monkeypatch):
             produced.append(result)
             yield result
 
-    monkeypatch.setattr(cli, "iter_branches", counting_branches)
+    monkeypatch.setattr(protocol, "iter_branches", counting_branches)
     lines = _run_records(parse_args(ENUMERATE_ARGV))
     assert json.loads(next(lines))["branch"] == 0
     assert len(produced) == 1

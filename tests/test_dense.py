@@ -63,11 +63,31 @@ def test_no_cli_path_loads_the_dense_module():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     # `python -m hqis.cli` processes: -X importtime lists every module each imports.
-    for argv in (["tables"], ["attack", "--scenario", "intercept-resend", "--m", "5", "--n", "6"]):
+    for argv in (CLI_ARGVS[0], CLI_ARGVS[1], ["tables"],
+                 ["attack", "--scenario", "intercept-resend", "--m", "5", "--n", "6"]):
         proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "hqis.cli", *argv],
                               env=_child_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "numpy" not in proc.stderr, argv
+        imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+        assert "dataclasses" not in imported, argv
+        # The run and the tables read the protocol; the check never does.
+        assert ("hqis.protocol" in imported) == (argv[0] != "attack"), argv
+
+
+def test_the_package_serves_its_modules_after_importing_the_cli():
+    """``import hqis.cli`` need not load every module; ``hqis.<module>`` still
+    reaches each, as a caller holding only the package expects."""
+    script = (
+        "import sys\n"
+        "import hqis, hqis.cli\n"
+        "assert 'hqis.protocol' not in sys.modules, 'importing hqis.cli loaded hqis.protocol'\n"
+        "for name in ('qstate', 'channel', 'protocol', 'adversary', 'cli'):\n"
+        "    assert getattr(hqis, name) is sys.modules['hqis.' + name], name\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=_child_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_every_package_export_resolves():

@@ -139,6 +139,14 @@ def test_designee_construction_rules():
         Designee(Role.charlie(1), charlie_star=1)
     with pytest.raises(ValueError):
         Designee(Role.alice())
+    for build, message in (
+        (lambda: Designee(Role.bob(1)), "a Bob designee needs a charlie-star index"),
+        (lambda: Designee(Role.charlie(1), 1), "charlie-star only applies to Bob designees"),
+        (lambda: Designee(Role.alice()), "the designee must be a Bob or a Charlie"),
+    ):
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert str(caught.value) == message
 
 
 def test_role_construction_rules():
@@ -150,6 +158,15 @@ def test_role_construction_rules():
         Role.bob(0)
     with pytest.raises(ValueError):
         Role("eve", 1)
+    for build, message in (
+        (lambda: Role("alice", 2), "alice takes no index"),
+        (lambda: Role.bob(0), "bob index must be >= 1, got 0"),
+        (lambda: Role("charlie", -1), "charlie index must be >= 1, got -1"),
+        (lambda: Role("eve", 1), "unknown grade 'eve'"),
+    ):
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert str(caught.value) == message
 
 
 def test_trial_records_consistent_classical_data():

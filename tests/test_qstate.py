@@ -286,6 +286,9 @@ def test_bell_project_needs_a_leftover_register():
 def test_secret_state_must_be_normalized():
     with pytest.raises(ValueError):
         SecretState(1.0, 1.0)
+    with pytest.raises(ValueError) as caught:
+        SecretState(alpha=1.0, beta=0.5)
+    assert str(caught.value) == "secret is not normalized: |a|^2+|b|^2 = 1.25"
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("nan"))])

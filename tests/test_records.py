@@ -6,7 +6,6 @@ settings, byte for byte.  The CLI itself never builds the dict: it fills a
 template encoded once per run.
 """
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -18,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hqis import cli
+from hqis import cli, protocol
 from hqis.cli import _run_records, derived_rng, main, parse_args, resolve_secret
 from hqis.protocol import enumerate_branches, run_recovery
 
@@ -162,18 +161,19 @@ ENUMERATE_ARGV = ["run", "--m", "2", "--n", "2", "--designee", "bob:1", "--charl
 
 
 def _break_result_at(monkeypatch, name: str, at: int, **fields):
-    """Make ``cli.<name>`` (``run_recovery`` or ``iter_branches``) give result
-    number ``at`` of the run with ``fields`` replaced."""
-    real = getattr(cli, name)
+    """Make ``protocol.<name>`` (``run_recovery`` or ``iter_branches``), which
+    ``cli`` looks up when a run starts, give result number ``at`` of the run
+    with ``fields`` replaced."""
+    real = getattr(protocol, name)
     count = itertools.count()
 
     def broken(result):
-        return dataclasses.replace(result, **fields) if next(count) == at else result
+        return result._replace(**fields) if next(count) == at else result
 
     if name == "run_recovery":
-        monkeypatch.setattr(cli, name, lambda *args: broken(real(*args)))
+        monkeypatch.setattr(protocol, name, lambda *args: broken(real(*args)))
     else:
-        monkeypatch.setattr(cli, name, lambda *args: map(broken, real(*args)))
+        monkeypatch.setattr(protocol, name, lambda *args: map(broken, real(*args)))
 
 
 @pytest.mark.parametrize("field", ["fidelity", "branch_probability"])
