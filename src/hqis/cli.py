@@ -7,13 +7,12 @@ produce byte-identical output; every record carries mode, m, n, and seed.
 
 Every line is one JSON object with its keys sorted, compact separators and
 strict JSON: a NaN or an infinity fails the run instead of being written.
-``_dumps`` owns that format.  The trial and branch records of a run are not
-built as dicts: ``_record_encoder`` encodes the fields a run shares once,
-into a template, and the fields a leaf of the protocol's tree fixes once per
-distinct leaf, so each record encodes only its helpers' bits and its
-counter, with the bytes ``_dumps`` would give.  A run that fails after its
-first record removes its ``--output`` file, if that path names a regular
-file, and empties the regular file a symlinked path reaches.
+``_dumps`` owns that format and writes every line.  A trial or branch record
+is ``_dumps`` of its dict, encoded once per distinct leaf of the protocol's
+tree with slots for the helpers' bits and the counter, which are all a
+record fills in (``_record_encoder``).  A run that fails after its first
+record removes its ``--output`` file, if that path names a regular file, and
+empties the regular file a symlinked path reaches.
 """
 
 import argparse
@@ -253,87 +252,52 @@ def _secret_fields(secret: SecretState) -> list[float]:
 
 def _record_encoder(constants: dict, counter: str, labels: tuple[str, ...]):
     """``encode(k, result)``: the line of record ``k`` of a run, the
-    ``_dumps`` of its dict byte for byte, plus a newline.
+    ``_dumps`` of its dict plus a newline.
 
-    The dict would be ``constants``, ``counter: k`` and the result's fields,
+    The dict is ``constants``, ``counter: k`` and the result's fields, with
     ``bits`` mapping the helpers' ``labels`` (plan order) to their bits.  A
-    template built once holds the keys in sort_keys order and the constants
-    already encoded, with a slot per varying field.  A run has few distinct
-    leaves, so ``encode`` fills the slots of a leaf's six fields once per
-    distinct ``(bell, v_g1, v_g2_or_charlie_star, correction, p, f)`` and
-    keeps the line split around the two slots left, ``bits`` and the
-    counter; a record then costs those two and one join.  ``bits`` has its
-    own %-template over the labels in the same order, so bob:10 comes before
-    bob:2.  Ints and floats are ``int.__repr__`` and ``float.__repr__``, as
-    in json's encoder, and the floats of each new leaf are checked first, as
-    ``allow_nan=False`` checks them, so no non-finite float is ever cached.
-    A probability is never -0.0, the one float that equals another with a
-    different repr.
+    run has few distinct leaves, so ``_dumps`` encodes one dict per distinct
+    ``(bell, v_g1, v_g2_or_charlie_star, correction, p, f)``, with a NUL
+    string in the ``bits`` and counter slots, and the line is kept split
+    around those two slots.  A record then costs its ``bits``, from a
+    %-template ``_dumps`` also wrote, its counter and one join.  ``_dumps``
+    rejects a non-finite float before its leaf is cached.  A probability is
+    never -0.0, the one float that equals another with a different repr.
     """
-    # The varying fields, in the order ``encode`` passes them: the two a
-    # leaf's records do not share first.
-    varying = (
-        "bits",
-        counter,
-        "bell",
-        "v_g1",
-        "v_g2_or_charlie_star",
-        "correction",
-        "branch_probability",
-        "fidelity",
-    )
-    # A NUL marks each slot: _dumps escapes any NUL in the data itself.
-    fields = {key: _dumps(value) for key, value in constants.items()}
-    fields |= dict.fromkeys(varying, "\0")
-    text = "{" + ",".join(f"{_dumps(key)}:{fields[key]}" for key in sorted(fields)) + "}\n"
-    template = [None] * (2 * len(varying) + 1)
-    template[::2] = text.split("\0")
-    # ``arrange`` puts the values in the order of their slots, sort_keys order.
-    arrange = operator.itemgetter(*sorted(range(len(varying)), key=varying.__getitem__))
-    counter_first = counter < "bits"
+    # _dumps escapes a NUL, so only the slots themselves encode to this.
+    slot = _dumps("\0")
+    # The bits in sort_keys order, so bob:10 comes before bob:2.
     order = sorted(range(len(labels)), key=labels.__getitem__)
-    bits = "{" + ",".join(f"{_dumps(labels[i])}:%d" for i in order) + "}"
+    bits = _dumps(dict.fromkeys(labels, "\0")).replace(slot, "%d")
     # One helper makes ``pick`` return a bare int, which % takes as its one value.
     pick = operator.itemgetter(*order)
-    isfinite, int_repr, float_repr = math.isfinite, int.__repr__, float.__repr__
     leaves = {}
 
     def leaf_parts(key) -> list[str]:
-        """A new leaf's line, split around its bits and counter slots."""
+        """A new leaf's line, split around its bits and counter slots
+        ("bits" sorts before both counters)."""
         bell, v_g1, aux, op, p, f = key
-        if not (isfinite(p) and isfinite(f)):
-            _dumps([p, f])  # raises json's own ValueError
-        line = template.copy()
-        line[1::2] = arrange((
-            "\0",
-            "\0",
-            _dumps(bell.value),
-            int_repr(v_g1),
-            int_repr(aux),
-            _dumps(op.value),
-            float_repr(p),
-            float_repr(f),
-        ))
-        parts = leaves[key] = "".join(line).split("\0")
+        leaf = constants | {
+            "bits": "\0",
+            counter: "\0",
+            "bell": bell.value,
+            "v_g1": v_g1,
+            "v_g2_or_charlie_star": aux,
+            "correction": op.value,
+            "branch_probability": p,
+            "fidelity": f,
+        }
+        leaves[key] = parts = (_dumps(leaf) + "\n").split(slot)
         return parts
 
     def encode(k: int, result: "TrialResult") -> str:
-        key = (
-            result.bell,
-            result.v_g1,
-            result.v_g2_or_charlie_star,
-            result.correction,
-            result.branch_probability,
-            result.fidelity,
-        )
+        bell, bits_map, v_g1, aux, op, p, f = result
+        key = (bell, v_g1, aux, op, p, f)
         head, middle, tail = leaves.get(key) or leaf_parts(key)
-        first, second = bits % pick(result.classical_bits.values()), int_repr(k)
-        if counter_first:
-            first, second = second, first
         # Joined, not %-formatted: the % writer over-allocates the line and
         # then shrinks it, which fragments the heap (+0.1 MiB peak RSS over
         # 4096 records).
-        return "".join((head, first, middle, second, tail))
+        return "".join((head, bits % pick(bits_map.values()), middle, repr(k), tail))
 
     return encode
 
@@ -341,29 +305,39 @@ def _record_encoder(constants: dict, counter: str, labels: tuple[str, ...]):
 def _run_records(config: RunConfig):
     """The lines of a ``run``: one record per trial or branch, and for an
     enumeration a summary record last."""
-    from .protocol import _measurement_plan, iter_branches, run_recovery
+    from .protocol import iter_branches, run_recovery
 
     sizes, designee = config.sizes, config.designee
     secret = resolve_secret(config)
-    # The helpers' labels in plan order, which is the order of classical_bits.
-    labels = tuple(role.label for role, _ in _measurement_plan(sizes, designee))
+    if config.mode == "sample":
+        counter = "trial"
+        results = (
+            run_recovery(sizes, designee, secret, derived_rng(config.seed, _STREAM_TRIAL, k))
+            for k in range(config.trials)
+        )
+    else:
+        # Records stream as the walk reaches each branch.
+        counter = "branch"
+        results = iter_branches(sizes, designee, secret)
+    # The first result raises what fails a run, the branch limit, before
+    # anything else is built, and its bits name the helpers in plan order.
+    first = next(results)
+    labels = tuple(role.label for role in first.classical_bits)
     context = {
         "designee": designee.role.label,
         "charlie_star": designee.charlie_star,
         "secret": _secret_fields(secret),
     }
+    encode = _record_encoder(_base_record(config, counter) | context, counter, labels)
+    results = itertools.chain((first,), results)
     if config.mode == "sample":
-        encode = _record_encoder(_base_record(config, "trial") | context, "trial", labels)
-        for k in range(config.trials):
-            rng = derived_rng(config.seed, _STREAM_TRIAL, k)
-            yield encode(k, run_recovery(sizes, designee, secret, rng))
+        for k, result in enumerate(results):
+            yield encode(k, result)
         return
-    # Records stream as the walk reaches each branch; the summary is
-    # accumulated on the way, in the order the branches come.
-    encode = _record_encoder(_base_record(config, "branch") | context, "branch", labels)
+    # The summary is accumulated in the order the branches come.
     branches, probability_sum = 0, 0
     min_fidelity, max_fidelity = math.inf, -math.inf
-    for result in iter_branches(sizes, designee, secret):
+    for result in results:
         yield encode(branches, result)
         branches += 1
         probability_sum += result.branch_probability
@@ -432,7 +406,7 @@ def execute(config: RunConfig) -> int:
     if config.output_path:
         with open(config.output_path, "w") as handle:
             try:
-                _emit(lines, handle)
+                handle.writelines(lines)
             except BaseException:
                 # A run that fails later leaves no partial file.  A path that
                 # names the regular file written goes.  A regular file reached
@@ -448,7 +422,7 @@ def execute(config: RunConfig) -> int:
                 raise
         return 0
     try:
-        _emit(lines, sys.stdout)
+        sys.stdout.writelines(lines)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout.  Python flushes stdout again at exit;
@@ -456,10 +430,6 @@ def execute(config: RunConfig) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise
     return 0
-
-
-def _emit(lines, handle) -> None:
-    handle.writelines(lines)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -270,6 +270,12 @@ def _agent_qubit(sizes: PartySizes, role: Role) -> int:
     return sizes.m + role.index - 1
 
 
+def _helper_count(sizes: PartySizes, designee: Designee) -> int:
+    """How many helpers ``_measurement_plan`` lists: the Bobs but a Bob
+    designee, and charlie*; or every agent but a Charlie designee."""
+    return sizes.m if designee.role.grade == "bob" else sizes.m + sizes.n - 1
+
+
 def _measurement_plan(sizes: PartySizes, designee: Designee) -> list[tuple[Role, MeasBasis]]:
     if designee.role.grade == "bob":
         plan = [
@@ -562,13 +568,13 @@ def iter_branches(
     The designee and the branch limit are checked when the first branch is
     requested, so a failing enumeration raises before it yields anything.
     """
-    table = _leaf_table(sizes, designee, secret)
-    total = len(BellOutcome) * 2 ** len(table.index)
-    if total > branch_limit:
-        raise BranchLimitError(
-            f"{total} branches exceed the limit of {branch_limit}"
-        )
-    yield from table.branches()
+    check_designee(sizes, designee)
+    # 4 * 2**helpers branches, checked before the table is built and without
+    # building that number: 2**k > limit exactly when k >= limit.bit_length().
+    exponent = 2 + _helper_count(sizes, designee)
+    if exponent >= branch_limit.bit_length():
+        raise BranchLimitError(f"2**{exponent} branches exceed the limit of {branch_limit}")
+    yield from _leaf_table(sizes, designee, secret).branches()
 
 
 def enumerate_branches(

@@ -222,7 +222,11 @@ MAX_TRIALS = 2**63 - 1
 
 
 def _uint32_words(value: int) -> list[int]:
-    """SeedSequence's uint32 words of a nonnegative int, least significant first."""
+    """SeedSequence's uint32 words of a nonnegative int, least significant
+    first.  A negative int raises ValueError, as in numpy: its shifts never
+    reach 0."""
+    if value < 0:
+        raise ValueError("expected non-negative integer")
     words = [value & _MASK32]
     while value := value >> 32:
         words.append(value & _MASK32)

@@ -17,6 +17,8 @@ from hqis.protocol import (
     CorrectionOp,
     Designee,
     Role,
+    _helper_count,
+    _walk_steps,
     agent_marginal,
     enumerate_branches,
     iter_branches,
@@ -585,6 +587,14 @@ def test_sampled_trial_memory_follows_the_support():
         tracemalloc.stop()
     assert result.fidelity == pytest.approx(1.0, abs=1e-12)
     assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("m, n", list(itertools.product((1, 2, 3, 4), repeat=2)))
+def test_helper_count_is_the_walks(m, n):
+    # iter_branches checks its limit on this count, before the walk exists.
+    sizes = PartySizes(m, n)
+    for designee in all_designees(sizes):
+        assert _helper_count(sizes, designee) == len(_walk_steps(sizes, designee)[1])
 
 
 def test_iter_branches_checks_before_the_first_branch():

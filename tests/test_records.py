@@ -2,8 +2,9 @@
 
 ``_oracle_record`` builds a trial or branch record as a dict, and each line
 the CLI emits must equal ``json.dumps`` of that dict with the records'
-settings, byte for byte.  The CLI itself never builds the dict: it fills a
-template encoded once per run.
+settings, byte for byte.  The CLI builds the dict once per distinct leaf,
+with slots for the helpers' bits and the counter, and encodes it with
+``cli._dumps``; a record only fills in those two slots.
 """
 
 import hashlib
@@ -152,6 +153,29 @@ def test_stdout_keeps_its_pinned_bytes(capsys, command):
     assert main(command.split()) == 0
     stdout = capsys.readouterr().out.encode()
     assert hashlib.sha256(stdout).hexdigest() == PINNED_STDOUT_SHA256[command]
+
+
+def test_dumps_encodes_each_distinct_leaf_once(monkeypatch, capsys):
+    calls = []
+
+    def counting_dumps(value):
+        calls.append(value)
+        return dumps(value)
+
+    dumps = cli._dumps
+    monkeypatch.setattr(cli, "_dumps", counting_dumps)
+    argv = "run --mode sample --m 3 --n 3 --designee charlie:2 --trials 1000 --seed 17"
+    assert main(argv.split()) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(records) == 1000
+    fields = ("bell", "v_g1", "v_g2_or_charlie_star", "correction", "branch_probability",
+              "fidelity")
+    leaves = {tuple(record[field] for field in fields) for record in records}
+    leaf_dicts = [value for value in calls if isinstance(value, dict) and "fidelity" in value]
+    assert len(leaf_dicts) == len(leaves) > 1
+    # No call encodes a whole record: each leaf dict holds a slot, not a
+    # value, for the helpers' bits and for the counter.
+    assert all(leaf["bits"] == leaf["trial"] == "\0" for leaf in leaf_dicts)
 
 
 SAMPLE_ARGV = ["run", "--m", "2", "--n", "2", "--designee", "charlie:1", "--trials", "5"]

@@ -2,7 +2,11 @@
 ziggurat and multinomial give numpy's draws bit for bit, so every seed keeps
 its secret, its trials and its check tallies."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,35 @@ SEEDS = st.one_of(
     st.just(2**64 - 1), st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)
 )
 PATH_WORDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64))
+
+
+# A negative word as the seed, the purpose or a path word, each beside the
+# SeedSequence arguments numpy refuses for it.
+NEGATIVE_WORDS = [
+    ("from hqis.qstate import Stream", "Stream(-1, 1)", dict(entropy=-1, spawn_key=(1,))),
+    ("from hqis.qstate import Stream", "Stream(0, -1)", dict(entropy=0, spawn_key=(-1,))),
+    ("from hqis.qstate import Stream", "Stream(0, 1, 7, -1)", dict(entropy=0, spawn_key=(1, 7, -1))),
+    ("from hqis.cli import derived_rng", "derived_rng(0, 1, -1)", dict(entropy=0, spawn_key=(1, -1))),
+]
+
+
+@pytest.mark.parametrize("imports, call, seed_sequence", NEGATIVE_WORDS)
+def test_a_negative_word_is_refused_as_numpy_refuses_it(imports, call, seed_sequence):
+    with pytest.raises(ValueError) as refused:
+        np.random.SeedSequence(**seed_sequence)
+    # A child process, capped at 1 GiB of address space and ten seconds: a
+    # stream that loops on a negative word grows a list at about 1 GB/s.
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        f"{imports}\n"
+        f"{call}\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(qstate.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=10)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == f"ValueError: {refused.value}"
 
 
 def _numpy_rng(seed, *path):
