@@ -36,13 +36,13 @@ of at most 4 entries with ``qstate._contract_support``, after the pending
 signs are applied, as is the designee's leaf.  So a class path (the Bell
 outcome, each run's parity, each contracted outcome) fixes the state, the
 branch probability, the correction and the fidelity, and there are at most
-4·2³ of them.  The table keeps one node per class path reached, with its
-contracted children, and one scored leaf: a run makes at most one
-contraction per table node, and a trial makes none once its path has been
-reached, at any m and n.  ``agent_marginal`` reads the
-post-Bell support of the whole register, so no path of this module builds
-a dense register; the :mod:`hqis.dense` operations, and the qubit-by-qubit
-support walk kept in the tests, are the oracles the tests compare with.
+4·2³ of them.  The table is the whole tree of class paths, built once per
+run when the run starts: one contraction per outcome of a contracted step
+and one per scored leaf, and none per trial or branch, at any m and n.
+``agent_marginal`` reads the post-Bell support of the whole register, so no
+path of this module builds a dense register; the :mod:`hqis.dense`
+operations, and the qubit-by-qubit support walk kept in the tests, are the
+oracles the tests compare with.
 """
 
 import functools
@@ -294,14 +294,14 @@ def _measurement_plan(sizes: PartySizes, designee: Designee) -> list[tuple[Role,
     return plan
 
 
-@functools.lru_cache(maxsize=64)
 def _walk_steps(
     sizes: PartySizes, designee: Designee
 ) -> tuple[tuple[tuple, ...], dict[Role, int], int, tuple[int, int]]:
     """The helpers' measurements as segments on the class register, plus
-    each helper's position in the plan, how many of them are Bobs (a prefix
-    of the plan), and the leaf register's size and the designee's axis in
-    it.  Raises ValueError unless the designee exists at ``sizes``.
+    each helper's position in the plan, how many of the segments measure
+    Bobs (a prefix of the plan, so of the segments), and the leaf register's
+    size and the designee's axis in it.  Raises ValueError unless the
+    designee exists at ``sizes``.
 
     The class register holds one qubit per grade still in play, the Bobs'
     first: after the Bell measurement every Bob's bit equals one bit a and
@@ -320,7 +320,7 @@ def _walk_steps(
     plan = _measurement_plan(sizes, designee)
     members = {"bob": sizes.m, "charlie": sizes.n}
     register = ["bob", "charlie"]
-    segments = []
+    segments, bobs = [], 0
     for role, basis in plan:
         members[role.grade] -= 1
         axis = register.index(role.grade)
@@ -333,8 +333,9 @@ def _walk_steps(
         else:
             segments.append((qstate._BASIS_BRAS[basis], len(register), axis))
             register.remove(role.grade)
+        if role.grade == "bob":
+            bobs = len(segments)
     index = {role: position for position, (role, _) in enumerate(plan)}
-    bobs = sum(role.grade == "bob" for role in index)
     return tuple(segments), index, bobs, (len(register), register.index(designee.role.grade))
 
 
@@ -388,104 +389,71 @@ def _signed(pairs, signs: int):
     return [(index, -amp if (index & signs).bit_count() & 1 else amp) for index, amp in pairs]
 
 
-class _Children(dict):
-    """The children of one contracted measurement, outcome -> (prob, post),
-    each contracted the first time it is looked up: a sampled trial computes
-    no child past the one it draws, and no child twice."""
-
-    def __init__(self, pairs, qubits: int, bras, axis: int):
-        super().__init__()
-        self.pairs, self.qubits, self.bras, self.axis = pairs, qubits, bras, axis
-
-    def __missing__(self, outcome):
-        child = self[outcome] = qstate._contract_support(
-            self.pairs, self.qubits, self.bras[outcome], self.axis
-        )
-        return child
-
-
 class _LeafTable:
-    """One run's class-keyed measurement tree, filled in as the walk first
-    reaches each part of it.
+    """One run's class-keyed measurement tree, built whole when the run starts.
 
-    A node is keyed by its class path, one byte per step: Alice's Bell
-    outcome, then each run's parity and each contracted step's outcome.  A
-    run's outcomes differ only in their signs, so the path fixes the support,
-    its pending signs, the probability and both parities, and every helper
-    bit string with that path shares one leaf.  ``nodes`` holds the children
-    ``(prob, post)`` of the Bell step (``_bell_children``, at ``b""``) and of
-    each contracted step reached; ``leaves`` holds one scored leaf per path
-    reached, ``(bell, v_g1, aux, op, branch_probability, fidelity)``, at most
-    4·2³ of them.  A lookup fills in only what it misses, so a run makes at
-    most one contraction per node, and a trial none once its path has been
-    reached.
+    A node is a tuple of ``(prob, child)`` pairs, one per outcome of its
+    step, ``child`` ``None`` for an impossible outcome: Alice's four Bell
+    outcomes at the root, then per segment a run's two parities (1/2 per
+    step each) or a contracted step's outcomes.  The children of the last
+    segment are the scored leaves ``(bell, v_g1, aux, op,
+    branch_probability, fidelity)``, at most 4·2³ of them, each shared by
+    every helper bit string with its parities and contracted outcomes.  The
+    build makes one contraction per outcome of a contracted step and one per
+    leaf; a trial or a branch only descends the tree.
     """
 
     def __init__(self, sizes: PartySizes, designee: Designee, secret: SecretState):
-        self.segments, self.index, self.bobs, (self.leaf_qubits, self.designee_axis) = (
+        self.segments, self.index, self.bob_segments, (self.leaf_qubits, self.designee_axis) = (
             _walk_steps(sizes, designee)
         )
         self.secret = secret
         self.bob_designee = designee.charlie_star is not None
-        self.nodes = {b"": _bell_children(secret)}
-        self.leaves = {}
+        self.root = tuple(
+            (p, None if post is None else self._build(0, bell, post, 0, p, 0))
+            for bell, (p, post) in zip(_BELL_OUTCOMES, _bell_children(secret))
+        )
 
-    def _state(self, path: bytes):
-        """(pairs, signs, prob) at the end of a path the walk has reached:
-        the support, the class phases not yet applied to it, and the path's
-        probability, multiplied out step by step as the walk took them."""
-        if len(path) == 1:
-            prob, pairs = self.nodes[b""][path[0]]
-            return pairs, 0, prob
-        pairs, signs, prob = self._state(path[:-1])
-        bras, *place = self.segments[len(path) - 2]
-        if bras is None:
-            shift, count = place
-            return pairs, signs ^ path[-1] << shift, prob * 0.5**count
-        p, post = self.nodes[path[:-1]][path[-1]]
-        return tuple(post), 0, prob * p
-
-    def _children(self, path: bytes) -> _Children:
-        """The children of the contracted step at the end of ``path``."""
-        children = self.nodes.get(path)
-        if children is None:
-            pairs, signs, _ = self._state(path)
-            bras, qubits, axis = self.segments[len(path) - 1]
-            children = self.nodes[path] = _Children(_signed(pairs, signs), qubits, bras, axis)
-        return children
-
-    def _leaf(self, path: bytes, bits: bytes) -> tuple:
-        """The scored leaf at ``path``, which ``bits`` reached.
-
-        The designee applies the table correction G, picked by the Bell
-        outcome and the parities of the Bobs' and the Charlies' bits.  The
-        recovery fidelity is the sum over the values of the qubits still held
-        of |<xi|G|u>|², u being the designee's 2-vector for that value: the
-        probability of contracting ``_recovery_bra`` against the designee's
-        qubit.
+    def _build(self, depth: int, bell: BellOutcome, pairs, signs: int, prob: float, parities: int):
+        """The node of segment ``depth``, or the leaf past the last segment,
+        on the support ``pairs`` with the class phases ``signs`` pending,
+        reached with probability ``prob``; bit 0 of ``parities`` is the
+        Bobs' parity, bit 1 the other helpers'.  A leaf's fidelity is the
+        probability of contracting ``_recovery_bra``, <xi|G, against the
+        designee's qubit, G being the table correction its parities pick.
         """
-        leaf = self.leaves.get(path)
-        if leaf is None:
-            pairs, signs, prob = self._state(path)
-            bell = _BELL_OUTCOMES[path[0]]
-            v_g1 = bits.count(1, 0, self.bobs) & 1
-            # charlie*'s bit for a Bob designee, the other Charlies' parity for a Charlie.
-            aux = bits.count(1, self.bobs) & 1
+        if depth == len(self.segments):
+            # aux is charlie*'s bit for a Bob designee, the other Charlies' parity for a Charlie.
+            v_g1, aux = parities & 1, parities >> 1
             if self.bob_designee:
                 op = BOB_CORRECTIONS[bell, v_g1 ^ aux]
             else:
                 op = CHARLIE_CORRECTIONS[bell, v_g1, aux]
+            bra = _recovery_bra(self.secret, op)
             fidelity, _ = qstate._contract_support(
-                _signed(pairs, signs),
-                self.leaf_qubits,
-                _recovery_bra(self.secret, op),
-                self.designee_axis,
+                _signed(pairs, signs), self.leaf_qubits, bra, self.designee_axis
             )
-            leaf = self.leaves[path] = (bell, v_g1, aux, op, prob, min(fidelity, 1.0))
-        return leaf
+            return bell, v_g1, aux, op, prob, min(fidelity, 1.0)
+        # Each outcome as (prob, support, pending signs): a run's parity only
+        # flips signs, a contracted outcome applies them.
+        bras, *place = self.segments[depth]
+        if bras is None:
+            shift, count = place
+            outcomes = [(0.5**count, pairs, signs ^ bit << shift) for bit in (0, 1)]
+        else:
+            qubits, axis = place
+            signed = _signed(pairs, signs)
+            outcomes = [(*qstate._contract_support(signed, qubits, bra, axis), 0) for bra in bras]
+        grade = int(depth >= self.bob_segments)
+        return tuple(
+            (p, None if post is None else self._build(
+                depth + 1, bell, post, pending, prob * p, parities ^ bit << grade
+            ))
+            for bit, (p, post, pending) in enumerate(outcomes)
+        )
 
-    def result(self, path: bytes, bits: bytes) -> TrialResult:
-        bell, v_g1, aux, op, prob, fidelity = self._leaf(path, bits)
+    def result(self, leaf: tuple, bits: bytes) -> TrialResult:
+        bell, v_g1, aux, op, prob, fidelity = leaf
         return TrialResult(bell, _HelperBits(self.index, bits), v_g1, aux, op, prob, fidelity)
 
     def sample(self, draws) -> TrialResult:
@@ -495,21 +463,18 @@ class _LeafTable:
         has probability 1/2 exactly."""
         # float.__le__ gives a bool for a list's floats and an ndarray's np.float64 alike.
         heads = bytes(map((0.5).__le__, draws))
-        bell = self.nodes[b""]
-        outcome, _, _ = qstate._sample_outcome(bell.__getitem__, len(bell), draws[0])
-        path, bits = bytes((outcome,)), b""
+        _, _, node = qstate._sample_outcome(self.root.__getitem__, len(self.root), draws[0])
+        bits = b""
         for bras, *place in self.segments:
             start = 1 + len(bits)
             if bras is None:
                 run = heads[start : start + place[1]]
-                outcome = run.count(1) & 1
+                _, node = node[run.count(1) & 1]
             else:
-                children = self._children(path)
-                outcome, _, _ = qstate._sample_outcome(children.__getitem__, len(bras), draws[start])
+                outcome, _, node = qstate._sample_outcome(node.__getitem__, len(node), draws[start])
                 run = bytes((outcome,))
-            path += bytes((outcome,))
             bits += run
-        return self.result(path, bits)
+        return self.result(node, bits)
 
     def branches(self):
         """Every possible branch, outcome 0 first at every step, so in
@@ -517,24 +482,22 @@ class _LeafTable:
         segments, at most three whatever m and n."""
         segments = self.segments
 
-        def descend(path, bits, depth):
+        def descend(node, bits, depth):
             if depth == len(segments):
-                yield self.result(path, bits)
+                yield self.result(node, bits)
                 return
             bras, *place = segments[depth]
             if bras is None:
                 for run in map(bytes, itertools.product((0, 1), repeat=place[1])):
-                    yield from descend(path + bytes((run.count(1) & 1,)), bits + run, depth + 1)
+                    yield from descend(node[run.count(1) & 1][1], bits + run, depth + 1)
                 return
-            children = self._children(path)
-            for outcome in range(len(bras)):
-                if children[outcome][1] is not None:
-                    step = bytes((outcome,))
-                    yield from descend(path + step, bits + step, depth + 1)
+            for outcome, (_, child) in enumerate(node):
+                if child is not None:
+                    yield from descend(child, bits + bytes((outcome,)), depth + 1)
 
-        for outcome, (_, post) in enumerate(self.nodes[b""]):
-            if post is not None:
-                yield from descend(bytes((outcome,)), b"", 0)
+        for _, child in self.root:
+            if child is not None:
+                yield from descend(child, b"", 0)
 
 
 @functools.lru_cache(maxsize=64)

@@ -14,6 +14,7 @@ here are still served, and load it the first time one of them is used.
 
 import functools
 import math
+import operator
 import os
 from collections import namedtuple
 from enum import Enum
@@ -224,7 +225,9 @@ MAX_TRIALS = 2**63 - 1
 def _uint32_words(value: int) -> list[int]:
     """SeedSequence's uint32 words of a nonnegative int, least significant
     first.  A negative int raises ValueError, as in numpy: its shifts never
-    reach 0."""
+    reach 0.  A numpy int is taken as the Python int it equals, and a float
+    raises TypeError."""
+    value = operator.index(value)
     if value < 0:
         raise ValueError("expected non-negative integer")
     words = [value & _MASK32]
@@ -332,7 +335,8 @@ class Stream:
     __slots__ = ("state", "inc")
 
     def __init__(self, seed: int, purpose: int, *path: int):
-        pool, const = _seeded_pool(seed, purpose)
+        # As ints before the cache, which would take 1.0 for the key 1.
+        pool, const = _seeded_pool(operator.index(seed), operator.index(purpose))
         if path:
             pool, _ = _mix_in(pool, const, [w for k in path for w in _uint32_words(k)])
         self.state, self.inc = _pcg64_seed(pool)

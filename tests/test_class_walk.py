@@ -187,8 +187,11 @@ def _tree_nodes(sizes, designee):
     return sum(4 * 2**depth for depth in range(len(segments) + 1)) + 4 * 2 ** len(segments)
 
 
-def _table_size(table):
-    return len(table.nodes) + len(table.leaves)
+def _leaves(node, depth):
+    """The leaves ``depth`` levels below ``node`` in a leaf table's tree."""
+    if depth == 0:
+        return [node]
+    return [leaf for _, child in node if child is not None for leaf in _leaves(child, depth - 1)]
 
 
 @pytest.mark.parametrize("grade", ["bob", "charlie"])
@@ -203,41 +206,28 @@ def test_contractions_per_trial_do_not_grow_with_the_party_count(grade, monkeypa
     monkeypatch.setattr(qstate, "_contract_support", counting)
     secret = SecretState(0.6, 0.8j)
     designee = Designee.bob(2, 1) if grade == "bob" else Designee.charlie(2)
-    first, repeat = {}, {}
+    built = {}
     for size in (3, 300):
         sizes = PartySizes(size, size)
-        # A draw of 0.25 stops at outcome 0 of the contracted step, 0.75 goes on to 1.
+        run_recovery(sizes, designee, secret, _FixedDraws(0.25))  # the Bell children cached
+        protocol._leaf_table.cache_clear()
+        calls.clear()
+        table = protocol._leaf_table(sizes, designee, secret)
+        built[size] = len(calls)
+        assert built[size] <= _tree_nodes(sizes, designee)
+        segments, _, _, _ = protocol._walk_steps(sizes, designee)
+        assert len(_leaves(table.root, 1 + len(segments))) == 4 * 2 ** len(segments)
+        # A draw of 0.25 stops at outcome 0 of each contracted step, 0.75 goes on to 1.
         for value in (0.25, 0.75):
-            run_recovery(sizes, designee, secret, _FixedDraws(value))  # the Bell children cached
-            protocol._leaf_table.cache_clear()
-            calls.clear()
             run_recovery(sizes, designee, secret, _FixedDraws(value))
-            first[size, value] = len(calls)
-            calls.clear()
-            run_recovery(sizes, designee, secret, _FixedDraws(value))
-            repeat[size, value] = len(calls)
-    # The first trial down a path contracts its step and scores its leaf;
-    # a repeat reads the table.
-    assert first[3, 0.25] == first[300, 0.25] == 2
-    assert first[3, 0.75] == first[300, 0.75] == 3
-    assert set(repeat.values()) == {0}
-
-    sizes = PartySizes(300, 300)
-    protocol._leaf_table.cache_clear()
-    protocol._bell_children.cache_clear()
-    calls.clear()
-    rng = np.random.default_rng(5)
-    for _ in range(1000):
-        run_recovery(sizes, designee, secret, rng)
-    table = protocol._leaf_table(sizes, designee, secret)
-    size = _table_size(table)
-    for _ in range(9000):
-        run_recovery(sizes, designee, secret, rng)
-    assert _table_size(table) == size
-    assert len(table.leaves) == 4 * 2 ** len(protocol._walk_steps(sizes, designee)[0])
-    # Once each: the Bell children, both children of each contracted step, each leaf.
-    assert len(calls) == 4 + 2 * (len(table.nodes) - 1) + len(table.leaves)
-    assert len(calls) <= _tree_nodes(sizes, designee)
+        rng = np.random.default_rng(5)
+        for _ in range(10000):
+            run_recovery(sizes, designee, secret, rng)
+        assert len(calls) == built[size]
+    # The build contracts each contracted step's two children and scores each
+    # leaf, 4 * (2 * 2 + 2 * 2) under bob:2 and 4 * (2 * 2 + 2 * 2 * 2) under
+    # charlie:2, at any m and n; every trial after it reads the table.
+    assert built[3] == built[300] == {"bob": 32, "charlie": 48}[grade]
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (3, 3), (5, 6)])

@@ -780,18 +780,17 @@ def test_closed_stdout_ends_with_one_error_line():
     # 20000 records are far more than a pipe buffers, so writing outlives the reader.
     argv = ["run", "--m", "2", "--n", "2", "--designee", "charlie:1", "--trials", "20000"]
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "hqis.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
-    )
-    try:
-        assert json.loads(proc.stdout.readline())["record"] == "trial"
-        proc.stdout.close()
-        err = proc.stderr.read().decode()
-        assert proc.wait(timeout=60) == 1
-    finally:
-        proc.kill()
-        proc.wait()
+    ) as proc:
+        try:
+            assert json.loads(proc.stdout.readline())["record"] == "trial"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 1
+        finally:
+            proc.kill()
     assert err.splitlines() == ["error: [Errno 32] Broken pipe"], err

@@ -18,10 +18,20 @@ from hqis.adversary import Scenario, correlation_check
 from hqis.channel import PartySizes
 from hqis.qstate import SecretState, Stream
 
-SEEDS = st.one_of(
-    st.just(2**64 - 1), st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)
+# Words past 2**64 and 2**128, bools, and numpy ints, which numpy takes as the ints they equal.
+WIDE_WORDS = st.one_of(
+    st.integers(2**64, 2**128 - 1),
+    st.integers(2**128, 2**200),
+    st.booleans(),
+    st.integers(0, 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.integers(0, 255).map(np.uint8),
 )
-PATH_WORDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64))
+SEEDS = st.one_of(
+    st.just(2**64 - 1), st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1), WIDE_WORDS
+)
+PURPOSES = st.one_of(st.integers(0, 2), WIDE_WORDS)
+PATH_WORDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64), WIDE_WORDS)
 
 
 # A negative word as the seed, the purpose or a path word, each beside the
@@ -60,7 +70,7 @@ def _numpy_rng(seed, *path):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(
     seed=SEEDS,
-    purpose=st.integers(0, 2),
+    purpose=PURPOSES,
     path=st.lists(PATH_WORDS, max_size=2),
     count=st.integers(0, 12),
 )
@@ -68,6 +78,20 @@ def test_random_is_numpys(seed, purpose, path, count):
     stream, reference = Stream(seed, purpose, *path), _numpy_rng(seed, purpose, *path)
     assert stream.random(count) == reference.random(count).tolist()
     assert stream.random() == reference.random()
+
+
+@pytest.mark.parametrize("words", [(3.0, 1), (3, 1.0), (3, 1, 7.0)])
+def test_a_float_word_is_refused_even_after_its_int_is_cached(words):
+    seed, *spawn_key = words
+    with pytest.raises(TypeError):
+        np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
+    qstate._seeded_pool.cache_clear()
+    ints = [int(word) for word in words]
+    for _ in range(2):
+        # The cache takes 3.0 for the key 3, so this holds only if the check precedes it.
+        with pytest.raises(TypeError):
+            Stream(*words)
+        Stream(*ints).random()
 
 
 _PCG_INVERSE = pow(qstate._PCG_MULT, -1, 2**128)
