@@ -12,6 +12,7 @@ tests compare with, and is still served here.
 """
 
 import functools
+import operator
 from collections import namedtuple
 from enum import Enum
 
@@ -25,9 +26,12 @@ __getattr__ = _from_dense(__name__, {"build_scenario_state"})
 MAX_ROUNDS = MAX_TRIALS
 
 
-def _check_rounds(rounds: int) -> None:
+def _check_rounds(rounds: int) -> int:
+    """``rounds`` as an int: TypeError on a float, ValueError outside 1..MAX_ROUNDS."""
+    rounds = operator.index(rounds)
     if not 1 <= rounds <= MAX_ROUNDS:
         raise ValueError(f"rounds must be in 1..{MAX_ROUNDS}, got {rounds}")
+    return rounds
 
 
 class Scenario(Enum):
@@ -114,14 +118,15 @@ def correlation_check(
     channel module's pairs.  The tallies read only how many rounds fell on
     each support entry, and those counts are one multinomial(rounds, probs)
     draw, so time and memory grow neither with ``rounds`` nor with m + n.
-    ``rounds`` must lie in 1..``MAX_ROUNDS`` and ``threshold`` in [0, 1], or
-    ValueError is raised.  A multinomial draws nothing for a zero-probability
-    category, so a seed gives the same counts as a multinomial over every
-    amplitude of the dense state.  A :class:`hqis.qstate.Stream` and a numpy
-    Generator in the same state draw the same counts, by the same algorithm.
-    Nothing here is dense, so the register cap does not apply.
+    ``rounds`` must be an int in 1..``MAX_ROUNDS`` (TypeError on a float) and
+    ``threshold`` in [0, 1], or ValueError is raised.  A multinomial draws
+    nothing for a zero-probability category, so a seed gives the same counts
+    as a multinomial over every amplitude of the dense state.  A
+    :class:`hqis.qstate.Stream` and a numpy Generator in the same state draw
+    the same counts, by the same algorithm.  Nothing here is dense, so the
+    register cap does not apply.
     """
-    _check_rounds(rounds)
+    rounds = _check_rounds(rounds)
     if not 0.0 <= threshold <= 1.0:  # NaN fails this comparison too
         raise ValueError(f"threshold must be a number in [0, 1], got {threshold!r}")
     probs, bits = _outcomes(sizes, scenario)
@@ -166,7 +171,7 @@ def exact_detection_probability(
 def missed_detection_probability(sizes: PartySizes, rounds: int) -> float:
     """Chance that `rounds` independent check rounds all fail to flag an attack.
 
-    ``rounds`` must lie in 1..``MAX_ROUNDS``, as for :func:`correlation_check`.
+    ``rounds`` must be an int in 1..``MAX_ROUNDS``, as for :func:`correlation_check`.
     """
-    _check_rounds(rounds)
+    rounds = _check_rounds(rounds)
     return (1.0 - exact_detection_probability(sizes)) ** rounds

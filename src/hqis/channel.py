@@ -12,6 +12,7 @@ are still served here.
 """
 
 import functools
+import operator
 from collections import namedtuple
 
 from .qstate import SecretState, _from_dense
@@ -29,6 +30,7 @@ class PartySizes(namedtuple("PartySizes", "m n")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __new__(cls, m: int, n: int):
+        m, n = operator.index(m), operator.index(n)  # TypeError on a float
         if m < 1 or n < 1:
             raise ValueError(f"need at least one agent per grade, got m={m}, n={n}")
         return super().__new__(cls, m, n)

@@ -30,10 +30,13 @@ exactly 50/50, and its only effect is the sign (-1)^(outcome·a), or
 (-1)^(outcome·c): the Pauli-measurement rule for stabilizer states.  So a
 run of such steps is a factor 1/2 per step and a parity bit for the class,
 its outcomes are ``draw >= 0.5`` when sampled, and the state is not touched.
-The one step that measures the last member of a class (the last Bob under a
-Charlie designee), or charlie* under a Bob designee, is a real contraction
-of at most 4 entries with ``qstate._contract_support``, after the pending
-signs are applied, as is the designee's leaf.  So a class path (the Bell
+So the designee's grade fixes the whole walk (``_walk_steps``).  A Bob
+designee's is a run of the other Bobs, then charlie*'s |0>/|1>; a Charlie
+designee's is a run of all Bobs but the last, the last Bob's |+>/|->, then a
+run of the other Charlies.  The one step that is not a run is a real
+contraction of at most 4 entries with ``qstate._contract_support``, after the
+pending signs are applied.  It leaves one qubit, the designee's class, which
+the leaf contracts with the recovery bra.  So a class path (the Bell
 outcome, each run's parity, each contracted outcome) fixes the state, the
 branch probability, the correction and the fidelity, and there are at most
 4·2³ of them.  The table is the whole tree of class paths, built once per
@@ -47,6 +50,7 @@ oracles the tests compare with.
 
 import functools
 import itertools
+import operator
 from collections import namedtuple
 from collections.abc import Mapping
 from enum import Enum
@@ -72,6 +76,7 @@ class Role(namedtuple("Role", "grade index")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __new__(cls, grade: str, index: int = 0):
+        index = operator.index(index)  # TypeError on a float
         if grade not in ("alice", "bob", "charlie"):
             raise ValueError(f"unknown grade {grade!r}")
         if grade == "alice":
@@ -109,6 +114,7 @@ class Designee(namedtuple("Designee", "role charlie_star")):
         if role.grade == "bob":
             if charlie_star is None:
                 raise ValueError("a Bob designee needs a charlie-star index")
+            charlie_star = operator.index(charlie_star)
         elif role.grade == "charlie":
             if charlie_star is not None:
                 raise ValueError("charlie-star only applies to Bob designees")
@@ -271,72 +277,37 @@ def _agent_qubit(sizes: PartySizes, role: Role) -> int:
 
 
 def _helper_count(sizes: PartySizes, designee: Designee) -> int:
-    """How many helpers ``_measurement_plan`` lists: the Bobs but a Bob
-    designee, and charlie*; or every agent but a Charlie designee."""
+    """How many helpers ``_walk_steps`` plans: the Bobs but a Bob designee,
+    and charlie*; or every agent but a Charlie designee."""
     return sizes.m if designee.role.grade == "bob" else sizes.m + sizes.n - 1
 
 
-def _measurement_plan(sizes: PartySizes, designee: Designee) -> list[tuple[Role, MeasBasis]]:
-    if designee.role.grade == "bob":
-        plan = [
-            (Role.bob(i), MeasBasis.PLUS_MINUS)
-            for i in range(1, sizes.m + 1)
-            if i != designee.role.index
-        ]
-        plan.append((Role.charlie(designee.charlie_star), MeasBasis.COMPUTATIONAL))
-        return plan
-    plan = [(Role.bob(i), MeasBasis.PLUS_MINUS) for i in range(1, sizes.m + 1)]
-    plan.extend(
-        (Role.charlie(j), MeasBasis.PLUS_MINUS)
-        for j in range(1, sizes.n + 1)
-        if j != designee.role.index
-    )
-    return plan
-
-
-def _walk_steps(
-    sizes: PartySizes, designee: Designee
-) -> tuple[tuple[tuple, ...], dict[Role, int], int, tuple[int, int]]:
-    """The helpers' measurements as segments on the class register, plus
-    each helper's position in the plan, how many of the segments measure
-    Bobs (a prefix of the plan, so of the segments), and the leaf register's
-    size and the designee's axis in it.  Raises ValueError unless the
+def _walk_steps(sizes: PartySizes, designee: Designee) -> tuple[tuple[tuple, ...], dict[Role, int]]:
+    """The helpers' measurements as segments on the class register (a, c),
+    plus each helper's position in the plan.  Raises ValueError unless the
     designee exists at ``sizes``.
 
-    The class register holds one qubit per grade still in play, the Bobs'
-    first: after the Bell measurement every Bob's bit equals one bit a and
-    every Charlie's one bit c.  A segment is one of:
-
-    * ``(None, shift, count)``: ``count`` |+>/|-> measurements in a row on a
-      class that keeps another member.  Each has probability 1/2 exactly,
-      and its outcome only flips the sign of the entries whose class bit, at
-      ``shift`` in the register index, is set.
-    * ``(bras, qubits, axis)``: one measurement contracted on the register,
-      which then drops that class: the measured helper was its last member,
-      or (charlie*) its computational outcome leaves the idle Charlies in a
-      product state that no later step reads.
+    A segment is ``(grade, bras, count)``, ``grade`` 0 for Bobs and 1 for
+    the other helpers.  ``bras`` is ``None`` for a run of ``count`` |+>/|->
+    steps on a class that keeps another member, each 1/2 exactly, whose
+    outcome flips the sign of class bit ``1 - grade``: the Bobs' runs come
+    before the contraction, the Charlies' after it, on (c) alone.  Otherwise
+    the segment is the one step contracted on (a, c) at axis ``grade``:
+    charlie*'s |0>/|1> under a Bob designee (its outcome leaves the idle
+    Charlies in a product state no later step reads), or the last Bob's
+    |+>/|-> under a Charlie designee.  Empty runs are dropped.
     """
     check_designee(sizes, designee)
-    plan = _measurement_plan(sizes, designee)
-    members = {"bob": sizes.m, "charlie": sizes.n}
-    register = ["bob", "charlie"]
-    segments, bobs = [], 0
-    for role, basis in plan:
-        members[role.grade] -= 1
-        axis = register.index(role.grade)
-        if basis is MeasBasis.PLUS_MINUS and members[role.grade]:
-            shift = len(register) - 1 - axis
-            if segments and segments[-1][:2] == (None, shift):
-                segments[-1] = (None, shift, segments[-1][2] + 1)
-            else:
-                segments.append((None, shift, 1))
-        else:
-            segments.append((qstate._BASIS_BRAS[basis], len(register), axis))
-            register.remove(role.grade)
-        if role.grade == "bob":
-            bobs = len(segments)
-    index = {role: position for position, (role, _) in enumerate(plan)}
-    return tuple(segments), index, bobs, (len(register), register.index(designee.role.grade))
+    plan = [role for role in map(Role.bob, range(1, sizes.m + 1)) if role != designee.role]
+    segments = [(0, None, sizes.m - 1)]
+    if designee.charlie_star is not None:
+        plan.append(Role.charlie(designee.charlie_star))
+        segments.append((1, qstate._BASIS_BRAS[MeasBasis.COMPUTATIONAL], 1))
+    else:
+        plan += [role for role in map(Role.charlie, range(1, sizes.n + 1)) if role != designee.role]
+        segments += [(0, qstate._BASIS_BRAS[MeasBasis.PLUS_MINUS], 1), (1, None, sizes.n - 1)]
+    index = {role: position for position, role in enumerate(plan)}
+    return tuple(segment for segment in segments if segment[2]), index
 
 
 @functools.lru_cache(maxsize=64)
@@ -393,20 +364,20 @@ class _LeafTable:
     """One run's class-keyed measurement tree, built whole when the run starts.
 
     A node is a tuple of ``(prob, child)`` pairs, one per outcome of its
-    step, ``child`` ``None`` for an impossible outcome: Alice's four Bell
-    outcomes at the root, then per segment a run's two parities (1/2 per
-    step each) or a contracted step's outcomes.  The children of the last
-    segment are the scored leaves ``(bell, v_g1, aux, op,
-    branch_probability, fidelity)``, at most 4·2³ of them, each shared by
-    every helper bit string with its parities and contracted outcomes.  The
-    build makes one contraction per outcome of a contracted step and one per
-    leaf; a trial or a branch only descends the tree.
+    step, ``child`` ``None`` for an impossible outcome, as
+    ``qstate._sample_outcome`` takes them: Alice's four Bell outcomes at the
+    root, then per segment of ``_walk_steps`` a run's two parities (1/2 per
+    step each) or the contracted step's two outcomes.  The children of the
+    last segment are the scored leaves ``(bell, v_g1, aux, op,
+    branch_probability, fidelity)``, at most 4·2³ of them, ``v_g1`` the
+    parity of the grade-0 segments' outcomes and ``aux`` that of the
+    grade-1 ones, each leaf shared by every helper bit string with those
+    parities.  The build makes one contraction per outcome of the contracted
+    step and one per leaf; a trial or a branch only descends the tree.
     """
 
     def __init__(self, sizes: PartySizes, designee: Designee, secret: SecretState):
-        self.segments, self.index, self.bob_segments, (self.leaf_qubits, self.designee_axis) = (
-            _walk_steps(sizes, designee)
-        )
+        self.segments, self.index = _walk_steps(sizes, designee)
         self.secret = secret
         self.bob_designee = designee.charlie_star is not None
         self.root = tuple(
@@ -420,7 +391,8 @@ class _LeafTable:
         reached with probability ``prob``; bit 0 of ``parities`` is the
         Bobs' parity, bit 1 the other helpers'.  A leaf's fidelity is the
         probability of contracting ``_recovery_bra``, <xi|G, against the
-        designee's qubit, G being the table correction its parities pick.
+        designee's class, the one qubit left, G being the table correction
+        its parities pick.
         """
         if depth == len(self.segments):
             # aux is charlie*'s bit for a Bob designee, the other Charlies' parity for a Charlie.
@@ -430,21 +402,16 @@ class _LeafTable:
             else:
                 op = CHARLIE_CORRECTIONS[bell, v_g1, aux]
             bra = _recovery_bra(self.secret, op)
-            fidelity, _ = qstate._contract_support(
-                _signed(pairs, signs), self.leaf_qubits, bra, self.designee_axis
-            )
+            fidelity, _ = qstate._contract_support(_signed(pairs, signs), 1, bra, 0)
             return bell, v_g1, aux, op, prob, min(fidelity, 1.0)
         # Each outcome as (prob, support, pending signs): a run's parity only
         # flips signs, a contracted outcome applies them.
-        bras, *place = self.segments[depth]
+        grade, bras, count = self.segments[depth]
         if bras is None:
-            shift, count = place
-            outcomes = [(0.5**count, pairs, signs ^ bit << shift) for bit in (0, 1)]
+            outcomes = [(0.5**count, pairs, signs ^ bit << (1 - grade)) for bit in (0, 1)]
         else:
-            qubits, axis = place
             signed = _signed(pairs, signs)
-            outcomes = [(*qstate._contract_support(signed, qubits, bra, axis), 0) for bra in bras]
-        grade = int(depth >= self.bob_segments)
+            outcomes = [(*qstate._contract_support(signed, 2, bra, grade), 0) for bra in bras]
         return tuple(
             (p, None if post is None else self._build(
                 depth + 1, bell, post, pending, prob * p, parities ^ bit << grade
@@ -459,19 +426,19 @@ class _LeafTable:
     def sample(self, draws) -> TrialResult:
         """The branch ``draws`` pick, one draw per measurement in plan order,
         Alice's first: ``qstate._sample_outcome`` for the Bell step and the
-        contracted steps, and ``draw >= 0.5`` for each step of a run, which
+        contracted step, and ``draw >= 0.5`` for each step of a run, which
         has probability 1/2 exactly."""
         # float.__le__ gives a bool for a list's floats and an ndarray's np.float64 alike.
         heads = bytes(map((0.5).__le__, draws))
-        _, _, node = qstate._sample_outcome(self.root.__getitem__, len(self.root), draws[0])
+        _, _, node = qstate._sample_outcome(self.root, draws[0])
         bits = b""
-        for bras, *place in self.segments:
+        for _, bras, count in self.segments:
             start = 1 + len(bits)
             if bras is None:
-                run = heads[start : start + place[1]]
+                run = heads[start : start + count]
                 _, node = node[run.count(1) & 1]
             else:
-                outcome, _, node = qstate._sample_outcome(node.__getitem__, len(node), draws[start])
+                outcome, _, node = qstate._sample_outcome(node, draws[start])
                 run = bytes((outcome,))
             bits += run
         return self.result(node, bits)
@@ -486,9 +453,9 @@ class _LeafTable:
             if depth == len(segments):
                 yield self.result(node, bits)
                 return
-            bras, *place = segments[depth]
+            _, bras, count = segments[depth]
             if bras is None:
-                for run in map(bytes, itertools.product((0, 1), repeat=place[1])):
+                for run in map(bytes, itertools.product((0, 1), repeat=count)):
                     yield from descend(node[run.count(1) & 1][1], bits + run, depth + 1)
                 return
             for outcome, (_, child) in enumerate(node):
@@ -528,14 +495,15 @@ def iter_branches(
 ):
     """Yield the branches of :func:`enumerate_branches` as the walk reaches them.
 
-    The designee and the branch limit are checked when the first branch is
-    requested, so a failing enumeration raises before it yields anything.
+    The designee and the branch limit, an int, are checked when the first
+    branch is requested, so a failing enumeration raises before it yields
+    anything.
     """
     check_designee(sizes, designee)
     # 4 * 2**helpers branches, checked before the table is built and without
     # building that number: 2**k > limit exactly when k >= limit.bit_length().
     exponent = 2 + _helper_count(sizes, designee)
-    if exponent >= branch_limit.bit_length():
+    if exponent >= operator.index(branch_limit).bit_length():
         raise BranchLimitError(f"2**{exponent} branches exceed the limit of {branch_limit}")
     yield from _leaf_table(sizes, designee, secret).branches()
 

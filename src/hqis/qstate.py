@@ -1,10 +1,10 @@
 """Support-only state core: one contraction, one sampling rule, one stream.
 
 The protocol's runs hold each state as its support, ``(basis index,
-amplitude)`` pairs plus the qubit count, measured with
-:func:`_contract_support` and sampled with :func:`_sample_outcome` from the
-draws of a :class:`Stream`, numpy's seeded generator reproduced in plain
-Python.  Qubit 0 sits at the most significant bit of the index.  This module
+amplitude)`` pairs plus the qubit count.  :func:`_contract_support` measures
+it, once per outcome when a run starts, and :func:`_sample_outcome` picks one
+of those ``(prob, post)`` children by one draw of a :class:`Stream`, numpy's
+seeded generator reproduced in plain Python.  Qubit 0 sits at the most significant bit of the index.  This module
 also owns the register cap, the tolerances and the measurement bases' bras,
 and imports no numpy.  The dense :class:`StateVector` layer, the oracle the
 support runtime is tested against, lives in :mod:`hqis.dense` with the gate
@@ -185,20 +185,18 @@ def _contract_support(
     return prob, [(key, c / norm) for key, c in coeffs.items()]
 
 
-def _sample_outcome(branch, count: int, draw: float):
-    """Pick one of the ``count`` outcomes of a measurement by a uniform
-    ``draw`` in [0, 1), given ``branch(outcome)`` that returns
-    ``(prob, post)``, ``post`` ``None`` for an impossible outcome.  Returns
-    ``(outcome, prob, post)``.
+def _sample_outcome(children, draw: float):
+    """Pick one outcome of a measurement by a uniform ``draw`` in [0, 1),
+    given ``children``, its ``(prob, post)`` pairs in outcome order, ``post``
+    ``None`` for an impossible outcome.  Returns ``(outcome, prob, post)``.
 
-    Walks the cumulative probability of the possible outcomes in order, and
-    computes no branch past the one drawn; a draw past the last sum, which
+    Walks the cumulative probability of the possible outcomes in order and
+    stops at the first sum past the draw; a draw past the last sum, which
     only rounding allows, takes the last possible outcome.
     """
     cumulative = 0.0
     drawn = None
-    for outcome in range(count):
-        prob, post = branch(outcome)
+    for outcome, (prob, post) in enumerate(children):
         if post is None:
             continue
         drawn = outcome, prob, post
@@ -364,12 +362,10 @@ class Stream:
         self.state = state
         return draws
 
-    def normal(self, size: int | None = None) -> "float | list[float]":
-        """A standard normal, or a list of ``size`` of them, as
-        ``Generator.normal(0.0, 1.0, size)``: ``0.0 + 1.0 * x``, which turns
-        a -0.0 into 0.0 as numpy's ``loc + scale * x`` does."""
-        if size is None:
-            return 0.0 + 1.0 * self._standard_normal()
+    def normal(self, size: int) -> list[float]:
+        """A list of ``size`` standard normals, as ``Generator.normal(0.0,
+        1.0, size)``: ``0.0 + 1.0 * x``, which turns a -0.0 into 0.0 as
+        numpy's ``loc + scale * x`` does."""
         return [0.0 + 1.0 * self._standard_normal() for _ in range(size)]
 
     def _standard_normal(self) -> float:

@@ -1,5 +1,5 @@
-"""Shared test oracles, built with raw numpy so they stay independent of the
-operations they check."""
+"""Shared test oracles, built with raw numpy or written out by hand so they
+stay independent of the operations they check."""
 
 import numpy as np
 
@@ -47,3 +47,17 @@ def random_secrets(count: int, seed: int):
 
     rng = np.random.default_rng(seed)
     return [SecretState.haar_random(rng) for _ in range(count)]
+
+
+def _reference_plan(sizes, designee):
+    """Helper measurements in protocol order, written out independently."""
+    from hqis.protocol import Role
+    from hqis.qstate import MeasBasis
+
+    plus_minus = MeasBasis.PLUS_MINUS
+    bobs = [Role.bob(i) for i in range(1, sizes.m + 1) if Role.bob(i) != designee.role]
+    if designee.role.grade == "bob":
+        star = Role.charlie(designee.charlie_star)
+        return [(r, plus_minus) for r in bobs] + [(star, MeasBasis.COMPUTATIONAL)]
+    charlies = [Role.charlie(j) for j in range(1, sizes.n + 1) if Role.charlie(j) != designee.role]
+    return [(r, plus_minus) for r in bobs + charlies]

@@ -14,7 +14,7 @@ from hqis.adversary import (
     missed_detection_probability,
 )
 from hqis.channel import PartySizes, make_channel, make_fake_channel
-from hqis.qstate import MeasBasis, RegisterCapError, project
+from hqis.qstate import MeasBasis, RegisterCapError, Stream, project
 
 ALL_SIZES = list(itertools.product((1, 2, 3), repeat=2))
 
@@ -139,6 +139,26 @@ def test_rounds_must_be_positive():
         # The closed form takes the same bound, with the same message.
         with pytest.raises(ValueError, match=rf"^rounds must be in 1\.\.{2**63 - 1}, got {rounds}$"):
             missed_detection_probability(PartySizes(1, 1), rounds)
+
+
+def test_a_fractional_round_count_is_refused():
+    sizes = PartySizes(2, 2)
+    with pytest.raises(TypeError):
+        correlation_check(sizes, Scenario.INTERCEPT_RESEND, 2.5, Stream(0, 2))
+    with pytest.raises(TypeError):
+        missed_detection_probability(sizes, 2.5)
+
+
+def test_a_numpy_round_count_gives_the_plain_int_result():
+    sizes = PartySizes(2, 2)
+    stats = correlation_check(sizes, Scenario.INTERCEPT_RESEND, np.int64(7), Stream(0, 2))
+    assert stats == correlation_check(sizes, Scenario.INTERCEPT_RESEND, 7, Stream(0, 2))
+    assert type(stats.rounds) is int
+    for rate in (*stats.alice_bob_match_rates, stats.charlie_group_consistent_rate):
+        assert type(rate) is float
+    missed = missed_detection_probability(sizes, np.int64(7))
+    assert type(missed) is float
+    assert missed == missed_detection_probability(sizes, 7)
 
 
 @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -0.1, 1.5])

@@ -11,7 +11,7 @@ probability and fidelity within 1e-12 (a run of |+>/|-> steps is an exact
 
 import numpy as np
 import pytest
-from conftest import random_secrets
+from conftest import _reference_plan, random_secrets
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,7 +39,7 @@ def _support_walk_steps(sizes, designee):
     bell_bras = tuple(qstate._BELL_BRAS[outcome] for outcome in BellOutcome)
     steps = [(Role.alice(), 1 + sizes.channel_qubits, protocol._SECRET_QUBIT, bell_bras)]
     register = list(range(sizes.m + sizes.n))
-    for role, basis in protocol._measurement_plan(sizes, designee):
+    for role, basis in _reference_plan(sizes, designee):
         q = protocol._agent_qubit(sizes, role)
         steps.append((role, len(register), register.index(q), qstate._BASIS_BRAS[basis]))
         register.remove(q)
@@ -58,13 +58,11 @@ def _support_walk(pairs, steps, rng=None):
             continue
         _, num_qubits, axis, bras = steps[len(outcomes)]
 
-        def child(outcome):
-            return qstate._contract_support(pairs, num_qubits, bras[outcome], axis)
-
+        contracted = [qstate._contract_support(pairs, num_qubits, bra, axis) for bra in bras]
         if rng is None:
-            children = [(outcome, *child(outcome)) for outcome in reversed(range(len(bras)))]
+            children = [(outcome, *contracted[outcome]) for outcome in reversed(range(len(bras)))]
         else:
-            children = [qstate._sample_outcome(child, len(bras), rng.random())]
+            children = [qstate._sample_outcome(contracted, rng.random())]
         stack.extend(
             (post, prob * p, outcomes + (outcome,))
             for outcome, p, post in children
@@ -183,7 +181,7 @@ def _tree_nodes(sizes, designee):
     """The nodes of the class-keyed tree: the Bell step's four children, two
     children per node at each segment (a run's parity or a contracted step's
     outcome), and the designee's scoring under each leaf."""
-    segments, _, _, _ = protocol._walk_steps(sizes, designee)
+    segments, _ = protocol._walk_steps(sizes, designee)
     return sum(4 * 2**depth for depth in range(len(segments) + 1)) + 4 * 2 ** len(segments)
 
 
@@ -215,7 +213,7 @@ def test_contractions_per_trial_do_not_grow_with_the_party_count(grade, monkeypa
         table = protocol._leaf_table(sizes, designee, secret)
         built[size] = len(calls)
         assert built[size] <= _tree_nodes(sizes, designee)
-        segments, _, _, _ = protocol._walk_steps(sizes, designee)
+        segments, _ = protocol._walk_steps(sizes, designee)
         assert len(_leaves(table.root, 1 + len(segments))) == 4 * 2 ** len(segments)
         # A draw of 0.25 stops at outcome 0 of each contracted step, 0.75 goes on to 1.
         for value in (0.25, 0.75):
@@ -240,7 +238,7 @@ def test_sampled_trials_equal_enumerated_branches_exactly(grade, m, n):
         (branch.bell, tuple(branch.classical_bits.values())): branch
         for branch in enumerate_branches(sizes, designee, secret)
     }
-    # The trials fill a table of their own, in the order their draws reach it.
+    # The trials read a table of their own, built whole before the first draw.
     protocol._leaf_table.cache_clear()
     for seed in range(200):
         result = run_recovery(sizes, designee, secret, derived_rng(seed, 1, 0))

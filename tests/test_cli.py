@@ -692,7 +692,7 @@ def test_oversized_enumeration_exits_2_before_building_anything(monkeypatch, cap
         raise AssertionError("built before the branch limit was checked")
 
     monkeypatch.setattr(protocol, "_leaf_table", unbuilt)
-    monkeypatch.setattr(protocol, "_measurement_plan", unbuilt)
+    monkeypatch.setattr(protocol, "_walk_steps", unbuilt)
     argv = ["run", "--mode", "enumerate", "--m", "20000", "--n", "1", "--designee", "charlie:1"]
     assert main(argv) == 2
     captured = capsys.readouterr()

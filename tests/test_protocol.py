@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import random_secrets
+from conftest import _reference_plan, random_secrets
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -464,17 +464,6 @@ def test_sampled_branch_frequencies_match_enumeration():
 
 # --- the prefix-sharing walk against the per-leaf reference ---
 
-def _reference_plan(sizes, designee):
-    """Helper measurements in protocol order, written out independently."""
-    plus_minus = MeasBasis.PLUS_MINUS
-    bobs = [Role.bob(i) for i in range(1, sizes.m + 1) if Role.bob(i) != designee.role]
-    if designee.role.grade == "bob":
-        star = Role.charlie(designee.charlie_star)
-        return [(r, plus_minus) for r in bobs] + [(star, MeasBasis.COMPUTATIONAL)]
-    charlies = [Role.charlie(j) for j in range(1, sizes.n + 1) if Role.charlie(j) != designee.role]
-    return [(r, plus_minus) for r in bobs + charlies]
-
-
 def _reference_qubit(sizes, role):
     # register order after the Bell projection dropped S and A: Bobs, then Charlies
     return role.index - 1 if role.grade == "bob" else sizes.m + role.index - 1
@@ -594,7 +583,21 @@ def test_helper_count_is_the_walks(m, n):
     # iter_branches checks its limit on this count, before the walk exists.
     sizes = PartySizes(m, n)
     for designee in all_designees(sizes):
-        assert _helper_count(sizes, designee) == len(_walk_steps(sizes, designee)[1])
+        segments, index = _walk_steps(sizes, designee)
+        assert _helper_count(sizes, designee) == len(index)
+        assert list(index) == [role for role, _ in _reference_plan(sizes, designee)]
+        assert list(index.values()) == list(range(len(index)))
+        assert sum(count for _, _, count in segments) == _helper_count(sizes, designee)
+
+
+def test_a_branch_limit_must_be_an_int():
+    sizes, designee = PartySizes(2, 2), Designee.charlie(1)
+    with pytest.raises(TypeError):
+        enumerate_branches(sizes, designee, SECRETS[3], branch_limit=100.0)
+    expected = enumerate_branches(sizes, designee, SECRETS[3], branch_limit=100)
+    assert enumerate_branches(sizes, designee, SECRETS[3], branch_limit=np.int64(100)) == expected
+    with pytest.raises(BranchLimitError, match="exceed the limit of 8$"):
+        enumerate_branches(sizes, designee, SECRETS[3], branch_limit=np.int64(8))
 
 
 def test_iter_branches_checks_before_the_first_branch():

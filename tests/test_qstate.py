@@ -197,9 +197,8 @@ def test_plus_minus_equals_hadamard_then_computational(seed, n, data):
 def _sample(pairs, num_qubits, q, bras, rng):
     """One sampled measurement as the protocol's walk makes it:
     ``_sample_outcome`` over ``_contract_support`` branches, one per bra."""
-    outcome, _, _ = qstate._sample_outcome(
-        lambda o: qstate._contract_support(pairs, num_qubits, bras[o], q), len(bras), rng.random()
-    )
+    children = [qstate._contract_support(pairs, num_qubits, bra, q) for bra in bras]
+    outcome, _, _ = qstate._sample_outcome(children, rng.random())
     return outcome
 
 

@@ -249,8 +249,8 @@ def test_normal_is_numpys_on_every_ziggurat_path():
                 word = (rabs << 1 | sign) << 8 | idx
                 start = ((word - inc) * _PCG_INVERSE) & qstate._MASK128
                 for draw, numpy_draw in (
-                    ("normal", "normal"),
-                    ("_standard_normal", "standard_normal"),
+                    (lambda s: s.normal(1)[0], lambda rng: rng.normal(size=1).tolist()[0]),
+                    (Stream._standard_normal, np.random.Generator.standard_normal),
                 ):
                     stream = Stream(0, 0)
                     stream.state, stream.inc = start, inc
@@ -260,8 +260,8 @@ def test_normal_is_numpys_on_every_ziggurat_path():
                         "has_uint32": 0,
                         "uinteger": 0,
                     }
-                    x = getattr(stream, draw)()
-                    assert repr(x) == repr(getattr(reference, numpy_draw)()), (idx, rabs, sign)
+                    x = draw(stream)
+                    assert repr(x) == repr(numpy_draw(reference)), (idx, rabs, sign)
                     assert stream.state == reference.bit_generator.state["state"]["state"]
                 steps = _steps(start, stream.state, inc)
                 if rabs < ki[idx]:

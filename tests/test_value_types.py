@@ -4,13 +4,14 @@ and its validation, whatever class machinery builds it."""
 
 import pickle
 
+import numpy as np
 import pytest
 
 from hqis.adversary import CheckStats, Scenario
 from hqis.channel import PartySizes
 from hqis.cli import RunConfig
-from hqis.protocol import CorrectionOp, Designee, Role, TrialResult
-from hqis.qstate import BellOutcome, SecretState
+from hqis.protocol import CorrectionOp, Designee, Role, TrialResult, run_recovery
+from hqis.qstate import BellOutcome, SecretState, Stream
 
 # One value of each type, built by keyword, with its repr.
 VALUES = [
@@ -151,3 +152,36 @@ def test_a_changed_copy_is_validated_like_a_new_value(build, message):
     with pytest.raises(ValueError) as caught:
         build()
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Role("bob", 1.5),
+        lambda: Role.charlie(2.0),
+        lambda: Role.bob(1)._replace(index=1.0),
+        lambda: Designee.bob(1, 1.0),
+        lambda: PartySizes(1.5, 2),
+        lambda: PartySizes(2, 2)._replace(n=2.0),
+    ],
+    ids=["role", "role-helper", "role-replace", "charlie-star", "sizes", "sizes-replace"],
+)
+def test_a_fractional_size_or_index_is_refused_when_built(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_a_fractional_designee_never_reaches_a_run():
+    with pytest.raises(TypeError):
+        run_recovery(
+            PartySizes(3, 2), Designee(Role("bob", 1.5), 1), SecretState(1, 0), Stream(0, 1)
+        )
+
+
+def test_numpy_int_fields_come_back_as_int():
+    sizes = PartySizes(np.int64(2), np.uint8(3))
+    role = Role("charlie", np.int64(2))
+    designee = Designee(Role.bob(np.int32(1)), np.int64(3))
+    for field in (*sizes, role.index, designee.role.index, designee.charlie_star):
+        assert type(field) is int
+    assert (sizes, role, designee) == (PartySizes(2, 3), Role.charlie(2), Designee.bob(1, 3))
