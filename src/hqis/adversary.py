@@ -6,7 +6,9 @@ but cuts the link to Alice, so sacrificed rounds of computational-basis
 comparison expose her: each Alice-vs-Bob comparison mismatches with
 probability 1/2 per round.
 
-The checks work on the joint state's support alone.  The dense joint state,
+The checks work on the joint state's support alone, on the class register:
+every delivered Bob holds one bit and every Charlie another, so neither
+check's cost grows with m + n.  The dense joint state,
 ``build_scenario_state``, lives in :mod:`hqis.dense` as the reference the
 tests compare with, and is still served here.
 """
@@ -16,7 +18,7 @@ import operator
 from collections import namedtuple
 from enum import Enum
 
-from .channel import PartySizes, _channel_support, _fake_channel_support
+from .channel import _CLASSES, PartySizes, _channel_support, _fake_channel_support
 from .qstate import MAX_TRIALS, _from_dense
 
 __getattr__ = _from_dense(__name__, {"build_scenario_state"})
@@ -47,57 +49,31 @@ class CheckStats(namedtuple("CheckStats", "rounds alice_bob_match_rates"
     __slots__ = ()
 
 
-def _delivered_qubits(sizes: PartySizes, scenario: Scenario) -> tuple[int, list[int], list[int]]:
-    """(alice qubit, delivered Bob qubits, delivered Charlie qubits)."""
-    if scenario is Scenario.HONEST:
-        offset = 1
+def _check_scenario(scenario) -> Scenario:
+    """``scenario``, or TypeError unless it is a :class:`Scenario` member."""
+    if not isinstance(scenario, Scenario):
+        raise TypeError(f"scenario must be a Scenario, got {scenario!r}")
+    return scenario
+
+
+@functools.cache
+def _outcomes(scenario: Scenario):
+    """``(probs, bits)``: each class-register support entry's probability and
+    computational bits ``(alice, bob, charlie)``, the channel's 4 when honest
+    and those times the fake channel's 4 under attack, in the index order of
+    :func:`hqis.dense.build_scenario_state` at any size.  Every amplitude is
+    +-1/2 or a product of two, so the probabilities are exact and sum to 1."""
+    pairs = _channel_support(_CLASSES)
+    if _check_scenario(scenario) is Scenario.HONEST:
+        entries = [(index >> 2, index, amp) for index, amp in pairs]
     else:
-        offset = 1 + sizes.m + sizes.n
-    bobs = [offset + i for i in range(sizes.m)]
-    charlies = [offset + sizes.m + j for j in range(sizes.n)]
-    return 0, bobs, charlies
-
-
-def _joint_support(sizes: PartySizes, scenario: Scenario):
-    """(qubit count, (basis index, amplitude) pairs) of
-    :func:`hqis.dense.build_scenario_state`, in index order.
-
-    Built from the channel module's pairs: under attack the support is the
-    outer product of the channel's 4 and the fake channel's 4.
-    """
-    pairs = _channel_support(sizes)
-    total = sizes.channel_qubits
-    if scenario is Scenario.INTERCEPT_RESEND:
-        fake_qubits = sizes.m + sizes.n
-        pairs = [
-            (index << fake_qubits | fake_index, amp * fake_amp)
+        entries = [
+            (index >> 2, fake_index, amp * fake_amp)
             for index, amp in pairs
-            for fake_index, fake_amp in _fake_channel_support(sizes)
+            for fake_index, fake_amp in _fake_channel_support(_CLASSES)
         ]
-        total += fake_qubits
-    return total, pairs
-
-
-@functools.lru_cache(maxsize=64)
-def _outcomes(sizes: PartySizes, scenario: Scenario):
-    """Each support entry's probability and computational outcome bits:
-    ``(probs, ((alice bit, Bob bits, Charlie bits), ...))``.  Every amplitude
-    is +-1/2 or a product of two, so the probabilities are exact and sum to 1."""
-    total, pairs = _joint_support(sizes, scenario)
-    alice_q, bob_qs, charlie_qs = _delivered_qubits(sizes, scenario)
-
-    def bit(index, q):
-        return (index >> (total - 1 - q)) & 1
-
-    probs = tuple(abs(amp) ** 2 for _, amp in pairs)
-    bits = tuple(
-        (
-            bit(index, alice_q),
-            tuple(bit(index, q) for q in bob_qs),
-            tuple(bit(index, q) for q in charlie_qs),
-        )
-        for index, _ in pairs
-    )
+    probs = tuple(abs(amp) ** 2 for _, _, amp in entries)
+    bits = tuple((alice, agents >> 1 & 1, agents & 1) for alice, agents, _ in entries)
     return probs, bits
 
 
@@ -113,39 +89,30 @@ def correlation_check(
     Eve's retained block never enters the statistics, so it is left
     unmeasured.  All the measured observables commute, so each round is one
     draw from the outcome distribution of :func:`hqis.dense.build_scenario_state`.
-    That state is never built: its support is the outer product of the
-    factors' supports (4 entries honest, 16 under attack), taken from the
-    channel module's pairs.  The tallies read only how many rounds fell on
-    each support entry, and those counts are one multinomial(rounds, probs)
-    draw, so time and memory grow neither with ``rounds`` nor with m + n.
-    ``rounds`` must be an int in 1..``MAX_ROUNDS`` (TypeError on a float) and
-    ``threshold`` in [0, 1], or ValueError is raised.  A multinomial draws
-    nothing for a zero-probability category, so a seed gives the same counts
-    as a multinomial over every amplitude of the dense state.  A
+    That state is never built: the rounds are one multinomial(rounds, probs)
+    draw over its class-register support (``_outcomes``), which draws what
+    one over every dense amplitude does, as zero-probability categories draw
+    nothing.  Every Bob matches Alice in the same rounds, so time and memory
+    grow neither with ``rounds`` nor with m + n, apart from the m equal rates
+    returned.  ``rounds`` must be an int in 1..``MAX_ROUNDS`` (TypeError on
+    a float) and ``threshold`` in [0, 1], or ValueError is raised.  A
     :class:`hqis.qstate.Stream` and a numpy Generator in the same state draw
-    the same counts, by the same algorithm.  Nothing here is dense, so the
-    register cap does not apply.
+    the same counts.  Nothing here is dense, so the register cap does not apply.
     """
     rounds = _check_rounds(rounds)
     if not 0.0 <= threshold <= 1.0:  # NaN fails this comparison too
         raise ValueError(f"threshold must be a number in [0, 1], got {threshold!r}")
-    probs, bits = _outcomes(sizes, scenario)
-    counts = [int(count) for count in rng.multinomial(rounds, probs)]
+    probs, bits = _outcomes(scenario)
+    counts = rng.multinomial(rounds, probs)
+    matches = sum(int(count) for count, (alice, bob, _) in zip(counts, bits) if bob == alice)
 
-    bob_matches = [
-        sum(count for count, (alice, bobs, _) in zip(counts, bits) if bobs[k] == alice)
-        for k in range(sizes.m)
-    ]
-    charlies_agree = sum(
-        count for count, (_, _, charlies) in zip(counts, bits) if len(set(charlies)) == 1
-    )
-
-    match_rates = tuple(count / rounds for count in bob_matches)
+    match_rates = (matches / rounds,) * sizes.m
     rule = f"flag when any Alice-vs-Bob computational match rate drops below {threshold}"
     return CheckStats(
         rounds=rounds,
         alice_bob_match_rates=match_rates,
-        charlie_group_consistent_rate=charlies_agree / rounds,
+        # Both supports give every Charlie the same bit c, so they always agree.
+        charlie_group_consistent_rate=1.0,
         detected=any(rate < threshold for rate in match_rates),
         detection_rule=rule,
     )
@@ -157,15 +124,12 @@ def exact_detection_probability(
     """Per-round probability that some Alice-vs-Bob comparison mismatches.
 
     No sampling: one minus the total probability of the support entries of
-    :func:`hqis.dense.build_scenario_state` where Alice's bit equals every Bob's bit.
-    The support has 16 entries at most and no register is built, so the
-    register cap does not apply.
+    :func:`hqis.dense.build_scenario_state` where Alice's bit equals the Bobs'.
+    It reads the class register, so it is the same at every size, and builds
+    no register, so the register cap does not apply.
     """
-    probs, bits = _outcomes(sizes, scenario)
-    match_prob = sum(
-        p for p, (alice, bobs, _) in zip(probs, bits) if all(b == alice for b in bobs)
-    )
-    return 1.0 - match_prob
+    probs, bits = _outcomes(scenario)
+    return 1.0 - sum(p for p, (alice, bob, _) in zip(probs, bits) if bob == alice)
 
 
 def missed_detection_probability(sizes: PartySizes, rounds: int) -> float:

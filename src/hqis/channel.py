@@ -3,9 +3,11 @@
 The honest channel over (A, B-block, C-block) puts amplitude +1/2 on the
 basis states where the B bits track A and the C bits agree among themselves,
 with a minus sign on the all-ones string.  Those four (basis index,
-amplitude) pairs are the channel's support, built once per size by
-``_channel_support``; every support-only path takes the amplitudes from it.
-The dense builders (``make_channel``, ``make_fake_channel``, and
+amplitude) pairs are the channel's support, built by ``_channel_support``.
+Every Bob's bit is one bit a and every Charlie's one bit c, so the run-time
+paths read it only at ``_CLASSES``, one Bob and one Charlie standing for
+their classes: the class register (A, a, c).  Only :mod:`hqis.dense` builds
+it at full size.  The dense builders (``make_channel``, ``make_fake_channel``, and
 ``make_standard_form``, the same state built from its graph product form so
 tests can cross-check the two constructions) live in :mod:`hqis.dense`, and
 are still served here.
@@ -45,6 +47,10 @@ def _bits_index(bits: list[int]) -> int:
     for b in bits:
         idx = (idx << 1) | b
     return idx
+
+
+# One Bob and one Charlie, standing for their classes.
+_CLASSES = PartySizes(1, 1)
 
 
 @functools.lru_cache(maxsize=64)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import Scenario, _joint_support
+from .adversary import Scenario, _check_scenario
 from .channel import PartySizes, _channel_support, _fake_channel_support
 from .qstate import (
     _BASIS_BRAS,
@@ -253,14 +253,15 @@ def build_scenario_state(sizes: PartySizes, scenario: Scenario) -> StateVector:
 
     Honest: the channel itself.  Under attack: channel (Alice + Eve's
     captured block) tensored with the fake channel the agents receive.
-    Raises RegisterCapError when the combined register exceeds the cap.
-    ``adversary.correlation_check`` and ``adversary.exact_detection_probability``
-    work on this state's support alone; the dense state is kept as the
-    reference the tests compare with.
+    Raises RegisterCapError, before building anything, when the combined
+    register exceeds the cap, and TypeError unless ``scenario`` is a
+    :class:`hqis.adversary.Scenario`.  ``adversary.correlation_check`` and
+    ``adversary.exact_detection_probability`` work on this state's support
+    alone; the dense state is kept as the reference the tests compare with.
     """
-    total, _ = _joint_support(sizes, scenario)
-    _check_cap(total)
+    honest_only = _check_scenario(scenario) is Scenario.HONEST
+    _check_cap(sizes.channel_qubits + (0 if honest_only else sizes.m + sizes.n))
     honest = make_channel(sizes)
-    if scenario is Scenario.HONEST:
+    if honest_only:
         return honest
     return tensor(honest, make_fake_channel(sizes))

@@ -42,8 +42,8 @@ branch probability, the correction and the fidelity, and there are at most
 4·2³ of them.  The table is the whole tree of class paths, built once per
 run when the run starts: one contraction per outcome of a contracted step
 and one per scored leaf, and none per trial or branch, at any m and n.
-``agent_marginal`` reads the post-Bell support of the whole register, so no
-path of this module builds a dense register; the :mod:`hqis.dense`
+``agent_marginal`` reads the same Bell children, so no path of this module
+builds a dense register or reads a support at full size; the :mod:`hqis.dense`
 operations, and the qubit-by-qubit support walk kept in the tests, are the
 oracles the tests compare with.
 """
@@ -56,7 +56,7 @@ from collections.abc import Mapping
 from enum import Enum
 
 from . import qstate
-from .channel import PartySizes, SecretState, _channel_support
+from .channel import _CLASSES, PartySizes, SecretState, _channel_support
 from .qstate import BellOutcome, MeasBasis, ResourceLimitError
 
 DEFAULT_BRANCH_LIMIT = 2**20
@@ -269,13 +269,6 @@ def check_designee(sizes: PartySizes, designee: Designee) -> None:
         raise ValueError(f"charlie-star {star} out of range 1..{sizes.n}")
 
 
-def _agent_qubit(sizes: PartySizes, role: Role) -> int:
-    """Qubit index of an agent after the Bell measurement dropped S and A."""
-    if role.grade == "bob":
-        return role.index - 1
-    return sizes.m + role.index - 1
-
-
 def _helper_count(sizes: PartySizes, designee: Designee) -> int:
     """How many helpers ``_walk_steps`` plans: the Bobs but a Bob designee,
     and charlie*; or every agent but a Charlie designee."""
@@ -311,20 +304,6 @@ def _walk_steps(sizes: PartySizes, designee: Designee) -> tuple[tuple[tuple, ...
 
 
 @functools.lru_cache(maxsize=64)
-def _whole_support(sizes: PartySizes, secret: SecretState) -> tuple[tuple[int, complex], ...]:
-    """The secret qubit S joined to the channel's support, in index order.
-
-    Pure and immutable, so repeated trials can share one join.
-    """
-    shift = sizes.channel_qubits
-    return tuple(
-        (s_bit << shift | index, complex(s_amp) * amp)
-        for s_bit, s_amp in enumerate((secret.alpha, secret.beta))
-        for index, amp in _channel_support(sizes)
-    )
-
-
-@functools.lru_cache(maxsize=64)
 def _bell_children(secret: SecretState) -> tuple[tuple[float, tuple | None], ...]:
     """Alice's Bell measurement of (S, A) on the class register: the
     probability and post-Bell support of each outcome, in ``BellOutcome``
@@ -335,8 +314,12 @@ def _bell_children(secret: SecretState) -> tuple[tuple[float, tuple | None], ...
     same contraction on the whole (2+m+n)-qubit support, so the numbers are
     too.
     """
-    # One Bob and one Charlie: the register (S, A, a, c).
-    whole = _whole_support(PartySizes(1, 1), secret)
+    # The secret qubit S joined to the class register: (S, A, a, c).
+    whole = tuple(
+        (s_bit << _CLASSES.channel_qubits | index, complex(s_amp) * amp)
+        for s_bit, s_amp in enumerate((secret.alpha, secret.beta))
+        for index, amp in _channel_support(_CLASSES)
+    )
     children = (
         qstate._contract_support(whole, 4, qstate._BELL_BRAS[outcome], _SECRET_QUBIT)
         for outcome in BellOutcome
@@ -527,19 +510,18 @@ def agent_marginal(
 ) -> "numpy.ndarray":
     """Single-qubit density matrix an agent holds right after Alice's broadcast.
 
-    A partial trace over the post-Bell support: the entries that differ only
-    in the agent's bit make up one 2-vector of the agent's amplitudes, and
-    the matrix is the sum of those vectors' outer products.
+    A partial trace over the Bell child on the class register (a, c): the
+    entries that differ only in the agent's class bit make up one 2-vector,
+    and the matrix is the sum of those vectors' outer products.  A class with
+    another member keeps its copy of the bit, so each vector is one entry.
     """
     import numpy as np
 
     _check_role(sizes, agent)
-    whole = _whole_support(sizes, secret)
-    _, post = qstate._contract_support(
-        whole, 1 + sizes.channel_qubits, qstate._BELL_BRAS[bell], _SECRET_QUBIT
-    )
-    shift = sizes.m + sizes.n - 1 - _agent_qubit(sizes, agent)
+    _, post = _bell_children(secret)[_BELL_OUTCOMES.index(bell)]
+    shift, alone = (1, sizes.m == 1) if agent.grade == "bob" else (0, sizes.n == 1)
+    keep = ~(alone << shift)  # the agent's bit leaves the key only with its last copy
     vectors = {}
     for index, amp in post:
-        vectors.setdefault(index & ~(1 << shift), np.zeros(2, complex))[index >> shift & 1] += amp
+        vectors.setdefault(index & keep, np.zeros(2, complex))[index >> shift & 1] += amp
     return sum(np.outer(vec, vec.conj()) for vec in vectors.values())

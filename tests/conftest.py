@@ -61,3 +61,21 @@ def _reference_plan(sizes, designee):
         return [(r, plus_minus) for r in bobs] + [(star, MeasBasis.COMPUTATIONAL)]
     charlies = [Role.charlie(j) for j in range(1, sizes.n + 1) if Role.charlie(j) != designee.role]
     return [(r, plus_minus) for r in bobs + charlies]
+
+
+def _reference_qubit(sizes, role):
+    # register order after the Bell projection dropped S and A: Bobs, then Charlies
+    return role.index - 1 if role.grade == "bob" else sizes.m + role.index - 1
+
+
+def _reference_whole_support(sizes, secret):
+    """The secret qubit S joined to the channel's four terms, as (basis index,
+    amplitude) pairs over (S, A, Bobs, Charlies) in index order, written out
+    by hand."""
+    m, n = sizes.m, sizes.n
+    terms = ((0, 0, 0.5), (0, 1, 0.5), (1, 0, 0.5), (1, 1, -0.5))
+    return [
+        (bits_index([s_bit] + [a_bit] * (1 + m) + [c_bit] * n), complex(s_amp) * complex(amp))
+        for s_bit, s_amp in enumerate((secret.alpha, secret.beta))
+        for a_bit, c_bit, amp in terms
+    ]

@@ -7,7 +7,6 @@ import pytest
 from hqis.adversary import (
     CheckStats,
     Scenario,
-    _delivered_qubits,
     build_scenario_state,
     correlation_check,
     exact_detection_probability,
@@ -169,6 +168,16 @@ def test_check_rejects_threshold_outside_unit_interval(threshold):
         )
 
 
+def _delivered_qubits(sizes, scenario):
+    """(alice qubit, delivered Bob qubits, delivered Charlie qubits) in the
+    joint register: the channel's agents when honest, the fake channel's
+    under attack."""
+    offset = 1 if scenario is Scenario.HONEST else 1 + sizes.m + sizes.n
+    bobs = [offset + i for i in range(sizes.m)]
+    charlies = [offset + sizes.m + j for j in range(sizes.n)]
+    return 0, bobs, charlies
+
+
 def _dense_correlation_check(sizes, scenario, rounds, rng, threshold=0.99):
     """Reference: one multinomial draw over every amplitude of the joint
     state, the tallies read off each basis index's count."""
@@ -252,6 +261,35 @@ def test_honest_check_memory_does_not_grow_with_the_register():
         tracemalloc.stop()
     assert stats.alice_bob_match_rates == (1.0,) * 10
     assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_check_cost_does_not_grow_with_the_party_count(scenario):
+    # Warm the per-scenario support, then check m=n=10**4: each support
+    # index there would be a 20001-bit int, and the joint register 40001 qubits.
+    correlation_check(PartySizes(1, 1), scenario, 10, np.random.default_rng(0))
+    sizes = PartySizes(10**4, 10**4)
+    tracemalloc.start()
+    try:
+        stats = correlation_check(sizes, scenario, 10, np.random.default_rng(3))
+        exact = exact_detection_probability(sizes, scenario)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(stats.alice_bob_match_rates) == 10**4
+    assert exact == (0.5 if scenario is Scenario.INTERCEPT_RESEND else 0.0)
+    assert peak < 2**19, peak
+
+
+@pytest.mark.parametrize("scenario", ["honest", "intercept-resend", None, 1])
+def test_a_scenario_must_be_a_scenario_member(scenario):
+    sizes = PartySizes(2, 2)
+    with pytest.raises(TypeError, match="scenario must be a Scenario"):
+        exact_detection_probability(sizes, scenario)
+    with pytest.raises(TypeError, match="scenario must be a Scenario"):
+        correlation_check(sizes, scenario, 10, np.random.default_rng(0))
+    with pytest.raises(TypeError, match="scenario must be a Scenario"):
+        build_scenario_state(sizes, scenario)
 
 
 # --- the exact rate against projection chains on the dense factors ---

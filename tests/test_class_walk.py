@@ -11,7 +11,12 @@ probability and fidelity within 1e-12 (a run of |+>/|-> steps is an exact
 
 import numpy as np
 import pytest
-from conftest import _reference_plan, random_secrets
+from conftest import (
+    _reference_plan,
+    _reference_qubit,
+    _reference_whole_support,
+    random_secrets,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,10 +45,10 @@ def _support_walk_steps(sizes, designee):
     steps = [(Role.alice(), 1 + sizes.channel_qubits, protocol._SECRET_QUBIT, bell_bras)]
     register = list(range(sizes.m + sizes.n))
     for role, basis in _reference_plan(sizes, designee):
-        q = protocol._agent_qubit(sizes, role)
+        q = _reference_qubit(sizes, role)
         steps.append((role, len(register), register.index(q), qstate._BASIS_BRAS[basis]))
         register.remove(q)
-    return steps, (len(register), register.index(protocol._agent_qubit(sizes, designee.role)))
+    return steps, (len(register), register.index(_reference_qubit(sizes, designee.role)))
 
 
 def _support_walk(pairs, steps, rng=None):
@@ -77,7 +82,7 @@ def _support_branch_results(sizes, designee, secret, rng=None):
     steps, (leaf_qubits, designee_axis) = _support_walk_steps(sizes, designee)
     roles = [role for role, _, _, _ in steps[1:]]
     star = None if designee.charlie_star is None else Role.charlie(designee.charlie_star)
-    whole = protocol._whole_support(sizes, secret)
+    whole = _reference_whole_support(sizes, secret)
     for pairs, prob, (bell_index, *outcomes) in _support_walk(whole, steps, rng):
         bell = tuple(BellOutcome)[bell_index]
         bits = dict(zip(roles, outcomes))
@@ -157,7 +162,7 @@ def test_bell_children_equal_the_whole_register_bell_step(m, n):
     # so the probabilities, and the amplitudes of each (a, c) entry, are equal.
     sizes = PartySizes(m, n)
     for secret in BASIS_SECRETS + random_secrets(3, seed=m * 10 + n):
-        whole = protocol._whole_support(sizes, secret)
+        whole = _reference_whole_support(sizes, secret)
         for outcome, (p, post) in zip(BellOutcome, protocol._bell_children(secret)):
             whole_p, whole_post = qstate._contract_support(
                 whole, 2 + m + n, qstate._BELL_BRAS[outcome], 0

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import _reference_plan, random_secrets
+from conftest import _reference_plan, _reference_qubit, random_secrets
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -463,11 +463,6 @@ def test_sampled_branch_frequencies_match_enumeration():
 
 
 # --- the prefix-sharing walk against the per-leaf reference ---
-
-def _reference_qubit(sizes, role):
-    # register order after the Bell projection dropped S and A: Bobs, then Charlies
-    return role.index - 1 if role.grade == "bob" else sizes.m + role.index - 1
-
 
 def _reference_score(sizes, designee, secret, bell, state, bits, prob):
     v_g1 = parity(bit for role, bit in bits.items() if role.grade == "bob")

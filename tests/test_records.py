@@ -129,7 +129,8 @@ def test_run_lines_equal_json_dumps_of_the_record_dicts(argv):
 
 
 # stdout of the bench argvs at seed 17 and of the README commands, byte for
-# byte as the dict-encoding CLI wrote them.
+# byte as the dict-encoding CLI wrote them, and of an honest and a wide
+# attack, as the qubit-indexed check wrote them.
 PINNED_STDOUT_SHA256 = {
     "run --mode sample --m 3 --n 3 --designee charlie:2 --secret random --trials 1000 --seed 17":
         "e28ec3a16f7a662d37c8e511c8d2f60b3bd0338f50cc9bfc5b05304aa8660813",
@@ -143,6 +144,10 @@ PINNED_STDOUT_SHA256 = {
         "4f210fcf3dbb1cd7083890bdd148b6af7b40b93615ecd8d9eac8ca623c8f470d",
     "attack --m 1 --n 1 --scenario intercept-resend --rounds 100000 --seed 5":
         "f347403592ca4b89da08a5778e57d9f061cec3d908e0ba49906b29af04393759",
+    "attack --scenario honest --m 5 --n 6 --rounds 3000000 --seed 17":
+        "c647a5ee2df22cf998011aaf1d878ffba9b76a311646c2642cd25c5caea0a220",
+    "attack --scenario intercept-resend --m 2000 --n 3000 --rounds 65537 --seed 9":
+        "8f1c4708b59582d5c05ffd02ab57dfd1fcba76cf6702c44bba5cc9695a97307b",
     "tables":
         "a726f8ed4fe97a5d06e4b319d755b7e84afc8c0b4c79bc806c36753d250439ee",
 }
