@@ -12,36 +12,32 @@ then measure according to the designee's grade:
   and the designee applies a Hadamard followed by a Pauli, picked by the
   Bell outcome and the two per-grade parities.
 
-So a run is one measurement tree: its root is Alice's Bell measurement,
-with four children, and every level below measures one helper.  Both the
-exhaustive and the sampled runs descend one table of that tree, built once
-per run (``_leaf_table``).  ``iter_branches`` (and ``enumerate_branches``,
-its list) descends into every possible outcome, in the order
-``itertools.product`` would list them; ``run_recovery`` descends into one
-outcome per step, picked by one ``rng.random(1 + helpers)`` call, one draw
-per step in plan order.
+Both the exhaustive and the sampled runs read one table of scored leaves,
+built once per run (``_leaf_table``).  ``iter_branches`` (and
+``enumerate_branches``, its list) yields every possible outcome string, in
+the order ``itertools.product`` would list them; ``run_recovery`` picks one
+outcome per step by one ``rng.random(1 + helpers)`` call, one draw per step
+in plan order, Alice's first.
 
 The walk is keyed by class, not by qubit.  After the Bell measurement every
 Bob's bit equals one bit a and every Charlie's one bit c, so the state is at
 most 4 amplitudes keyed by (a, c), the same at any m and n; the four Bell
 children depend on the secret alone and are computed once per secret.  A
 |+>/|-> measurement of a helper whose class keeps another member is then
-exactly 50/50, and its only effect is the sign (-1)^(outcome·a), or
-(-1)^(outcome·c): the Pauli-measurement rule for stabilizer states.  So a
-run of such steps is a factor 1/2 per step and a parity bit for the class,
-its outcomes are ``draw >= 0.5`` when sampled, and the state is not touched.
-So the designee's grade fixes the whole walk (``_walk_steps``).  A Bob
-designee's is a run of the other Bobs, then charlie*'s |0>/|1>; a Charlie
-designee's is a run of all Bobs but the last, the last Bob's |+>/|->, then a
-run of the other Charlies.  The one step that is not a run is a real
-contraction of at most 4 entries with ``qstate._contract_support``, after the
-pending signs are applied.  It leaves one qubit, the designee's class, which
-the leaf contracts with the recovery bra.  So a class path (the Bell
-outcome, each run's parity, each contracted outcome) fixes the state, the
-branch probability, the correction and the fidelity, and there are at most
-4·2³ of them.  The table is the whole tree of class paths, built once per
-run when the run starts: one contraction per outcome of a contracted step
-and one per scored leaf, and none per trial or branch, at any m and n.
+exactly 50/50, and its only effect is Z on that class bit: the
+Pauli-measurement rule for stabilizer states.  Its outcome is
+``draw >= 0.5`` when sampled, and the state is not touched.  One helper,
+at plan position m - 1, is a real contraction of at most 4 entries with
+``qstate._contract_support`` (``_walk_steps``): charlie*'s |0>/|1> under a
+Bob designee, the last Bob's |+>/|-> under a Charlie designee.  It leaves
+one qubit, the designee's class, which a leaf contracts with the recovery
+bra.  The parity of the other helpers is either a relabelling of the
+contracted outcome, since <+|Z = <-|, or a sign on the designee's qubit,
+which the recovery bra takes.  So the Bell outcome, the contracted label
+and one sign fix the branch probability, the correction and the fidelity,
+and there are at most 4·2² leaves, built when the run starts: one
+contraction per contracted label and one per leaf, and none per trial or
+branch, at any m and n.
 ``agent_marginal`` reads the same Bell children, so no path of this module
 builds a dense register or reads a support at full size; the :mod:`hqis.dense`
 operations, and the qubit-by-qubit support walk kept in the tests, are the
@@ -275,32 +271,26 @@ def _helper_count(sizes: PartySizes, designee: Designee) -> int:
     return sizes.m if designee.role.grade == "bob" else sizes.m + sizes.n - 1
 
 
-def _walk_steps(sizes: PartySizes, designee: Designee) -> tuple[tuple[tuple, ...], dict[Role, int]]:
-    """The helpers' measurements as segments on the class register (a, c),
+def _walk_steps(sizes: PartySizes, designee: Designee) -> tuple[int, dict[Role, int]]:
+    """The axis of the one contracted step on the class register (a, c),
     plus each helper's position in the plan.  Raises ValueError unless the
     designee exists at ``sizes``.
 
-    A segment is ``(grade, bras, count)``, ``grade`` 0 for Bobs and 1 for
-    the other helpers.  ``bras`` is ``None`` for a run of ``count`` |+>/|->
-    steps on a class that keeps another member, each 1/2 exactly, whose
-    outcome flips the sign of class bit ``1 - grade``: the Bobs' runs come
-    before the contraction, the Charlies' after it, on (c) alone.  Otherwise
-    the segment is the one step contracted on (a, c) at axis ``grade``:
-    charlie*'s |0>/|1> under a Bob designee (its outcome leaves the idle
-    Charlies in a product state no later step reads), or the last Bob's
-    |+>/|-> under a Charlie designee.  Empty runs are dropped.
+    The contracted helper sits at plan position m - 1, after the other Bobs:
+    charlie*'s |0>/|1> on c, axis 1, under a Bob designee (its outcome leaves
+    the idle Charlies in a product state no later step reads), or the last
+    Bob's |+>/|-> on a, axis 0, under a Charlie designee, before the other
+    Charlies.  Every other helper measures |+>/|-> on a class that keeps
+    another member: 1/2 exactly, its outcome a Z on that class bit.
     """
     check_designee(sizes, designee)
     plan = [role for role in map(Role.bob, range(1, sizes.m + 1)) if role != designee.role]
-    segments = [(0, None, sizes.m - 1)]
     if designee.charlie_star is not None:
         plan.append(Role.charlie(designee.charlie_star))
-        segments.append((1, qstate._BASIS_BRAS[MeasBasis.COMPUTATIONAL], 1))
     else:
         plan += [role for role in map(Role.charlie, range(1, sizes.n + 1)) if role != designee.role]
-        segments += [(0, qstate._BASIS_BRAS[MeasBasis.PLUS_MINUS], 1), (1, None, sizes.n - 1)]
     index = {role: position for position, role in enumerate(plan)}
-    return tuple(segment for segment in segments if segment[2]), index
+    return int(designee.charlie_star is not None), index
 
 
 @functools.lru_cache(maxsize=64)
@@ -327,7 +317,6 @@ def _bell_children(secret: SecretState) -> tuple[tuple[float, tuple | None], ...
     return tuple((p, None if post is None else tuple(post)) for p, post in children)
 
 
-@functools.lru_cache(maxsize=64)
 def _recovery_bra(secret: SecretState, op: CorrectionOp) -> tuple[complex, complex]:
     """<xi|G as a bra over the designee's qubit: G corrects, <xi| scores."""
     (g00, g01), (g10, g11) = _CORRECTION_ROWS[op]
@@ -335,72 +324,75 @@ def _recovery_bra(secret: SecretState, op: CorrectionOp) -> tuple[complex, compl
     return a * g00 + b * g10, a * g01 + b * g11
 
 
-def _signed(pairs, signs: int):
-    """``pairs`` with the pending class phases applied: an entry takes the
-    sign -1 when its index has an odd number of the bits set in ``signs``."""
-    if not signs:
-        return pairs
-    return [(index, -amp if (index & signs).bit_count() & 1 else amp) for index, amp in pairs]
-
-
 class _LeafTable:
-    """One run's class-keyed measurement tree, built whole when the run starts.
+    """One run's scored leaves, built whole when the run starts.
 
-    A node is a tuple of ``(prob, child)`` pairs, one per outcome of its
-    step, ``child`` ``None`` for an impossible outcome, as
-    ``qstate._sample_outcome`` takes them: Alice's four Bell outcomes at the
-    root, then per segment of ``_walk_steps`` a run's two parities (1/2 per
-    step each) or the contracted step's two outcomes.  The children of the
-    last segment are the scored leaves ``(bell, v_g1, aux, op,
-    branch_probability, fidelity)``, at most 4·2³ of them, ``v_g1`` the
-    parity of the grade-0 segments' outcomes and ``aux`` that of the
-    grade-1 ones, each leaf shared by every helper bit string with those
-    parities.  The build makes one contraction per outcome of the contracted
-    step and one per leaf; a trial or a branch only descends the tree.
+    ``root`` holds ``(prob, children)`` per Bell outcome, as
+    ``qstate._sample_outcome`` takes them, ``children`` ``None`` for an
+    impossible outcome.  ``children`` holds the contracted step's two
+    ``(prob, leaves)`` pairs in label order, ``leaves`` ``None`` for an
+    impossible label, else the scored leaves ``(bell, v_g1, aux, op,
+    branch_probability, fidelity)`` for sign 0 and 1.  The helpers before
+    the contracted one have parity p, the ones after it parity r.  Under a
+    Bob designee the label is charlie*'s bit, and p, a Z on a, is the sign.
+    Under a Charlie designee the contraction is on a, where <+|Z = <-|, so p
+    turns the last Bob's bit b into the label b ^ p, and r, a Z on c, is the
+    sign.  A leaf scores the designee's qubit, the one left, against
+    <xi|G Z^sign, G being the table correction.  So there are at most 4·2²
+    leaves, each shared by every helper bit string with its label and sign,
+    and the build makes one contraction per label and one per leaf; a trial
+    or a branch only reads the table.
     """
 
     def __init__(self, sizes: PartySizes, designee: Designee, secret: SecretState):
-        self.segments, self.index = _walk_steps(sizes, designee)
+        self.axis, self.index = _walk_steps(sizes, designee)
         self.secret = secret
-        self.bob_designee = designee.charlie_star is not None
+        self.contracted = sizes.m - 1  # the contracted helper's plan position
         self.root = tuple(
-            (p, None if post is None else self._build(0, bell, post, 0, p, 0))
+            (p, None if post is None else self._children(bell, p, post))
             for bell, (p, post) in zip(_BELL_OUTCOMES, _bell_children(secret))
         )
 
-    def _build(self, depth: int, bell: BellOutcome, pairs, signs: int, prob: float, parities: int):
-        """The node of segment ``depth``, or the leaf past the last segment,
-        on the support ``pairs`` with the class phases ``signs`` pending,
-        reached with probability ``prob``; bit 0 of ``parities`` is the
-        Bobs' parity, bit 1 the other helpers'.  A leaf's fidelity is the
-        probability of contracting ``_recovery_bra``, <xi|G, against the
-        designee's class, the one qubit left, G being the table correction
-        its parities pick.
-        """
-        if depth == len(self.segments):
-            # aux is charlie*'s bit for a Bob designee, the other Charlies' parity for a Charlie.
-            v_g1, aux = parities & 1, parities >> 1
-            if self.bob_designee:
-                op = BOB_CORRECTIONS[bell, v_g1 ^ aux]
-            else:
-                op = CHARLIE_CORRECTIONS[bell, v_g1, aux]
-            bra = _recovery_bra(self.secret, op)
-            fidelity, _ = qstate._contract_support(_signed(pairs, signs), 1, bra, 0)
-            return bell, v_g1, aux, op, prob, min(fidelity, 1.0)
-        # Each outcome as (prob, support, pending signs): a run's parity only
-        # flips signs, a contracted outcome applies them.
-        grade, bras, count = self.segments[depth]
-        if bras is None:
-            outcomes = [(0.5**count, pairs, signs ^ bit << (1 - grade)) for bit in (0, 1)]
-        else:
-            signed = _signed(pairs, signs)
-            outcomes = [(*qstate._contract_support(signed, 2, bra, grade), 0) for bra in bras]
+    def _children(self, bell: BellOutcome, p_bell: float, pairs):
+        """The contracted step's ``(prob, leaves)`` pairs on the Bell child
+        ``pairs`` of probability ``p_bell``; every other step is 1/2 exactly."""
+        bras = qstate._BASIS_BRAS[MeasBasis.COMPUTATIONAL if self.axis else MeasBasis.PLUS_MINUS]
+        before = p_bell * 0.5**self.contracted
+        after = 0.5 ** (len(self.index) - 1 - self.contracted)
+        children = (qstate._contract_support(pairs, 2, bra, self.axis) for bra in bras)
         return tuple(
-            (p, None if post is None else self._build(
-                depth + 1, bell, post, pending, prob * p, parities ^ bit << grade
+            (q, None if post is None else tuple(
+                self._score(bell, label, sign, post, before * q * after) for sign in (0, 1)
             ))
-            for bit, (p, post, pending) in enumerate(outcomes)
+            for label, (q, post) in enumerate(children)
         )
+
+    def _score(self, bell: BellOutcome, label: int, sign: int, pairs, prob: float):
+        """The leaf of ``label`` and ``sign`` on the designee's qubit ``pairs``:
+        aux is charlie*'s bit and v_g1 the other Bobs' parity under a Bob
+        designee, v_g1 every Bob's parity and aux the other Charlies' under a
+        Charlie designee."""
+        if self.axis:
+            v_g1, aux = sign, label
+            op = BOB_CORRECTIONS[bell, v_g1 ^ aux]
+        else:
+            v_g1, aux = label, sign
+            op = CHARLIE_CORRECTIONS[bell, v_g1, aux]
+        g0, g1 = _recovery_bra(self.secret, op)
+        fidelity, _ = qstate._contract_support(pairs, 1, (g0, -g1) if sign else (g0, g1), 0)
+        return bell, v_g1, aux, op, prob, min(fidelity, 1.0)
+
+    def _leaf(self, children, bits: bytes):
+        """The leaf that the helper bits ``bits`` reach among one Bell
+        outcome's ``children``, or ``None`` if its label is impossible."""
+        at = self.contracted
+        before = bits[:at].count(1) & 1
+        if self.axis:
+            label, sign = bits[at], before
+        else:
+            label, sign = bits[at] ^ before, bits[at + 1 :].count(1) & 1
+        _, leaves = children[label]
+        return None if leaves is None else leaves[sign]
 
     def result(self, leaf: tuple, bits: bytes) -> TrialResult:
         bell, v_g1, aux, op, prob, fidelity = leaf
@@ -409,45 +401,30 @@ class _LeafTable:
     def sample(self, draws) -> TrialResult:
         """The branch ``draws`` pick, one draw per measurement in plan order,
         Alice's first: ``qstate._sample_outcome`` for the Bell step and the
-        contracted step, and ``draw >= 0.5`` for each step of a run, which
-        has probability 1/2 exactly."""
+        contracted step, and ``draw >= 0.5`` for every other step, which has
+        probability 1/2 exactly.  Under a Charlie designee the contracted
+        step's outcomes are its labels relabelled by the parity before it,
+        so a draw picks the same bit as it would on the state it measures."""
         # float.__le__ gives a bool for a list's floats and an ndarray's np.float64 alike.
         heads = bytes(map((0.5).__le__, draws))
-        _, _, node = qstate._sample_outcome(self.root, draws[0])
-        bits = b""
-        for _, bras, count in self.segments:
-            start = 1 + len(bits)
-            if bras is None:
-                run = heads[start : start + count]
-                _, node = node[run.count(1) & 1]
-            else:
-                outcome, _, node = qstate._sample_outcome(node, draws[start])
-                run = bytes((outcome,))
-            bits += run
-        return self.result(node, bits)
+        _, _, children = qstate._sample_outcome(self.root, draws[0])
+        at = 1 + self.contracted
+        relabel = 0 if self.axis else heads[1:at].count(1) & 1
+        outcome, _, _ = qstate._sample_outcome(children[::-1] if relabel else children, draws[at])
+        bits = heads[1:at] + bytes((outcome,)) + heads[at + 1 :]
+        return self.result(self._leaf(children, bits), bits)
 
     def branches(self):
         """Every possible branch, outcome 0 first at every step, so in
-        ``itertools.product`` order.  The recursion is as deep as there are
-        segments, at most three whatever m and n."""
-        segments = self.segments
-
-        def descend(node, bits, depth):
-            if depth == len(segments):
-                yield self.result(node, bits)
-                return
-            _, bras, count = segments[depth]
-            if bras is None:
-                for run in map(bytes, itertools.product((0, 1), repeat=count)):
-                    yield from descend(node[run.count(1) & 1][1], bits + run, depth + 1)
-                return
-            for outcome, (_, child) in enumerate(node):
-                if child is not None:
-                    yield from descend(child, bits + bytes((outcome,)), depth + 1)
-
-        for _, child in self.root:
-            if child is not None:
-                yield from descend(child, b"", 0)
+        ``itertools.product`` order."""
+        helpers = len(self.index)
+        for _, children in self.root:
+            if children is None:
+                continue
+            for bits in map(bytes, itertools.product((0, 1), repeat=helpers)):
+                leaf = self._leaf(children, bits)
+                if leaf is not None:
+                    yield self.result(leaf, bits)
 
 
 @functools.lru_cache(maxsize=64)

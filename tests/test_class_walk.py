@@ -182,19 +182,15 @@ class _FixedDraws:
         return np.full(size, self.value)
 
 
-def _tree_nodes(sizes, designee):
-    """The nodes of the class-keyed tree: the Bell step's four children, two
-    children per node at each segment (a run's parity or a contracted step's
-    outcome), and the designee's scoring under each leaf."""
-    segments, _ = protocol._walk_steps(sizes, designee)
-    return sum(4 * 2**depth for depth in range(len(segments) + 1)) + 4 * 2 ** len(segments)
+def _labels(table):
+    """The contracted step's ``(prob, leaves)`` pairs under every possible
+    Bell outcome of a leaf table."""
+    return [label for _, children in table.root if children is not None for label in children]
 
 
-def _leaves(node, depth):
-    """The leaves ``depth`` levels below ``node`` in a leaf table's tree."""
-    if depth == 0:
-        return [node]
-    return [leaf for _, child in node if child is not None for leaf in _leaves(child, depth - 1)]
+def _leaves(table):
+    """The scored leaves of a leaf table, one per sign under each possible label."""
+    return [leaf for _, leaves in _labels(table) if leaves is not None for leaf in leaves]
 
 
 @pytest.mark.parametrize("grade", ["bob", "charlie"])
@@ -217,9 +213,8 @@ def test_contractions_per_trial_do_not_grow_with_the_party_count(grade, monkeypa
         calls.clear()
         table = protocol._leaf_table(sizes, designee, secret)
         built[size] = len(calls)
-        assert built[size] <= _tree_nodes(sizes, designee)
-        segments, _ = protocol._walk_steps(sizes, designee)
-        assert len(_leaves(table.root, 1 + len(segments))) == 4 * 2 ** len(segments)
+        assert built[size] == len(_labels(table)) + len(_leaves(table))
+        assert len(_leaves(table)) == 4 * 2**2
         # A draw of 0.25 stops at outcome 0 of each contracted step, 0.75 goes on to 1.
         for value in (0.25, 0.75):
             run_recovery(sizes, designee, secret, _FixedDraws(value))
@@ -227,10 +222,10 @@ def test_contractions_per_trial_do_not_grow_with_the_party_count(grade, monkeypa
         for _ in range(10000):
             run_recovery(sizes, designee, secret, rng)
         assert len(calls) == built[size]
-    # The build contracts each contracted step's two children and scores each
-    # leaf, 4 * (2 * 2 + 2 * 2) under bob:2 and 4 * (2 * 2 + 2 * 2 * 2) under
-    # charlie:2, at any m and n; every trial after it reads the table.
-    assert built[3] == built[300] == {"bob": 32, "charlie": 48}[grade]
+    # The build contracts each Bell outcome's two labels and scores each
+    # label's two signs, 4 * (2 + 2 * 2) under either grade, at any m and n;
+    # every trial after it reads the table.
+    assert built[3] == built[300] == 24
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (3, 3), (5, 6)])
@@ -238,13 +233,13 @@ def test_contractions_per_trial_do_not_grow_with_the_party_count(grade, monkeypa
 def test_sampled_trials_equal_enumerated_branches_exactly(grade, m, n):
     sizes = PartySizes(m, n)
     designee = Designee.bob(m, 1) if grade == "bob" else Designee.charlie(n)
-    secret = random_secrets(1, seed=10 * m + n)[0]
-    branches = {
-        (branch.bell, tuple(branch.classical_bits.values())): branch
-        for branch in enumerate_branches(sizes, designee, secret)
-    }
-    # The trials read a table of their own, built whole before the first draw.
-    protocol._leaf_table.cache_clear()
-    for seed in range(200):
-        result = run_recovery(sizes, designee, secret, derived_rng(seed, 1, 0))
-        assert result == branches[result.bell, tuple(result.classical_bits.values())]
+    for secret in random_secrets(1, seed=10 * m + n) + BASIS_SECRETS:
+        branches = {
+            (branch.bell, tuple(branch.classical_bits.values())): branch
+            for branch in enumerate_branches(sizes, designee, secret)
+        }
+        # The trials read a table of their own, built whole before the first draw.
+        protocol._leaf_table.cache_clear()
+        for seed in range(200):
+            result = run_recovery(sizes, designee, secret, derived_rng(seed, 1, 0))
+            assert result == branches[result.bell, tuple(result.classical_bits.values())]

@@ -578,11 +578,15 @@ def test_helper_count_is_the_walks(m, n):
     # iter_branches checks its limit on this count, before the walk exists.
     sizes = PartySizes(m, n)
     for designee in all_designees(sizes):
-        segments, index = _walk_steps(sizes, designee)
+        axis, index = _walk_steps(sizes, designee)
         assert _helper_count(sizes, designee) == len(index)
         assert list(index) == [role for role, _ in _reference_plan(sizes, designee)]
         assert list(index.values()) == list(range(len(index)))
-        assert sum(count for _, _, count in segments) == _helper_count(sizes, designee)
+        # The one contracted helper: charlie* on c, or Bob m on a.
+        if designee.charlie_star is not None:
+            assert (axis, index[Role.charlie(designee.charlie_star)]) == (1, m - 1)
+        else:
+            assert (axis, index[Role.bob(m)]) == (0, m - 1)
 
 
 def test_a_branch_limit_must_be_an_int():

@@ -130,7 +130,11 @@ def test_run_lines_equal_json_dumps_of_the_record_dicts(argv):
 
 # stdout of the bench argvs at seed 17 and of the README commands, byte for
 # byte as the dict-encoding CLI wrote them, and of an honest and a wide
-# attack, as the qubit-indexed check wrote them.
+# attack, as the qubit-indexed check wrote them.  The runs with no helper
+# before or after the contracted one (m=1 under either grade, n=1 under a
+# Charlie designee), a Bob-designee enumeration, a basis secret and an m
+# past float underflow are as the walk wrote them that kept one tree level
+# per run of |+>/|-> steps.
 PINNED_STDOUT_SHA256 = {
     "run --mode sample --m 3 --n 3 --designee charlie:2 --secret random --trials 1000 --seed 17":
         "e28ec3a16f7a662d37c8e511c8d2f60b3bd0338f50cc9bfc5b05304aa8660813",
@@ -150,6 +154,20 @@ PINNED_STDOUT_SHA256 = {
         "8f1c4708b59582d5c05ffd02ab57dfd1fcba76cf6702c44bba5cc9695a97307b",
     "tables":
         "a726f8ed4fe97a5d06e4b319d755b7e84afc8c0b4c79bc806c36753d250439ee",
+    "run --m 1 --n 3 --designee bob:1 --charlie-star 2 --secret random --trials 200 --seed 3":
+        "961be804d30e6558e0476add95a89c7550f796e49583ddaab092ee76ff5659fb",
+    "run --m 1 --n 3 --designee charlie:2 --secret random --trials 200 --seed 3":
+        "5d913533342de06348653ee5533abe6c5cdd7f5cf94b3ad4d275f48a201ee575",
+    "run --m 3 --n 1 --designee charlie:1 --secret random --trials 200 --seed 3":
+        "c6c0b4d9e5c86dc7f9ecaa6dab36c1b02694c5c854252e05483e34570fb6b972",
+    "run --mode enumerate --m 4 --n 2 --designee bob:3 --charlie-star 1 --secret random --seed 11":
+        "8c52fc2875d775e18496b8e24d7a354f6bddeea57d140e47e1e4ad70e98b497a",
+    "run --m 2 --n 3 --designee charlie:1 --secret 1,0,0,0 --trials 200 --seed 5":
+        "fa52231b7d8a7ee4b107f9bfa6f7dff71c81fccc1f4ca74531da5570363c5774",
+    "run --m 2 --n 3 --designee bob:2 --charlie-star 3 --secret 1,0,0,0 --trials 200 --seed 5":
+        "96bc00f3c48df5e060c76454773ef81518cf63fcca905a65972fc2458aea18fc",
+    "run --m 3000 --n 2 --designee charlie:2 --secret random --trials 20 --seed 13":
+        "5891bddf9ed6e137340c4535ec102b47cd1f962503601ed710a2b2d5eaddd3c9",
 }
 
 
