@@ -7,12 +7,13 @@ produce byte-identical output; every record carries mode, m, n, and seed.
 
 Every line is one JSON object with its keys sorted, compact separators and
 strict JSON: a NaN or an infinity fails the run instead of being written.
-``_dumps`` owns that format and writes every line.  A trial or branch record
-is ``_dumps`` of its dict, encoded once per distinct leaf of the protocol's
-tree with slots for the helpers' bits and the counter, which are all a
-record fills in (``_record_encoder``).  A run that fails after its first
-record removes its ``--output`` file, if that path names a regular file, and
-empties the regular file a symlinked path reaches.
+``_dumps`` owns that format and writes every line: a record's once per
+distinct leaf of the run's table, with slots for the helpers' bits and the
+counter, all that a record fills in (``_record_encoder``).  An enumeration
+reads the table's walk and builds no ``TrialResult``.  A run that fails after
+its first record, or that a SIGTERM or SIGHUP stops, removes its ``--output``
+file, if that path names a regular file, and empties the regular file a
+symlinked path reaches.
 """
 
 import argparse
@@ -251,33 +252,33 @@ def _secret_fields(secret: SecretState) -> list[float]:
 
 
 def _record_encoder(constants: dict, counter: str, labels: tuple[str, ...]):
-    """``encode(k, result)``: the line of record ``k`` of a run, the
+    """``encode(k, leaf, bits)``: the line of record ``k`` of a run, the
     ``_dumps`` of its dict plus a newline.
 
-    The dict is ``constants``, ``counter: k`` and the result's fields, with
-    ``bits`` mapping the helpers' ``labels`` (plan order) to their bits.  A
-    run has few distinct leaves, so ``_dumps`` encodes one dict per distinct
-    ``(bell, v_g1, v_g2_or_charlie_star, correction, p, f)``, with a NUL
-    string in the ``bits`` and counter slots, and the line is kept split
-    around those two slots.  A record then costs its ``bits``, from a
-    %-template ``_dumps`` also wrote, its counter and one join.  ``_dumps``
-    rejects a non-finite float before its leaf is cached.  A probability is
-    never -0.0, the one float that equals another with a different repr.
+    The dict is ``constants``, ``counter: k``, the fields of ``leaf``, a leaf
+    of the run's table, and ``bits`` mapping the helpers' ``labels`` (plan
+    order) to their bits.  A run has at most 16 leaves, so ``_dumps`` encodes
+    one dict per distinct leaf, with a NUL string in the ``bits`` and counter
+    slots, and the line is kept split around those two slots.  A record then
+    costs its ``bits``, from a %-template ``_dumps`` also wrote, its counter
+    and one join.  ``_dumps`` rejects a non-finite float before its leaf is
+    cached.  A probability is never -0.0, the one float that equals another
+    with a different repr.
     """
     # _dumps escapes a NUL, so only the slots themselves encode to this.
     slot = _dumps("\0")
     # The bits in sort_keys order, so bob:10 comes before bob:2.
     order = sorted(range(len(labels)), key=labels.__getitem__)
-    bits = _dumps(dict.fromkeys(labels, "\0")).replace(slot, "%d")
+    template = _dumps(dict.fromkeys(labels, "\0")).replace(slot, "%d")
     # One helper makes ``pick`` return a bare int, which % takes as its one value.
     pick = operator.itemgetter(*order)
     leaves = {}
 
-    def leaf_parts(key) -> list[str]:
+    def leaf_parts(leaf) -> list[str]:
         """A new leaf's line, split around its bits and counter slots
         ("bits" sorts before both counters)."""
-        bell, v_g1, aux, op, p, f = key
-        leaf = constants | {
+        bell, v_g1, aux, op, p, f = leaf
+        record = constants | {
             "bits": "\0",
             counter: "\0",
             "bell": bell.value,
@@ -287,17 +288,15 @@ def _record_encoder(constants: dict, counter: str, labels: tuple[str, ...]):
             "branch_probability": p,
             "fidelity": f,
         }
-        leaves[key] = parts = (_dumps(leaf) + "\n").split(slot)
+        leaves[leaf] = parts = (_dumps(record) + "\n").split(slot)
         return parts
 
-    def encode(k: int, result: "TrialResult") -> str:
-        bell, bits_map, v_g1, aux, op, p, f = result
-        key = (bell, v_g1, aux, op, p, f)
-        head, middle, tail = leaves.get(key) or leaf_parts(key)
+    def encode(k: int, leaf: tuple, bits) -> str:
+        head, middle, tail = leaves.get(leaf) or leaf_parts(leaf)
         # Joined, not %-formatted: the % writer over-allocates the line and
         # then shrinks it, which fragments the heap (+0.1 MiB peak RSS over
         # 4096 records).
-        return "".join((head, bits % pick(bits_map.values()), middle, repr(k), tail))
+        return "".join((head, template % pick(bits), middle, repr(k), tail))
 
     return encode
 
@@ -305,49 +304,40 @@ def _record_encoder(constants: dict, counter: str, labels: tuple[str, ...]):
 def _run_records(config: RunConfig):
     """The lines of a ``run``: one record per trial or branch, and for an
     enumeration a summary record last."""
-    from .protocol import iter_branches, run_recovery
+    from . import protocol
 
     sizes, designee = config.sizes, config.designee
     secret = resolve_secret(config)
-    if config.mode == "sample":
-        counter = "trial"
-        results = (
-            run_recovery(sizes, designee, secret, derived_rng(config.seed, _STREAM_TRIAL, k))
-            for k in range(config.trials)
-        )
-    else:
-        # Records stream as the walk reaches each branch.
-        counter = "branch"
-        results = iter_branches(sizes, designee, secret)
-    # The first result raises what fails a run, the branch limit, before
-    # anything else is built, and its bits name the helpers in plan order.
-    first = next(results)
-    labels = tuple(role.label for role in first.classical_bits)
+    counter = "trial" if config.mode == "sample" else "branch"
+    if config.mode == "enumerate":
+        # What fails a run, the branch limit, raises before the table is built.
+        protocol._check_branch_limit(sizes, designee, protocol.DEFAULT_BRANCH_LIMIT)
+    table = protocol._leaf_table(sizes, designee, secret)
     context = {
         "designee": designee.role.label,
         "charlie_star": designee.charlie_star,
         "secret": _secret_fields(secret),
     }
+    labels = tuple(role.label for role in table.index)
     encode = _record_encoder(_base_record(config, counter) | context, counter, labels)
-    results = itertools.chain((first,), results)
     if config.mode == "sample":
-        for k, result in enumerate(results):
-            yield encode(k, result)
+        for k in range(config.trials):
+            rng = derived_rng(config.seed, _STREAM_TRIAL, k)
+            bell, bits, *rest = protocol.run_recovery(sizes, designee, secret, rng)
+            yield encode(k, (bell, *rest), bits.values())
         return
-    # The summary is accumulated in the order the branches come.
-    branches, probability_sum = 0, 0
-    min_fidelity, max_fidelity = math.inf, -math.inf
-    for result in results:
-        yield encode(branches, result)
-        branches += 1
-        probability_sum += result.branch_probability
-        min_fidelity = min(min_fidelity, result.fidelity)
-        max_fidelity = max(max_fidelity, result.fidelity)
+    # Records stream as the walk reaches each branch.  The sum keeps their
+    # order, and the set the first of equal fidelities, as min() and max() would.
+    probability_sum, fidelities = 0, set()
+    for k, (leaf, bits) in enumerate(table.walk()):
+        yield encode(k, leaf, bits)
+        probability_sum += leaf[4]
+        fidelities.add(leaf[5])
     summary = _base_record(config, "summary") | context | {
-        "branches": branches,
+        "branches": k + 1,
         "probability_sum": probability_sum,
-        "min_fidelity": min_fidelity,
-        "max_fidelity": max_fidelity,
+        "min_fidelity": min(fidelities),
+        "max_fidelity": max(fidelities),
     }
     yield _dumps(summary) + "\n"
 
@@ -404,7 +394,20 @@ def execute(config: RunConfig) -> int:
     # first record, so drawing that record first opens no file on failure.
     lines = itertools.chain([next(lines)], lines)
     if config.output_path:
+        import signal
+        import threading
+
+        # A SIGTERM or SIGHUP exits with status 128 + its number by raising
+        # SystemExit where the records are written, so the clean-up below
+        # runs.  Only the main thread may set a handler, and a signal the
+        # caller ignores, as nohup does SIGHUP, stays ignored.
+        main_thread = threading.current_thread() is threading.main_thread()
         with open(config.output_path, "w") as handle:
+            previous = {
+                sig: signal.signal(sig, lambda signum, _: sys.exit(128 + signum))
+                for sig in (signal.SIGTERM, signal.SIGHUP)
+                if main_thread and signal.getsignal(sig) is signal.SIG_DFL
+            }
             try:
                 handle.writelines(lines)
             except BaseException:
@@ -420,6 +423,9 @@ def execute(config: RunConfig) -> int:
                     else:
                         handle.truncate(0)  # flushes the buffer first
                 raise
+            finally:
+                for sig, handler in previous.items():
+                    signal.signal(sig, handler)
         return 0
     try:
         sys.stdout.writelines(lines)

@@ -12,32 +12,29 @@ then measure according to the designee's grade:
   and the designee applies a Hadamard followed by a Pauli, picked by the
   Bell outcome and the two per-grade parities.
 
-Both the exhaustive and the sampled runs read one table of scored leaves,
-built once per run (``_leaf_table``).  ``iter_branches`` (and
-``enumerate_branches``, its list) yields every possible outcome string, in
-the order ``itertools.product`` would list them; ``run_recovery`` picks one
-outcome per step by one ``rng.random(1 + helpers)`` call, one draw per step
-in plan order, Alice's first.
+Both kinds of run read one table of scored leaves, built once per run
+(``_leaf_table``).  Its ``walk`` yields every outcome string with its leaf in
+``itertools.product`` order, and ``iter_branches`` (``enumerate_branches``,
+its list) wraps each in a ``TrialResult``; ``run_recovery`` draws one outcome
+per step, Alice's first, with one ``rng.random(1 + helpers)`` call.
 
 The walk is keyed by class, not by qubit.  After the Bell measurement every
 Bob's bit equals one bit a and every Charlie's one bit c, so the state is at
-most 4 amplitudes keyed by (a, c), the same at any m and n; the four Bell
-children depend on the secret alone and are computed once per secret.  A
-|+>/|-> measurement of a helper whose class keeps another member is then
-exactly 50/50, and its only effect is Z on that class bit: the
-Pauli-measurement rule for stabilizer states.  Its outcome is
-``draw >= 0.5`` when sampled, and the state is not touched.  One helper,
-at plan position m - 1, is a real contraction of at most 4 entries with
-``qstate._contract_support`` (``_walk_steps``): charlie*'s |0>/|1> under a
-Bob designee, the last Bob's |+>/|-> under a Charlie designee.  It leaves
-one qubit, the designee's class, which a leaf contracts with the recovery
-bra.  The parity of the other helpers is either a relabelling of the
-contracted outcome, since <+|Z = <-|, or a sign on the designee's qubit,
-which the recovery bra takes.  So the Bell outcome, the contracted label
-and one sign fix the branch probability, the correction and the fidelity,
-and there are at most 4·2² leaves, built when the run starts: one
-contraction per contracted label and one per leaf, and none per trial or
-branch, at any m and n.
+most 4 amplitudes keyed by (a, c) at any m and n; the four Bell children
+depend on the secret alone and are computed once per secret.  A |+>/|->
+measurement of a helper whose class keeps another member is then exactly
+50/50, and its only effect is Z on that class bit (the Pauli-measurement rule
+for stabilizer states): a sampled outcome is ``draw >= 0.5``, and the state
+is not touched.  One helper, at plan position m - 1, is a real contraction of
+at most 4 entries with ``qstate._contract_support`` (``_walk_steps``):
+charlie*'s |0>/|1> under a Bob designee, the last Bob's |+>/|-> under a
+Charlie designee.  It leaves one qubit, the designee's class, which a leaf
+contracts with the recovery bra.  The other helpers' parity either relabels
+the contracted outcome, since <+|Z = <-|, or is a sign on the designee's
+qubit, which the recovery bra takes.  So the Bell outcome, the contracted
+label and one sign fix a branch's probability, correction and fidelity: at
+most 4·2² leaves, built when the run starts, with one contraction per label
+and per leaf and none per trial or branch, at any m and n.
 ``agent_marginal`` reads the same Bell children, so no path of this module
 builds a dense register or reads a support at full size; the :mod:`hqis.dense`
 operations, and the qubit-by-qubit support walk kept in the tests, are the
@@ -293,8 +290,16 @@ def _walk_steps(sizes: PartySizes, designee: Designee) -> tuple[int, dict[Role, 
     return int(designee.charlie_star is not None), index
 
 
+def _possible(prob: float, post: list | None) -> tuple[float, tuple]:
+    """``(prob, post)``, ``post`` as a tuple.  A Bell outcome has probability
+    1/4 and a contracted label 1/2 at any secret: ``post`` None is a fault."""
+    if post is None:
+        raise ArithmeticError(f"an outcome of probability {prob!r} on the class register")
+    return prob, tuple(post)
+
+
 @functools.lru_cache(maxsize=64)
-def _bell_children(secret: SecretState) -> tuple[tuple[float, tuple | None], ...]:
+def _bell_children(secret: SecretState) -> tuple[tuple[float, tuple], ...]:
     """Alice's Bell measurement of (S, A) on the class register: the
     probability and post-Bell support of each outcome, in ``BellOutcome``
     order.  An entry's index is a << 1 | c.
@@ -310,11 +315,10 @@ def _bell_children(secret: SecretState) -> tuple[tuple[float, tuple | None], ...
         for s_bit, s_amp in enumerate((secret.alpha, secret.beta))
         for index, amp in _channel_support(_CLASSES)
     )
-    children = (
-        qstate._contract_support(whole, 4, qstate._BELL_BRAS[outcome], _SECRET_QUBIT)
+    return tuple(
+        _possible(*qstate._contract_support(whole, 4, qstate._BELL_BRAS[outcome], _SECRET_QUBIT))
         for outcome in BellOutcome
     )
-    return tuple((p, None if post is None else tuple(post)) for p, post in children)
 
 
 def _recovery_bra(secret: SecretState, op: CorrectionOp) -> tuple[complex, complex]:
@@ -328,11 +332,10 @@ class _LeafTable:
     """One run's scored leaves, built whole when the run starts.
 
     ``root`` holds ``(prob, children)`` per Bell outcome, as
-    ``qstate._sample_outcome`` takes them, ``children`` ``None`` for an
-    impossible outcome.  ``children`` holds the contracted step's two
-    ``(prob, leaves)`` pairs in label order, ``leaves`` ``None`` for an
-    impossible label, else the scored leaves ``(bell, v_g1, aux, op,
-    branch_probability, fidelity)`` for sign 0 and 1.  The helpers before
+    ``qstate._sample_outcome`` takes them.  ``children`` holds the contracted
+    step's two ``(prob, leaves)`` pairs in label order, ``leaves`` the scored
+    leaves ``(bell, v_g1, aux, op, branch_probability, fidelity)`` for sign
+    0 and 1.  No outcome is impossible (``_possible``).  The helpers before
     the contracted one have parity p, the ones after it parity r.  Under a
     Bob designee the label is charlie*'s bit, and p, a Z on a, is the sign.
     Under a Charlie designee the contraction is on a, where <+|Z = <-|, so p
@@ -349,7 +352,7 @@ class _LeafTable:
         self.secret = secret
         self.contracted = sizes.m - 1  # the contracted helper's plan position
         self.root = tuple(
-            (p, None if post is None else self._children(bell, p, post))
+            (p, self._children(bell, p, post))
             for bell, (p, post) in zip(_BELL_OUTCOMES, _bell_children(secret))
         )
 
@@ -359,11 +362,9 @@ class _LeafTable:
         bras = qstate._BASIS_BRAS[MeasBasis.COMPUTATIONAL if self.axis else MeasBasis.PLUS_MINUS]
         before = p_bell * 0.5**self.contracted
         after = 0.5 ** (len(self.index) - 1 - self.contracted)
-        children = (qstate._contract_support(pairs, 2, bra, self.axis) for bra in bras)
+        children = (_possible(*qstate._contract_support(pairs, 2, bra, self.axis)) for bra in bras)
         return tuple(
-            (q, None if post is None else tuple(
-                self._score(bell, label, sign, post, before * q * after) for sign in (0, 1)
-            ))
+            (q, tuple(self._score(bell, label, sign, post, before * q * after) for sign in (0, 1)))
             for label, (q, post) in enumerate(children)
         )
 
@@ -382,18 +383,6 @@ class _LeafTable:
         fidelity, _ = qstate._contract_support(pairs, 1, (g0, -g1) if sign else (g0, g1), 0)
         return bell, v_g1, aux, op, prob, min(fidelity, 1.0)
 
-    def _leaf(self, children, bits: bytes):
-        """The leaf that the helper bits ``bits`` reach among one Bell
-        outcome's ``children``, or ``None`` if its label is impossible."""
-        at = self.contracted
-        before = bits[:at].count(1) & 1
-        if self.axis:
-            label, sign = bits[at], before
-        else:
-            label, sign = bits[at] ^ before, bits[at + 1 :].count(1) & 1
-        _, leaves = children[label]
-        return None if leaves is None else leaves[sign]
-
     def result(self, leaf: tuple, bits: bytes) -> TrialResult:
         bell, v_g1, aux, op, prob, fidelity = leaf
         return TrialResult(bell, _HelperBits(self.index, bits), v_g1, aux, op, prob, fidelity)
@@ -403,35 +392,35 @@ class _LeafTable:
         Alice's first: ``qstate._sample_outcome`` for the Bell step and the
         contracted step, and ``draw >= 0.5`` for every other step, which has
         probability 1/2 exactly.  Under a Charlie designee the contracted
-        step's outcomes are its labels relabelled by the parity before it,
+        step's outcomes are its labels relabelled by the parity p before it,
         so a draw picks the same bit as it would on the state it measures."""
         # float.__le__ gives a bool for a list's floats and an ndarray's np.float64 alike.
         heads = bytes(map((0.5).__le__, draws))
         _, _, children = qstate._sample_outcome(self.root, draws[0])
         at = 1 + self.contracted
-        relabel = 0 if self.axis else heads[1:at].count(1) & 1
-        outcome, _, _ = qstate._sample_outcome(children[::-1] if relabel else children, draws[at])
-        bits = heads[1:at] + bytes((outcome,)) + heads[at + 1 :]
-        return self.result(self._leaf(children, bits), bits)
+        p = heads.count(1, 1, at) & 1
+        relabel, sign = (0, p) if self.axis else (p, heads.count(1, at + 1) & 1)
+        ordered = children[::-1] if relabel else children
+        outcome, _, leaves = qstate._sample_outcome(ordered, draws[at])
+        return self.result(leaves[sign], heads[1:at] + bytes((outcome,)) + heads[at + 1 :])
+
+    def walk(self):
+        """Every branch as ``(leaf, bits)``, outcome 0 first at every step, so
+        in ``itertools.product`` order; the bits' label and sign pick the leaf."""
+        at = self.contracted
+        for _, children in self.root:
+            for bits in map(bytes, itertools.product((0, 1), repeat=len(self.index))):
+                p, b = bits.count(1, 0, at) & 1, bits[at]
+                label, sign = (b, p) if self.axis else (b ^ p, bits.count(1, at + 1) & 1)
+                yield children[label][1][sign], bits
 
     def branches(self):
-        """Every possible branch, outcome 0 first at every step, so in
-        ``itertools.product`` order."""
-        helpers = len(self.index)
-        for _, children in self.root:
-            if children is None:
-                continue
-            for bits in map(bytes, itertools.product((0, 1), repeat=helpers)):
-                leaf = self._leaf(children, bits)
-                if leaf is not None:
-                    yield self.result(leaf, bits)
+        """``walk``'s branches as ``TrialResult``s."""
+        return itertools.starmap(self.result, self.walk())
 
 
-@functools.lru_cache(maxsize=64)
-def _leaf_table(sizes: PartySizes, designee: Designee, secret: SecretState) -> _LeafTable:
-    """The run's leaf table, which every trial and branch of the run shares.
-    Raises ValueError unless the designee exists at ``sizes``."""
-    return _LeafTable(sizes, designee, secret)
+# The run's leaf table, which every trial and branch of the run shares.
+_leaf_table = functools.lru_cache(maxsize=64)(_LeafTable)
 
 
 def run_recovery(
@@ -447,6 +436,16 @@ def run_recovery(
     return table.sample(rng.random(1 + len(table.index)))
 
 
+def _check_branch_limit(sizes: PartySizes, designee: Designee, branch_limit: int) -> None:
+    """Raise ValueError unless the designee exists at ``sizes``, and
+    BranchLimitError if 4 * 2**helpers branches exceed ``branch_limit``, an
+    int, building neither: 2**k > limit exactly when k >= limit.bit_length()."""
+    check_designee(sizes, designee)
+    exponent = 2 + _helper_count(sizes, designee)
+    if exponent >= operator.index(branch_limit).bit_length():
+        raise BranchLimitError(f"2**{exponent} branches exceed the limit of {branch_limit}")
+
+
 def iter_branches(
     sizes: PartySizes,
     designee: Designee,
@@ -459,12 +458,7 @@ def iter_branches(
     branch is requested, so a failing enumeration raises before it yields
     anything.
     """
-    check_designee(sizes, designee)
-    # 4 * 2**helpers branches, checked before the table is built and without
-    # building that number: 2**k > limit exactly when k >= limit.bit_length().
-    exponent = 2 + _helper_count(sizes, designee)
-    if exponent >= operator.index(branch_limit).bit_length():
-        raise BranchLimitError(f"2**{exponent} branches exceed the limit of {branch_limit}")
+    _check_branch_limit(sizes, designee, branch_limit)
     yield from _leaf_table(sizes, designee, secret).branches()
 
 
@@ -476,8 +470,8 @@ def enumerate_branches(
 ) -> list[TrialResult]:
     """Walk every (Bell outcome x agent outcomes) branch deterministically.
 
-    Zero-probability branches are skipped; the branch probabilities of the
-    returned results sum to 1.
+    Every branch is possible; the branch probabilities of the returned
+    results sum to 1.
     """
     return list(iter_branches(sizes, designee, secret, branch_limit))
 

@@ -183,14 +183,14 @@ class _FixedDraws:
 
 
 def _labels(table):
-    """The contracted step's ``(prob, leaves)`` pairs under every possible
-    Bell outcome of a leaf table."""
-    return [label for _, children in table.root if children is not None for label in children]
+    """The contracted step's ``(prob, leaves)`` pairs under every Bell
+    outcome of a leaf table."""
+    return [label for _, children in table.root for label in children]
 
 
 def _leaves(table):
-    """The scored leaves of a leaf table, one per sign under each possible label."""
-    return [leaf for _, leaves in _labels(table) if leaves is not None for leaf in leaves]
+    """The scored leaves of a leaf table, one per sign under each label."""
+    return [leaf for _, leaves in _labels(table) for leaf in leaves]
 
 
 @pytest.mark.parametrize("grade", ["bob", "charlie"])

@@ -32,7 +32,6 @@ from hqis.protocol import (
     Role,
     agent_marginal,
     enumerate_branches,
-    iter_branches,
 )
 from hqis.qstate import SecretState, register_cap
 
@@ -706,13 +705,14 @@ ENUMERATE_ARGV = ["run", "--m", "2", "--n", "3", "--designee", "bob:2", "--charl
 
 def test_enumerate_streams_one_record_per_branch(monkeypatch):
     produced = []
+    walk = protocol._LeafTable.walk
 
-    def counting_branches(*args):
-        for result in iter_branches(*args):
-            produced.append(result)
-            yield result
+    def counting_walk(table):
+        for step in walk(table):
+            produced.append(step)
+            yield step
 
-    monkeypatch.setattr(protocol, "iter_branches", counting_branches)
+    monkeypatch.setattr(protocol._LeafTable, "walk", counting_walk)
     lines = _run_records(parse_args(ENUMERATE_ARGV))
     assert json.loads(next(lines))["branch"] == 0
     assert len(produced) == 1

@@ -71,6 +71,8 @@ def test_no_cli_path_loads_the_dense_module():
         assert "numpy" not in proc.stderr, argv
         imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
         assert "dataclasses" not in imported, argv
+        # Only a run that writes to --output sets signal handlers.
+        assert "signal" not in imported, argv
         # The run and the tables read the protocol; the check never does.
         assert ("hqis.protocol" in imported) == (argv[0] != "attack"), argv
 

@@ -8,6 +8,7 @@ from conftest import _reference_plan, _reference_qubit, random_secrets
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hqis import dense, protocol, qstate
 from hqis.channel import PartySizes, SecretState, compose_with_secret, make_channel
 from hqis.protocol import (
     BOB_CORRECTIONS,
@@ -610,3 +611,75 @@ def test_iter_branches_checks_before_the_first_branch():
     assert list(iter_branches(sizes, Designee.bob(1, 2), SECRETS[3])) == enumerate_branches(
         sizes, Designee.bob(1, 2), SECRETS[3]
     )
+
+
+# --- no outcome is impossible ---
+
+# |0>, |1>, |+> and |+i>: a probability at these four secrets fixes the
+# Hermitian form M with probability <xi|M|xi> at every secret xi.
+FORM_SECRETS = [
+    SecretState(1, 0),
+    SecretState(0, 1),
+    SecretState(1 / RT2, 1 / RT2),
+    SecretState(1 / RT2, 1j / RT2),
+]
+
+
+def _assert_form_is(probabilities, scale):
+    """The Hermitian form of ``probabilities`` at ``FORM_SECRETS`` is
+    ``scale`` times I, to within a few ulps of ``scale``."""
+    p0, p1, p_plus, p_plus_i = probabilities
+    mean = (p0 + p1) / 2
+    # <+|M|+> = mean + Re M01 and <+i|M|+i> = mean - Im M01.
+    off = (p_plus - mean) - 1j * (p_plus_i - mean)
+    form = np.array([[p0, off], [np.conj(off), p1]])
+    assert np.abs(form - scale * np.eye(2)).max() <= 4 * np.spacing(scale), form
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (2, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("grade", ["bob", "charlie"])
+def test_no_bell_outcome_or_contracted_label_is_impossible(grade, m, n):
+    """On the dense register, each Bell outcome has probability 1/4 and each
+    outcome of the contracted helper (plan position m - 1), given the Bell
+    outcome and any outcomes of the helpers before it, 1/2, at every secret:
+    so the leaf table has no outcome to skip."""
+    sizes = PartySizes(m, n)
+    designee = Designee.bob(m, n) if grade == "bob" else Designee.charlie(n)
+    *before, (contracted, basis) = _reference_plan(sizes, designee)[:m]
+    wholes = [dense.compose_with_secret(s, dense.make_channel(sizes)) for s in FORM_SECRETS]
+    for bell in BellOutcome:
+        children = [dense.bell_project(whole, 0, 1, bell) for whole in wholes]
+        _assert_form_is([p for p, _ in children], 0.25)
+        for forced in itertools.product((0, 1), repeat=len(before)):
+            states = [post for _, post in children]
+            for (role, role_basis), outcome in zip(before, forced):
+                q = _reference_qubit(sizes, role)
+                states = [dense.project(state, q, role_basis, outcome)[1] for state in states]
+            q = _reference_qubit(sizes, contracted)
+            for outcome in (0, 1):
+                probabilities = [dense.project(state, q, basis, outcome)[0] for state in states]
+                _assert_form_is(probabilities, 0.5)
+
+
+@pytest.mark.parametrize("qubits", [4, 2], ids=["bell", "label"])
+def test_an_impossible_outcome_fails_the_build(monkeypatch, qubits):
+    """An outcome of probability 0, which the certificate above rules out,
+    raises when the table is built instead of being skipped: the Bell step
+    contracts 4 qubits, a contracted label 2."""
+    contract = qstate._contract_support
+
+    def impossible(pairs, num_qubits, bra, axis):
+        return (0.0, None) if num_qubits == qubits else contract(pairs, num_qubits, bra, axis)
+
+    monkeypatch.setattr(qstate, "_contract_support", impossible)
+    protocol._bell_children.cache_clear()
+    protocol._leaf_table.cache_clear()
+    try:
+        for designee in (Designee.bob(1, 2), Designee.charlie(2)):
+            with pytest.raises(ArithmeticError, match="probability 0.0"):
+                run_recovery(PartySizes(2, 2), designee, SECRETS[3], derived_rng(0, 1, 0))
+            with pytest.raises(ArithmeticError, match="probability 0.0"):
+                enumerate_branches(PartySizes(2, 2), designee, SECRETS[3])
+    finally:
+        protocol._bell_children.cache_clear()
+        protocol._leaf_table.cache_clear()

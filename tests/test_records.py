@@ -12,7 +12,12 @@ import itertools
 import json
 import math
 import os
+import signal
+import subprocess
+import sys
 import threading
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +25,7 @@ from hypothesis import strategies as st
 
 from hqis import cli, protocol
 from hqis.cli import _run_records, derived_rng, main, parse_args, resolve_secret
-from hqis.protocol import enumerate_branches, run_recovery
+from hqis.protocol import TrialResult, enumerate_branches, iter_branches, run_recovery
 
 MAX_SEED = 2**64 - 1
 
@@ -134,7 +139,10 @@ def test_run_lines_equal_json_dumps_of_the_record_dicts(argv):
 # before or after the contracted one (m=1 under either grade, n=1 under a
 # Charlie designee), a Bob-designee enumeration, a basis secret and an m
 # past float underflow are as the walk wrote them that kept one tree level
-# per run of |+>/|-> steps.
+# per run of |+>/|-> steps.  The enumerations whose bits sort in another
+# order than the plan's (bob:10 before bob:3), whose contracted helper comes
+# first (m=1), at a basis secret, at m=n=1 and at m=12 are as the records
+# were written from one TrialResult per branch.
 PINNED_STDOUT_SHA256 = {
     "run --mode sample --m 3 --n 3 --designee charlie:2 --secret random --trials 1000 --seed 17":
         "e28ec3a16f7a662d37c8e511c8d2f60b3bd0338f50cc9bfc5b05304aa8660813",
@@ -168,6 +176,16 @@ PINNED_STDOUT_SHA256 = {
         "96bc00f3c48df5e060c76454773ef81518cf63fcca905a65972fc2458aea18fc",
     "run --m 3000 --n 2 --designee charlie:2 --secret random --trials 20 --seed 13":
         "5891bddf9ed6e137340c4535ec102b47cd1f962503601ed710a2b2d5eaddd3c9",
+    "run --mode enumerate --m 11 --n 1 --designee bob:2 --charlie-star 1 --secret random --seed 21":
+        "d717cf783dabad084de68c68b5554ee1ab49ec47e8067279d46630b8d63ac486",
+    "run --mode enumerate --m 1 --n 9 --designee charlie:5 --secret random --seed 21":
+        "33978d7afe67679ab1e7a966a7eee4800f41f059b49672a079af10e4219296ee",
+    "run --mode enumerate --m 3 --n 2 --designee charlie:1 --secret 0,0,1,0 --seed 4":
+        "ced9e17ad55dca7ded0f827ca8642736cec715a00e2b32887bdbed0685c3f2ff",
+    "run --mode enumerate --m 1 --n 1 --designee bob:1 --charlie-star 1 --secret 1,0,0,0 --seed 0":
+        "b81bc2a4d7406657e4c4a10b2c9e6e6ce0a3c6533d31170bd7c8a41d12771636",
+    "run --mode enumerate --m 12 --n 1 --designee charlie:1 --secret random --seed 8":
+        "c5ecad92724fc4475aa4a82c979d4fff7069091a46a03d8faa0d0538bf7fb1d3",
 }
 
 
@@ -187,18 +205,24 @@ def test_dumps_encodes_each_distinct_leaf_once(monkeypatch, capsys):
 
     dumps = cli._dumps
     monkeypatch.setattr(cli, "_dumps", counting_dumps)
-    argv = "run --mode sample --m 3 --n 3 --designee charlie:2 --trials 1000 --seed 17"
-    assert main(argv.split()) == 0
-    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert len(records) == 1000
-    fields = ("bell", "v_g1", "v_g2_or_charlie_star", "correction", "branch_probability",
-              "fidelity")
-    leaves = {tuple(record[field] for field in fields) for record in records}
-    leaf_dicts = [value for value in calls if isinstance(value, dict) and "fidelity" in value]
-    assert len(leaf_dicts) == len(leaves) > 1
-    # No call encodes a whole record: each leaf dict holds a slot, not a
-    # value, for the helpers' bits and for the counter.
-    assert all(leaf["bits"] == leaf["trial"] == "\0" for leaf in leaf_dicts)
+    # The bench's sample and enumerate argvs.
+    for counter, argv, count in (
+        ("trial", "run --mode sample --m 3 --n 3 --designee charlie:2 --trials 1000 --seed 17",
+         1000),
+        ("branch", "run --mode enumerate --m 5 --n 6 --designee charlie:3 --seed 17", 4097),
+    ):
+        calls.clear()
+        assert main(argv.split()) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(records) == count
+        fields = ("bell", "v_g1", "v_g2_or_charlie_star", "correction", "branch_probability",
+                  "fidelity")
+        leaves = {tuple(r[field] for field in fields) for r in records if counter in r}
+        leaf_dicts = [value for value in calls if isinstance(value, dict) and "fidelity" in value]
+        assert len(leaf_dicts) == len(leaves) > 1
+        # No call encodes a whole record: each leaf dict holds a slot, not a
+        # value, for the helpers' bits and for the counter.
+        assert all(leaf["bits"] == leaf[counter] == "\0" for leaf in leaf_dicts)
 
 
 SAMPLE_ARGV = ["run", "--m", "2", "--n", "2", "--designee", "charlie:1", "--trials", "5"]
@@ -207,20 +231,35 @@ ENUMERATE_ARGV = ["run", "--m", "2", "--n", "2", "--designee", "bob:1", "--charl
                   "--mode", "enumerate"]
 
 
+# A leaf of the run's table holds a TrialResult's fields but the bits.
+LEAF_FIELDS = tuple(field for field in TrialResult._fields if field != "classical_bits")
+
+
 def _break_result_at(monkeypatch, name: str, at: int, **fields):
-    """Make ``protocol.<name>`` (``run_recovery`` or ``iter_branches``), which
-    ``cli`` looks up when a run starts, give result number ``at`` of the run
-    with ``fields`` replaced."""
-    real = getattr(protocol, name)
+    """Give result number ``at`` of a run with ``fields`` replaced.
+
+    For ``run_recovery``, which ``cli`` calls per trial, that result.  For
+    ``iter_branches``, the leaf of step ``at`` of ``_LeafTable.walk``, which
+    both ``iter_branches`` and the CLI's enumeration read.
+    """
     count = itertools.count()
 
     def broken(result):
         return result._replace(**fields) if next(count) == at else result
 
     if name == "run_recovery":
+        real = protocol.run_recovery
         monkeypatch.setattr(protocol, name, lambda *args: broken(real(*args)))
-    else:
-        monkeypatch.setattr(protocol, name, lambda *args: map(broken, real(*args)))
+        return
+    walk = protocol._LeafTable.walk
+
+    def broken_walk(table):
+        for leaf, bits in walk(table):
+            if next(count) == at:
+                leaf = tuple(fields.get(key, value) for key, value in zip(LEAF_FIELDS, leaf))
+            yield leaf, bits
+
+    monkeypatch.setattr(protocol._LeafTable, "walk", broken_walk)
 
 
 @pytest.mark.parametrize("field", ["fidelity", "branch_probability"])
@@ -228,7 +267,9 @@ def _break_result_at(monkeypatch, name: str, at: int, **fields):
 @pytest.mark.parametrize(
     "name, argv", [("run_recovery", SAMPLE_ARGV_10), ("iter_branches", ENUMERATE_ARGV)]
 )
-def test_non_finite_float_raises_json_error(monkeypatch, capsys, name, argv, field, value):
+def test_non_finite_float_raises_json_error(
+    monkeypatch, capsys, tmp_path, name, argv, field, value
+):
     with pytest.raises(ValueError) as strict:
         _json({field: value})
     # Record 5 comes after the encoder has cached the leaves of the records before it.
@@ -243,9 +284,21 @@ def test_non_finite_float_raises_json_error(monkeypatch, capsys, name, argv, fie
         with monkeypatch.context() as patch:
             _break_result_at(patch, name, at, **{field: value})
             assert main(argv) == 1
+        with monkeypatch.context() as patch:
+            _break_result_at(patch, name, at, **{field: value})
+            assert main(argv + ["--output", str(tmp_path / "records.ndjson")]) == 1
+        assert list(tmp_path.iterdir()) == []
         captured = capsys.readouterr()
         assert len(captured.out.splitlines()) == at
-        assert captured.err.splitlines() == [f"error: {strict.value}"]
+        assert captured.err.splitlines() == [f"error: {strict.value}"] * 2
+    if name == "iter_branches":
+        # The library's branches read the same walk.
+        config = parse_args(argv)
+        with monkeypatch.context() as patch:
+            _break_result_at(patch, name, 5, **{field: value})
+            results = list(iter_branches(config.sizes, config.designee, resolve_secret(config)))
+        assert getattr(results[5], field) is value
+        assert all(math.isfinite(getattr(r, field)) for r in results[:5] + results[6:])
 
 
 def test_failure_after_the_first_record_leaves_no_output_file(monkeypatch, tmp_path, capsys):
@@ -295,3 +348,105 @@ def test_failure_keeps_a_symlink_and_its_target(monkeypatch, tmp_path):
     assert main(SAMPLE_ARGV + ["--output", str(link)]) == 1
     assert link.is_symlink() and target.is_file()
     assert target.read_text() == ""
+
+
+# A CLI process whose fifth trial waits, after the output file is open and
+# records 0-3 are written to it, until a signal stops it.
+_WAITING_RUN = """\
+import sys, time
+from hqis import cli, protocol
+
+real, calls = protocol.run_recovery, []
+
+def waiting(*args):
+    calls.append(args)
+    if len(calls) == 5:
+        print("writing", file=sys.stderr, flush=True)
+        time.sleep(120)
+    return real(*args)
+
+protocol.run_recovery = waiting
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("name", ["SIGTERM", "SIGHUP"])
+def test_a_signal_while_writing_leaves_no_output_file(tmp_path, name):
+    signum = getattr(signal, name)
+    out = tmp_path / "records.ndjson"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = [sys.executable, "-c", _WAITING_RUN, *SAMPLE_ARGV_10, "--output", str(out)]
+    with subprocess.Popen(argv, stderr=subprocess.PIPE, env=env, text=True) as proc:
+        try:
+            assert proc.stderr.readline() == "writing\n"
+            assert out.is_file()
+            proc.send_signal(signum)
+            assert proc.wait(timeout=60) == 128 + signum
+            assert proc.stderr.read() == ""
+        finally:
+            proc.kill()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_signal_handlers_are_set_only_while_records_go_to_a_path(monkeypatch, tmp_path, capsys):
+    seen = []
+    real = protocol.run_recovery
+
+    def watching(*args):
+        seen.append((signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGHUP)))
+        return real(*args)
+
+    monkeypatch.setattr(protocol, "run_recovery", watching)
+    # SIGHUP ignored, as under nohup, stays ignored.
+    kept = (signal.signal(signal.SIGTERM, signal.SIG_DFL),
+            signal.signal(signal.SIGHUP, signal.SIG_IGN))
+    try:
+        assert main(SAMPLE_ARGV + ["--output", str(tmp_path / "records.ndjson")]) == 0
+        assert main(SAMPLE_ARGV) == 0
+        after = signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGHUP)
+    finally:
+        signal.signal(signal.SIGTERM, kept[0])
+        signal.signal(signal.SIGHUP, kept[1])
+    assert len(capsys.readouterr().out.splitlines()) == 5
+    # Trial 0 is drawn before the file is opened, trials 1-4 while it is written.
+    terms, hups = zip(*seen)
+    assert terms[0] is signal.SIG_DFL and all(callable(h) for h in terms[1:5])
+    assert terms[5:] == (signal.SIG_DFL,) * 5
+    assert hups == (signal.SIG_IGN,) * 10
+    assert after == (signal.SIG_DFL, signal.SIG_IGN)
+
+
+def test_a_run_in_another_thread_still_writes_its_output_file(tmp_path):
+    # Only the main thread may set a signal handler; another thread's run
+    # writes its file without one.
+    out = tmp_path / "records.ndjson"
+    statuses = []
+    worker = threading.Thread(
+        target=lambda: statuses.append(main(SAMPLE_ARGV + ["--output", str(out)]))
+    )
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert statuses == [0]
+    assert [json.loads(line)["trial"] for line in out.read_text().splitlines()] == list(range(5))
+
+
+def _drained_peak(argv: str) -> int:
+    """The tracemalloc peak of a run's records, drained to a sink."""
+    config = parse_args(argv.split())
+    tracemalloc.start()
+    try:
+        for _ in _run_records(config):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_enumeration_memory_does_not_grow_with_the_branch_count():
+    # 2**12 and 2**16 branches, each after a warm-up run, so that neither
+    # pays for an import or for building its leaf table.
+    small = "run --mode enumerate --m 5 --n 6 --designee charlie:3 --seed 17"
+    large = "run --mode enumerate --m 7 --n 8 --designee charlie:3 --seed 17"
+    peaks = [(_drained_peak(argv), _drained_peak(argv))[1] for argv in (small, large)]
+    assert abs(peaks[1] - peaks[0]) <= 2**12, peaks
