@@ -9,11 +9,12 @@ Every line is one JSON object with its keys sorted, compact separators and
 strict JSON: a NaN or an infinity fails the run instead of being written.
 ``_dumps`` owns that format and writes every line: a record's once per
 distinct leaf of the run's table, with slots for the helpers' bits and the
-counter, all that a record fills in (``_record_encoder``).  An enumeration
-reads the table's walk and builds no ``TrialResult``.  A run that fails after
-its first record, or that a SIGTERM or SIGHUP stops, removes its ``--output``
-file, if that path names a regular file, and empties the regular file a
-symlinked path reaches.
+counter, all that a record fills in (``_record_encoder``).  Both modes write
+their records from the table's ``(leaf, bits)`` and build no ``TrialResult``;
+a sampled trial draws from a seeder built once per run.  A run that fails
+after its first record, or that a SIGTERM or SIGHUP stops, removes its
+``--output`` file, if that path names a regular file, and empties the regular
+file a symlinked path reaches.
 """
 
 import argparse
@@ -33,7 +34,7 @@ from .adversary import (
     missed_detection_probability,
 )
 from .channel import PartySizes, SecretState
-from .qstate import ResourceLimitError, Stream, register_cap
+from .qstate import ResourceLimitError, Stream, _seeder, _uniforms, register_cap
 
 # Only the functions that use hqis.protocol import it: ``attack`` never loads it.
 
@@ -321,10 +322,11 @@ def _run_records(config: RunConfig):
     labels = tuple(role.label for role in table.index)
     encode = _record_encoder(_base_record(config, counter) | context, counter, labels)
     if config.mode == "sample":
+        # Trial k draws as derived_rng(seed, _STREAM_TRIAL, k).random(1 + helpers).
+        seed_trial, size = _seeder(config.seed, _STREAM_TRIAL), 1 + len(labels)
         for k in range(config.trials):
-            rng = derived_rng(config.seed, _STREAM_TRIAL, k)
-            bell, bits, *rest = protocol.run_recovery(sizes, designee, secret, rng)
-            yield encode(k, (bell, *rest), bits.values())
+            draws, _ = _uniforms(*seed_trial(k), size)
+            yield encode(k, *protocol.run_pick(table, draws))
         return
     # Records stream as the walk reaches each branch.  The sum keeps their
     # order, and the set the first of equal fidelities, as min() and max() would.

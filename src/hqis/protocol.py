@@ -13,10 +13,11 @@ then measure according to the designee's grade:
   Bell outcome and the two per-grade parities.
 
 Both kinds of run read one table of scored leaves, built once per run
-(``_leaf_table``).  Its ``walk`` yields every outcome string with its leaf in
-``itertools.product`` order, and ``iter_branches`` (``enumerate_branches``,
-its list) wraps each in a ``TrialResult``; ``run_recovery`` draws one outcome
-per step, Alice's first, with one ``rng.random(1 + helpers)`` call.
+(``_leaf_table``), as ``(leaf, bits)``: its ``walk`` yields every outcome
+string in ``itertools.product`` order, and ``run_pick`` the one a trial's
+draws pick, a draw per step, Alice's first.  ``iter_branches`` and
+``run_recovery``, which draws with one ``rng.random(1 + helpers)`` call, wrap
+them in ``TrialResult``s; the CLI writes its records from them directly.
 
 The walk is keyed by class, not by qubit.  After the Bell measurement every
 Bob's bit equals one bit a and every Charlie's one bit c, so the state is at
@@ -41,6 +42,7 @@ operations, and the qubit-by-qubit support walk kept in the tests, are the
 oracles the tests compare with.
 """
 
+import bisect
 import functools
 import itertools
 import operator
@@ -331,20 +333,18 @@ def _recovery_bra(secret: SecretState, op: CorrectionOp) -> tuple[complex, compl
 class _LeafTable:
     """One run's scored leaves, built whole when the run starts.
 
-    ``root`` holds ``(prob, children)`` per Bell outcome, as
-    ``qstate._sample_outcome`` takes them.  ``children`` holds the contracted
-    step's two ``(prob, leaves)`` pairs in label order, ``leaves`` the scored
-    leaves ``(bell, v_g1, aux, op, branch_probability, fidelity)`` for sign
-    0 and 1.  No outcome is impossible (``_possible``).  The helpers before
-    the contracted one have parity p, the ones after it parity r.  Under a
-    Bob designee the label is charlie*'s bit, and p, a Z on a, is the sign.
-    Under a Charlie designee the contraction is on a, where <+|Z = <-|, so p
-    turns the last Bob's bit b into the label b ^ p, and r, a Z on c, is the
-    sign.  A leaf scores the designee's qubit, the one left, against
-    <xi|G Z^sign, G being the table correction.  So there are at most 4·2²
-    leaves, each shared by every helper bit string with its label and sign,
-    and the build makes one contraction per label and one per leaf; a trial
-    or a branch only reads the table.
+    ``root`` holds ``(prob, children)`` per Bell outcome, ``children`` the
+    contracted step's two ``(prob, leaves)`` pairs in label order, ``leaves``
+    the scored leaves ``(bell, v_g1, aux, op, branch_probability, fidelity)``
+    for sign 0 and 1.  No outcome is impossible (``_possible``).  The helpers
+    before the contracted one have parity p, the ones after it parity r.
+    Under a Bob designee the label is charlie*'s bit, and p, a Z on a, is the
+    sign.  Under a Charlie designee the contraction is on a, where <+|Z =
+    <-|, so p turns the last Bob's bit b into the label b ^ p, and r, a Z on
+    c, is the sign.  A leaf scores the designee's qubit, the one left,
+    against <xi|G Z^sign, G being the table correction.  So there are at most
+    4·2² leaves, one contraction each and one per label when the run starts;
+    a trial (``run_pick``) or a branch (``walk``) only reads the table.
     """
 
     def __init__(self, sizes: PartySizes, designee: Designee, secret: SecretState):
@@ -355,6 +355,10 @@ class _LeafTable:
             (p, self._children(bell, p, post))
             for bell, (p, post) in zip(_BELL_OUTCOMES, _bell_children(secret))
         )
+        # ``run_pick``'s sums, in outcome order: the Bell step's but the last, and per
+        # Bell outcome ``q <= draw`` for the contracted step's label 0, or 1 when relabelled.
+        self.bell_sums = tuple(itertools.accumulate(p for p, _ in self.root))[:-1]
+        self.passed = tuple((q0.__le__, q1.__le__) for _, ((q0, _), (q1, _)) in self.root)
 
     def _children(self, bell: BellOutcome, p_bell: float, pairs):
         """The contracted step's ``(prob, leaves)`` pairs on the Bell child
@@ -387,23 +391,6 @@ class _LeafTable:
         bell, v_g1, aux, op, prob, fidelity = leaf
         return TrialResult(bell, _HelperBits(self.index, bits), v_g1, aux, op, prob, fidelity)
 
-    def sample(self, draws) -> TrialResult:
-        """The branch ``draws`` pick, one draw per measurement in plan order,
-        Alice's first: ``qstate._sample_outcome`` for the Bell step and the
-        contracted step, and ``draw >= 0.5`` for every other step, which has
-        probability 1/2 exactly.  Under a Charlie designee the contracted
-        step's outcomes are its labels relabelled by the parity p before it,
-        so a draw picks the same bit as it would on the state it measures."""
-        # float.__le__ gives a bool for a list's floats and an ndarray's np.float64 alike.
-        heads = bytes(map((0.5).__le__, draws))
-        _, _, children = qstate._sample_outcome(self.root, draws[0])
-        at = 1 + self.contracted
-        p = heads.count(1, 1, at) & 1
-        relabel, sign = (0, p) if self.axis else (p, heads.count(1, at + 1) & 1)
-        ordered = children[::-1] if relabel else children
-        outcome, _, leaves = qstate._sample_outcome(ordered, draws[at])
-        return self.result(leaves[sign], heads[1:at] + bytes((outcome,)) + heads[at + 1 :])
-
     def walk(self):
         """Every branch as ``(leaf, bits)``, outcome 0 first at every step, so
         in ``itertools.product`` order; the bits' label and sign pick the leaf."""
@@ -414,13 +401,25 @@ class _LeafTable:
                 label, sign = (b, p) if self.axis else (b ^ p, bits.count(1, at + 1) & 1)
                 yield children[label][1][sign], bits
 
-    def branches(self):
-        """``walk``'s branches as ``TrialResult``s."""
-        return itertools.starmap(self.result, self.walk())
-
 
 # The run's leaf table, which every trial and branch of the run shares.
 _leaf_table = functools.lru_cache(maxsize=64)(_LeafTable)
+
+
+def run_pick(table: _LeafTable, draws) -> tuple[tuple, bytes]:
+    """One sampled trial, ``table.walk``'s twin and the CLI's one call per
+    trial: the ``(leaf, bits)`` that ``draws``, one per step in plan order,
+    pick.  The Bell and contracted steps take the first outcome whose sum
+    passes the draw, else the last; the rest read ``draw >= 0.5``.  Each
+    ``float.__le__`` gives a bool for a list's floats and np.float64s alike."""
+    heads = bytes(map((0.5).__le__, draws))
+    at = 1 + table.contracted
+    p = heads.count(1, 1, at) & 1
+    relabel, sign = (0, p) if table.axis else (p, heads.count(1, at + 1) & 1)
+    bell = bisect.bisect_right(table.bell_sums, draws[0])
+    outcome = table.passed[bell][relabel](draws[at])
+    leaf = table.root[bell][1][outcome ^ relabel][1][sign]
+    return leaf, heads[1:at] + bytes((outcome,)) + heads[at + 1 :]
 
 
 def run_recovery(
@@ -430,10 +429,10 @@ def run_recovery(
     rng: "qstate.Stream | numpy.random.Generator",
 ) -> TrialResult:
     """One sampled run: the Bell outcome and each helper's outcome are drawn
-    from ``rng`` with a single ``rng.random(1 + helpers)`` call, and the
-    designee's grade picks the helpers and the table."""
+    from ``rng`` with one ``rng.random(1 + helpers)`` call, and the branch
+    ``run_pick`` reads off the run's table is returned as a ``TrialResult``."""
     table = _leaf_table(sizes, designee, secret)
-    return table.sample(rng.random(1 + len(table.index)))
+    return table.result(*run_pick(table, rng.random(1 + len(table.index))))
 
 
 def _check_branch_limit(sizes: PartySizes, designee: Designee, branch_limit: int) -> None:
@@ -459,7 +458,8 @@ def iter_branches(
     anything.
     """
     _check_branch_limit(sizes, designee, branch_limit)
-    yield from _leaf_table(sizes, designee, secret).branches()
+    table = _leaf_table(sizes, designee, secret)
+    yield from itertools.starmap(table.result, table.walk())
 
 
 def enumerate_branches(

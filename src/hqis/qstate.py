@@ -1,10 +1,11 @@
-"""Support-only state core: one contraction, one sampling rule, one stream.
+"""Support-only state core: one contraction and one stream.
 
 The protocol's runs hold each state as its support, ``(basis index,
 amplitude)`` pairs plus the qubit count.  :func:`_contract_support` measures
-it, once per outcome when a run starts, and :func:`_sample_outcome` picks one
-of those ``(prob, post)`` children by one draw of a :class:`Stream`, numpy's
-seeded generator reproduced in plain Python.  Qubit 0 sits at the most significant bit of the index.  This module
+it, once per outcome when a run starts, and a trial picks one of those
+``(prob, post)`` children by one draw of a :class:`Stream`, numpy's seeded
+generator reproduced in plain Python, or of a run's ``_seeder``, which seeds
+the same streams.  Qubit 0 sits at the most significant bit of the index.  This module
 also owns the register cap, the tolerances and the measurement bases' bras,
 and imports no numpy.  The dense :class:`StateVector` layer, the oracle the
 support runtime is tested against, lives in :mod:`hqis.dense` with the gate
@@ -185,27 +186,6 @@ def _contract_support(
     return prob, [(key, c / norm) for key, c in coeffs.items()]
 
 
-def _sample_outcome(children, draw: float):
-    """Pick one outcome of a measurement by a uniform ``draw`` in [0, 1),
-    given ``children``, its ``(prob, post)`` pairs in outcome order, ``post``
-    ``None`` for an impossible outcome.  Returns ``(outcome, prob, post)``.
-
-    Walks the cumulative probability of the possible outcomes in order and
-    stops at the first sum past the draw; a draw past the last sum, which
-    only rounding allows, takes the last possible outcome.
-    """
-    cumulative = 0.0
-    drawn = None
-    for outcome, (prob, post) in enumerate(children):
-        if post is None:
-            continue
-        drawn = outcome, prob, post
-        cumulative += prob
-        if draw < cumulative:
-            break
-    return drawn
-
-
 # numpy's SeedSequence hash (O'Neill's seed_seq_fe) over a pool of four
 # uint32 words, its PCG64 (XSL-RR 128/64) and its ziggurat's tail.
 _MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
@@ -262,12 +242,9 @@ def _mix_in(pool, const: int, words) -> tuple[list[int], int]:
     those past the pool's size, into every pool word."""
     pool = list(pool)
     pairs = _hash_pairs(const, _POOL_SIZE * len(words))
-    # _hashmix and _mix inlined: this runs once per sampled trial.
-    for step, (xor, mult) in enumerate(pairs):
+    for step, pair in enumerate(pairs):
         dst = step % _POOL_SIZE
-        value = (words[step // _POOL_SIZE] ^ xor) * mult & _MASK32
-        mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (value ^ value >> 16)) & _MASK32
-        pool[dst] = mixed ^ mixed >> 16
+        pool[dst] = _mix(pool[dst], _hashmix(words[step // _POOL_SIZE], *pair))
     return pool, pairs[-1][1] if pairs else const
 
 
@@ -295,19 +272,58 @@ def _seeded_pool(seed: int, purpose: int) -> tuple[tuple[int, ...], int]:
 _GENERATE_PAIRS = _hash_pairs(_INIT_B, 2 * _POOL_SIZE, _MULT_B)
 
 
-def _pcg64_seed(pool) -> tuple[int, int]:
-    """PCG64's (state, increment) seeded from the pool's
+@functools.lru_cache(maxsize=64)
+def _seeder(seed: int, purpose: int):
+    """``seed_path(*path)``: PCG64's ``(state, inc)`` as
+    ``SeedSequence(entropy=seed, spawn_key=(purpose, *path))`` seeds it, the
+    one copy of the spawn rule.  The run's pool, the hash constants a
+    one-word path takes and ``generate_state``'s are fixed here, once per
+    (seed, purpose), so a path hashes only its own words and then the pool's
     ``generate_state(4, uint64)``: (state seed, sequence) as 128-bit words."""
-    # _hashmix inlined: this runs once per sampled trial.
-    words = [
-        (v := (word ^ xor) * mult & _MASK32) ^ v >> 16
-        for word, (xor, mult) in zip(pool * 2, _GENERATE_PAIRS)
-    ]
-    # Little-endian pairs of uint32 make the uint64s; high uint64 first in each 128-bit word.
-    seed = (words[0] | words[1] << 32) << 64 | words[2] | words[3] << 32
-    sequence = (words[4] | words[5] << 32) << 64 | words[6] | words[7] << 32
-    inc = (sequence << 1 | 1) & _MASK128
-    return ((inc + seed) * _PCG_MULT + inc) & _MASK128, inc
+    pool, const = _seeded_pool(seed, purpose)
+    mask, right = _MASK32, _MIX_MULT_R
+    left0, left1, left2, left3 = (_MIX_MULT_L * word for word in pool)
+    (y0, n0), (y1, n1), (y2, n2), (y3, n3) = _hash_pairs(const, _POOL_SIZE)
+    (x0, m0), (x1, m1), (x2, m2), (x3, m3), (x4, m4), (x5, m5), (x6, m6), (x7, m7) = _GENERATE_PAIRS
+
+    def seed_path(*path: int) -> tuple[int, int]:
+        # _mix_in, _hashmix and _mix inlined for a one-word path, which every
+        # trial below 2**32 has: this runs once per sampled trial.
+        if len(path) == 1 and 0 <= (k := operator.index(path[0])) <= mask:
+            a = (v := (left0 - right * ((h := (k ^ y0) * n0 & mask) ^ h >> 16)) & mask) ^ v >> 16
+            b = (v := (left1 - right * ((h := (k ^ y1) * n1 & mask) ^ h >> 16)) & mask) ^ v >> 16
+            c = (v := (left2 - right * ((h := (k ^ y2) * n2 & mask) ^ h >> 16)) & mask) ^ v >> 16
+            d = (v := (left3 - right * ((h := (k ^ y3) * n3 & mask) ^ h >> 16)) & mask) ^ v >> 16
+        else:
+            (a, b, c, d), _ = _mix_in(pool, const, [w for k in path for w in _uint32_words(k)])
+        w0 = (v := (a ^ x0) * m0 & mask) ^ v >> 16
+        w1 = (v := (b ^ x1) * m1 & mask) ^ v >> 16
+        w2 = (v := (c ^ x2) * m2 & mask) ^ v >> 16
+        w3 = (v := (d ^ x3) * m3 & mask) ^ v >> 16
+        w4 = (v := (a ^ x4) * m4 & mask) ^ v >> 16
+        w5 = (v := (b ^ x5) * m5 & mask) ^ v >> 16
+        w6 = (v := (c ^ x6) * m6 & mask) ^ v >> 16
+        w7 = (v := (d ^ x7) * m7 & mask) ^ v >> 16
+        # Little-endian pairs of uint32 make the uint64s, high uint64 first in each word.
+        inc = (w5 << 97 | w4 << 65 | w7 << 33 | w6 << 1 | 1) & _MASK128
+        return ((inc + (w1 << 96 | w0 << 64 | w3 << 32 | w2)) * _PCG_MULT + inc) & _MASK128, inc
+
+    return seed_path
+
+
+def _uniforms(state: int, inc: int, size: int) -> tuple[list[float], int]:
+    """``size`` uniform doubles in [0, 1) from PCG64 at ``(state, inc)``, each
+    the top 53 bits of a word, scaled, and the state after them."""
+    # A word masked to its top 53 bits, times 2**-64, is (word >> 11) * 2**-53.
+    mult, mask64, mask128 = _PCG_MULT, _MASK64, _MASK128
+    top53 = mask64 ^ 0x7FF
+    draws = []
+    append = draws.append
+    for _ in range(size):
+        state = (state * mult + inc) & mask128
+        word, rot = (state >> 64 ^ state) & mask64, state >> 122
+        append(((word >> rot | word << 64 - rot) & top53) * 2**-64)
+    return draws, state
 
 
 @functools.cache
@@ -334,10 +350,7 @@ class Stream:
 
     def __init__(self, seed: int, purpose: int, *path: int):
         # As ints before the cache, which would take 1.0 for the key 1.
-        pool, const = _seeded_pool(operator.index(seed), operator.index(purpose))
-        if path:
-            pool, _ = _mix_in(pool, const, [w for k in path for w in _uint32_words(k)])
-        self.state, self.inc = _pcg64_seed(pool)
+        self.state, self.inc = _seeder(operator.index(seed), operator.index(purpose))(*path)
 
     def _next64(self) -> int:
         self.state = state = (self.state * _PCG_MULT + self.inc) & _MASK128
@@ -349,17 +362,7 @@ class Stream:
         53 bits of a word, scaled."""
         if size is None:
             return (self._next64() >> 11) * 2**-53
-        # _next64 inlined, with the state in a local written back once.  A
-        # word masked to its top 53 bits, times 2**-64, is (word >> 11) * 2**-53.
-        state, inc, mult, mask64, mask128 = self.state, self.inc, _PCG_MULT, _MASK64, _MASK128
-        top53 = mask64 ^ 0x7FF
-        draws = []
-        append = draws.append
-        for _ in range(size):
-            state = (state * mult + inc) & mask128
-            word, rot = (state >> 64 ^ state) & mask64, state >> 122
-            append(((word >> rot | word << 64 - rot) & top53) * 2**-64)
-        self.state = state
+        draws, self.state = _uniforms(self.state, self.inc, size)
         return draws
 
     def normal(self, size: int) -> list[float]:

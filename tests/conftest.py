@@ -79,3 +79,25 @@ def _reference_whole_support(sizes, secret):
         for s_bit, s_amp in enumerate((secret.alpha, secret.beta))
         for a_bit, c_bit, amp in terms
     ]
+
+
+def _sample_outcome(children, draw: float):
+    """Pick one outcome of a measurement by a uniform ``draw`` in [0, 1),
+    given ``children``, its ``(prob, post)`` pairs in outcome order, ``post``
+    ``None`` for an impossible outcome.  Returns ``(outcome, prob, post)``.
+
+    Walks the cumulative probability of the possible outcomes in order and
+    stops at the first sum past the draw; a draw past the last sum, which
+    only rounding allows, takes the last possible outcome.  The sampling
+    rule ``protocol.run_pick`` keeps with its stored sums.
+    """
+    cumulative = 0.0
+    drawn = None
+    for outcome, (prob, post) in enumerate(children):
+        if post is None:
+            continue
+        drawn = outcome, prob, post
+        cumulative += prob
+        if draw < cumulative:
+            break
+    return drawn

@@ -9,12 +9,16 @@ probability and fidelity within 1e-12 (a run of |+>/|-> steps is an exact
 1/2 there, 0.49999999999999983 here).
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from conftest import (
     _reference_plan,
     _reference_qubit,
     _reference_whole_support,
+    _sample_outcome,
     random_secrets,
 )
 from hypothesis import given, settings
@@ -67,7 +71,7 @@ def _support_walk(pairs, steps, rng=None):
         if rng is None:
             children = [(outcome, *contracted[outcome]) for outcome in reversed(range(len(bras)))]
         else:
-            children = [qstate._sample_outcome(contracted, rng.random())]
+            children = [_sample_outcome(contracted, rng.random())]
         stack.extend(
             (post, prob * p, outcomes + (outcome,))
             for outcome, p, post in children
@@ -154,6 +158,47 @@ def test_sampled_trials_match_the_support_walk_at_large_sizes(size, designee):
     for k in range(8):
         (branch,) = _support_branch_results(sizes, designee, secret, derived_rng(29, 1, k))
         _assert_same_branch(run_recovery(sizes, designee, secret, derived_rng(29, 1, k)), branch)
+
+
+def _reference_pick(table, draws):
+    """A trial's ``(leaf, bits)`` by ``_sample_outcome`` over the table's Bell
+    children, then over the contracted step's two labels, in reversed label
+    order when the parity before the step relabels them."""
+    heads = bytes(draw >= 0.5 for draw in draws)
+    _, _, children = _sample_outcome(table.root, draws[0])
+    at = 1 + table.contracted
+    p = heads.count(1, 1, at) & 1
+    relabel, sign = (0, p) if table.axis else (p, heads.count(1, at + 1) & 1)
+    outcome, _, leaves = _sample_outcome(children[::-1] if relabel else children, draws[at])
+    return leaves[sign], heads[1:at] + bytes((outcome,)) + heads[at + 1 :]
+
+
+def _edges(sums):
+    """Draws on, just below and just above each sum, and past every sum."""
+    return sorted({0.0, math.nextafter(1.0, 0.0), 1.0, *sums,
+                   *(math.nextafter(c, 0.0) for c in sums), *(math.nextafter(c, 1.0) for c in sums)})
+
+
+@pytest.mark.parametrize("designee", [Designee.bob(2, 1), Designee.charlie(2)])
+@pytest.mark.parametrize(
+    "secret", BASIS_SECRETS + [SecretState(0.6, 0.8j)], ids=["0", "1", "i1", "0.6,0.8i"]
+)
+def test_the_pick_keeps_the_sampling_rule_at_every_edge(designee, secret):
+    # m = 3 and n = 2: a helper before the contracted one and one after it.
+    table = protocol._leaf_table(PartySizes(3, 2), designee, secret)
+    helpers = len(table.index)
+    at = 1 + table.contracted
+    bell_sums = list(itertools.accumulate(p for p, _ in table.root))
+    for bell_draw in _edges(bell_sums):
+        _, _, children = _sample_outcome(table.root, bell_draw)
+        for before, after in itertools.product((0.25, 0.75), repeat=2):
+            draws = [bell_draw] + [before] * (at - 1) + [None] + [after] * (helpers - at)
+            for label_draw in _edges([children[0][0], children[1][0]]):
+                draws[at] = label_draw
+                assert protocol.run_pick(table, draws) == _reference_pick(table, draws), draws
+    rng = np.random.default_rng(3)
+    for draws in rng.random((2000, 1 + helpers)):
+        assert protocol.run_pick(table, draws) == _reference_pick(table, draws.tolist())
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (4, 2)])

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -718,6 +719,21 @@ def test_enumerate_streams_one_record_per_branch(monkeypatch):
     assert len(produced) == 1
     assert json.loads(next(lines))["branch"] == 1
     assert len(produced) == 2
+
+
+def test_a_sampled_run_makes_one_public_protocol_run_call_per_trial(monkeypatch, capsys):
+    # Span tracing times each public ``protocol.run_*`` call as one trial.
+    calls = []
+    for name, fn in list(vars(protocol).items()):
+        if name.startswith("run_") and inspect.isfunction(fn):
+            monkeypatch.setattr(
+                protocol, name, lambda *args, name=name, fn=fn: calls.append(name) or fn(*args)
+            )
+    for designee in (["bob:2", "--charlie-star", "1"], ["charlie:1"]):
+        calls.clear()
+        assert main(["run", "--m", "3", "--n", "2", "--designee", *designee, "--trials", "7"]) == 0
+        assert len(calls) == 7, calls
+    assert len(capsys.readouterr().out.splitlines()) == 14
 
 
 def test_streamed_enumeration_matches_the_branch_list():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import explicit_channel, random_state
+from conftest import _sample_outcome, explicit_channel, random_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -198,7 +198,7 @@ def _sample(pairs, num_qubits, q, bras, rng):
     """One sampled measurement as the protocol's walk makes it:
     ``_sample_outcome`` over ``_contract_support`` branches, one per bra."""
     children = [qstate._contract_support(pairs, num_qubits, bra, q) for bra in bras]
-    outcome, _, _ = qstate._sample_outcome(children, rng.random())
+    outcome, _, _ = _sample_outcome(children, rng.random())
     return outcome
 
 

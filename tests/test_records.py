@@ -142,7 +142,11 @@ def test_run_lines_equal_json_dumps_of_the_record_dicts(argv):
 # per run of |+>/|-> steps.  The enumerations whose bits sort in another
 # order than the plan's (bob:10 before bob:3), whose contracted helper comes
 # first (m=1), at a basis secret, at m=n=1 and at m=12 are as the records
-# were written from one TrialResult per branch.
+# were written from one TrialResult per branch.  The sampled runs at m=n=1
+# under either grade (no helper before or after the contracted one), with
+# bob:11 (bits sorted in another order than the plan's), with charlie:9, and
+# the 3000 trials at seed 2**64 - 1 are as they were written from one
+# TrialResult and one seeded Stream per trial.
 PINNED_STDOUT_SHA256 = {
     "run --mode sample --m 3 --n 3 --designee charlie:2 --secret random --trials 1000 --seed 17":
         "e28ec3a16f7a662d37c8e511c8d2f60b3bd0338f50cc9bfc5b05304aa8660813",
@@ -186,6 +190,17 @@ PINNED_STDOUT_SHA256 = {
         "b81bc2a4d7406657e4c4a10b2c9e6e6ce0a3c6533d31170bd7c8a41d12771636",
     "run --mode enumerate --m 12 --n 1 --designee charlie:1 --secret random --seed 8":
         "c5ecad92724fc4475aa4a82c979d4fff7069091a46a03d8faa0d0538bf7fb1d3",
+    "run --m 1 --n 1 --designee bob:1 --charlie-star 1 --secret random --trials 300 --seed 6":
+        "c62488854aed6f4cf29419df4f93846d4ff1565420b8e247bc2a84dadf03ce55",
+    "run --m 1 --n 1 --designee charlie:1 --secret random --trials 300 --seed 6":
+        "46b8b6d6fb060463314c992462811cb2dc9fe448217ce0ce244c7b3a9376af8c",
+    "run --m 12 --n 3 --designee bob:11 --charlie-star 2 --secret random --trials 300 --seed 12":
+        "1ef1bf5bfd85c1f69377da46a610cdbb843e409396ea59799d3d2881f3a0bf32",
+    "run --m 4 --n 9 --designee charlie:9 --secret random --trials 300 --seed 9":
+        "48ea221ccf9a19498044d893ff6861fcee6a9453cd1b204dd3b8332d7d9dda49",
+    "run --m 3 --n 3 --designee charlie:2 --secret random --trials 3000"
+    " --seed 18446744073709551615":
+        "cf0a0c8c1b5c42d1683cb3354f470939fc404b6c49f4699949a7f3389dd62279",
 }
 
 
@@ -238,18 +253,23 @@ LEAF_FIELDS = tuple(field for field in TrialResult._fields if field != "classica
 def _break_result_at(monkeypatch, name: str, at: int, **fields):
     """Give result number ``at`` of a run with ``fields`` replaced.
 
-    For ``run_recovery``, which ``cli`` calls per trial, that result.  For
-    ``iter_branches``, the leaf of step ``at`` of ``_LeafTable.walk``, which
-    both ``iter_branches`` and the CLI's enumeration read.
+    For ``run_recovery``, the leaf of call ``at`` of ``protocol.run_pick``,
+    which both ``run_recovery`` and the CLI's sampled runs call per trial.
+    For ``iter_branches``, the leaf of step ``at`` of ``_LeafTable.walk``,
+    which both ``iter_branches`` and the CLI's enumeration read.
     """
     count = itertools.count()
 
-    def broken(result):
-        return result._replace(**fields) if next(count) == at else result
-
     if name == "run_recovery":
-        real = protocol.run_recovery
-        monkeypatch.setattr(protocol, name, lambda *args: broken(real(*args)))
+        pick = protocol.run_pick
+
+        def broken_pick(table, draws):
+            leaf, bits = pick(table, draws)
+            if next(count) == at:
+                leaf = tuple(fields.get(key, value) for key, value in zip(LEAF_FIELDS, leaf))
+            return leaf, bits
+
+        monkeypatch.setattr(protocol, "run_pick", broken_pick)
         return
     walk = protocol._LeafTable.walk
 
@@ -291,14 +311,22 @@ def test_non_finite_float_raises_json_error(
         captured = capsys.readouterr()
         assert len(captured.out.splitlines()) == at
         assert captured.err.splitlines() == [f"error: {strict.value}"] * 2
-    if name == "iter_branches":
-        # The library's branches read the same walk.
-        config = parse_args(argv)
-        with monkeypatch.context() as patch:
-            _break_result_at(patch, name, 5, **{field: value})
-            results = list(iter_branches(config.sizes, config.designee, resolve_secret(config)))
-        assert getattr(results[5], field) is value
-        assert all(math.isfinite(getattr(r, field)) for r in results[:5] + results[6:])
+    config = parse_args(argv)
+    secret = resolve_secret(config)
+    with monkeypatch.context() as patch:
+        _break_result_at(patch, name, 5, **{field: value})
+        if name == "iter_branches":
+            # The library's branches read the same walk.
+            results = list(iter_branches(config.sizes, config.designee, secret))
+        else:
+            # The library's sampled runs make the same pick.
+            results = [
+                run_recovery(config.sizes, config.designee, secret,
+                             derived_rng(config.seed, cli._STREAM_TRIAL, k))
+                for k in range(config.trials)
+            ]
+    assert getattr(results[5], field) is value
+    assert all(math.isfinite(getattr(r, field)) for r in results[:5] + results[6:])
 
 
 def test_failure_after_the_first_record_leaves_no_output_file(monkeypatch, tmp_path, capsys):
@@ -356,7 +384,7 @@ _WAITING_RUN = """\
 import sys, time
 from hqis import cli, protocol
 
-real, calls = protocol.run_recovery, []
+real, calls = protocol.run_pick, []
 
 def waiting(*args):
     calls.append(args)
@@ -365,7 +393,7 @@ def waiting(*args):
         time.sleep(120)
     return real(*args)
 
-protocol.run_recovery = waiting
+protocol.run_pick = waiting
 sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -390,13 +418,13 @@ def test_a_signal_while_writing_leaves_no_output_file(tmp_path, name):
 
 def test_signal_handlers_are_set_only_while_records_go_to_a_path(monkeypatch, tmp_path, capsys):
     seen = []
-    real = protocol.run_recovery
+    real = protocol.run_pick
 
     def watching(*args):
         seen.append((signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGHUP)))
         return real(*args)
 
-    monkeypatch.setattr(protocol, "run_recovery", watching)
+    monkeypatch.setattr(protocol, "run_pick", watching)
     # SIGHUP ignored, as under nohup, stays ignored.
     kept = (signal.signal(signal.SIGTERM, signal.SIG_DFL),
             signal.signal(signal.SIGHUP, signal.SIG_IGN))
@@ -448,5 +476,14 @@ def test_enumeration_memory_does_not_grow_with_the_branch_count():
     # pays for an import or for building its leaf table.
     small = "run --mode enumerate --m 5 --n 6 --designee charlie:3 --seed 17"
     large = "run --mode enumerate --m 7 --n 8 --designee charlie:3 --seed 17"
+    peaks = [(_drained_peak(argv), _drained_peak(argv))[1] for argv in (small, large)]
+    assert abs(peaks[1] - peaks[0]) <= 2**12, peaks
+
+
+def test_sampled_memory_does_not_grow_with_the_trial_count():
+    # 2**10 and 2**14 trials, each after a warm-up run, so that neither pays
+    # for an import or for building its leaf table and seeder.
+    small = "run --m 3 --n 3 --designee charlie:2 --trials 1024 --seed 17"
+    large = "run --m 3 --n 3 --designee charlie:2 --trials 16384 --seed 17"
     peaks = [(_drained_peak(argv), _drained_peak(argv))[1] for argv in (small, large)]
     assert abs(peaks[1] - peaks[0]) <= 2**12, peaks

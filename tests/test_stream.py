@@ -80,6 +80,29 @@ def test_random_is_numpys(seed, purpose, path, count):
     assert stream.random() == reference.random()
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("k", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_a_runs_seeder_draws_the_trial_streams(seed, k):
+    # One or two path words; the CLI draws trial k this way.
+    seed_trial = qstate._seeder(seed, 1)
+    for size in (1, 2, 6, 1000):
+        draws, state = qstate._uniforms(*seed_trial(k), size)
+        reference, stream = _numpy_rng(seed, 1, k), Stream(seed, 1, k)
+        assert draws == reference.random(size).tolist() == stream.random(size)
+        assert state == reference.bit_generator.state["state"]["state"] == stream.state
+        assert seed_trial(k)[1] == reference.bit_generator.state["state"]["inc"] == stream.inc
+
+
+def test_the_seeder_cache_is_a_module_attribute_that_clears():
+    # bench/worker.py clears the caches it finds among a module's attributes
+    # before each call, so that a call starts cold, as a CLI process does.
+    qstate._seeder(17, 1)
+    cached = vars(qstate)["_seeder"]
+    assert cached.cache_info().currsize >= 1
+    cached.cache_clear()
+    assert cached.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("words", [(3.0, 1), (3, 1.0), (3, 1, 7.0)])
 def test_a_float_word_is_refused_even_after_its_int_is_cached(words):
     seed, *spawn_key = words
