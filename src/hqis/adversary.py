@@ -13,7 +13,6 @@ check's cost grows with m + n.  The dense joint state,
 tests compare with, and is still served here.
 """
 
-import functools
 import operator
 from collections import namedtuple
 from enum import Enum
@@ -56,13 +55,13 @@ def _check_scenario(scenario) -> Scenario:
     return scenario
 
 
-@functools.cache
 def _outcomes(scenario: Scenario):
     """``(probs, bits)``: each class-register support entry's probability and
     computational bits ``(alice, bob, charlie)``, the channel's 4 when honest
     and those times the fake channel's 4 under attack, in the index order of
     :func:`hqis.dense.build_scenario_state` at any size.  Every amplitude is
-    +-1/2 or a product of two, so the probabilities are exact and sum to 1."""
+    +-1/2 or a product of two, so the probabilities are exact and sum to 1.
+    Not cached: the check and the exact probability each run it once a call."""
     pairs = _channel_support(_CLASSES)
     if _check_scenario(scenario) is Scenario.HONEST:
         entries = [(index >> 2, index, amp) for index, amp in pairs]

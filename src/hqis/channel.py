@@ -13,7 +13,6 @@ tests can cross-check the two constructions) live in :mod:`hqis.dense`, and
 are still served here.
 """
 
-import functools
 import operator
 from collections import namedtuple
 
@@ -53,7 +52,6 @@ def _bits_index(bits: list[int]) -> int:
 _CLASSES = PartySizes(1, 1)
 
 
-@functools.lru_cache(maxsize=64)
 def _channel_support(sizes: PartySizes) -> tuple[tuple[int, complex], ...]:
     """The channel's four (basis index, amplitude) pairs, in index order."""
     m, n = sizes.m, sizes.n

@@ -34,7 +34,7 @@ from .adversary import (
     missed_detection_probability,
 )
 from .channel import PartySizes, SecretState
-from .qstate import ResourceLimitError, Stream, _seeder, _uniforms, register_cap
+from .qstate import NORM_TOL, ResourceLimitError, Stream, _seeder, _uniforms, register_cap
 
 # Only the functions that use hqis.protocol import it: ``attack`` never loads it.
 
@@ -124,7 +124,7 @@ def _parse_secret(text: str) -> SecretState | None:
     norm_sq = abs(alpha) ** 2 + abs(beta) ** 2
     if abs(norm_sq - 1.0) > SECRET_NORM_SLACK:
         raise UsageError(f"secret is not normalized: |a|^2+|b|^2 = {norm_sq!r}")
-    if abs(norm_sq - 1.0) > 1e-10:
+    if abs(norm_sq - 1.0) > NORM_TOL:
         print(
             f"warning: renormalizing secret (|a|^2+|b|^2 = {norm_sq!r})",
             file=sys.stderr,

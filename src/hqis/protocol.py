@@ -306,10 +306,10 @@ def _bell_children(secret: SecretState) -> tuple[tuple[float, tuple], ...]:
     probability and post-Bell support of each outcome, in ``BellOutcome``
     order.  An entry's index is a << 1 | c.
 
-    Depends on the secret alone, so every size and trial shares one
-    measurement.  The entries and their summation order are those of the
-    same contraction on the whole (2+m+n)-qubit support, so the numbers are
-    too.
+    Depends on the secret alone, so it is cached: ``agent_marginal`` and
+    every table of one secret, at any size, read it again.  The entries and
+    their summation order are those of the same contraction on the whole
+    (2+m+n)-qubit support, so the numbers are too.
     """
     # The secret qubit S joined to the class register: (S, A, a, c).
     whole = tuple(
@@ -402,7 +402,7 @@ class _LeafTable:
                 yield children[label][1][sign], bits
 
 
-# The run's leaf table, which every trial and branch of the run shares.
+# The run's leaf table, cached: library ``run_recovery`` reads it every trial.
 _leaf_table = functools.lru_cache(maxsize=64)(_LeafTable)
 
 

@@ -4,13 +4,14 @@ The protocol's runs hold each state as its support, ``(basis index,
 amplitude)`` pairs plus the qubit count.  :func:`_contract_support` measures
 it, once per outcome when a run starts, and a trial picks one of those
 ``(prob, post)`` children by one draw of a :class:`Stream`, numpy's seeded
-generator reproduced in plain Python, or of a run's ``_seeder``, which seeds
-the same streams.  Qubit 0 sits at the most significant bit of the index.  This module
-also owns the register cap, the tolerances and the measurement bases' bras,
-and imports no numpy.  The dense :class:`StateVector` layer, the oracle the
-support runtime is tested against, lives in :mod:`hqis.dense` with the gate
-matrices and the basis vectors as arrays; the names that moved there from
-here are still served, and load it the first time one of them is used.
+generator reproduced in plain Python, or of a run's ``_seeder``, which hashes
+the run's seed and purpose once and seeds the same streams.  Qubit 0 sits at
+the most significant bit of the index.  This module also owns the register
+cap, the tolerances and the measurement bases' bras, and imports no numpy.
+The dense :class:`StateVector` layer, the oracle the support runtime is
+tested against, lives in :mod:`hqis.dense` with the gate matrices and the
+basis vectors as arrays; the names that moved there from here are still
+served, and load it the first time one of them is used.
 """
 
 import functools
@@ -225,7 +226,6 @@ def _mix(x: int, y: int) -> int:
     return mixed ^ mixed >> 16
 
 
-@functools.lru_cache(maxsize=64)
 def _hash_pairs(const: int, count: int, mult: int = _MULT_A) -> tuple[tuple[int, int], ...]:
     """The (xor, multiplier) constants of ``count`` SeedSequence hashes in a
     row from hash constant ``const``.  Each hash steps the constant by
@@ -248,12 +248,20 @@ def _mix_in(pool, const: int, words) -> tuple[list[int], int]:
     return pool, pairs[-1][1] if pairs else const
 
 
+# generate_state's hash constants: its chain starts afresh at _INIT_B.
+_GENERATE_PAIRS = _hash_pairs(_INIT_B, 2 * _POOL_SIZE, _MULT_B)
+
+
 @functools.lru_cache(maxsize=64)
-def _seeded_pool(seed: int, purpose: int) -> tuple[tuple[int, ...], int]:
-    """The pool and hash constant of ``SeedSequence(entropy=seed,
-    spawn_key=(purpose, ...))`` once ``seed`` and ``purpose`` are mixed in,
-    shared by every stream of a run.  A spawn key pads the seed's words to
-    the pool's size."""
+def _seeder(seed: int, purpose: int):
+    """``seed_path(*path)``: PCG64's ``(state, inc)`` as
+    ``SeedSequence(entropy=seed, spawn_key=(purpose, *path))`` seeds it, the
+    one copy of the spawn rule; cached, as every trial's ``Stream`` reads it.
+    Here numpy's ``mix_entropy`` mixes the seed's words, padded to the pool's
+    size as a spawn key follows, then ``purpose``, into the run's pool, and a
+    one-word path's hash constants are fixed; so a path hashes only its own
+    words, then the pool's ``generate_state(4, uint64)``: (state seed,
+    sequence) as 128-bit words."""
     words = _uint32_words(seed)
     words += [0] * (_POOL_SIZE - len(words))
     # A hash per pool word, then one per ordered pair of pool words.
@@ -265,22 +273,6 @@ def _seeded_pool(seed: int, purpose: int) -> tuple[tuple[int, ...], int]:
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(cross)))
     pool, const = _mix_in(pool, pairs[-1][1], words[_POOL_SIZE:] + _uint32_words(purpose))
-    return tuple(pool), const
-
-
-# generate_state's hash constants: its chain starts afresh at _INIT_B.
-_GENERATE_PAIRS = _hash_pairs(_INIT_B, 2 * _POOL_SIZE, _MULT_B)
-
-
-@functools.lru_cache(maxsize=64)
-def _seeder(seed: int, purpose: int):
-    """``seed_path(*path)``: PCG64's ``(state, inc)`` as
-    ``SeedSequence(entropy=seed, spawn_key=(purpose, *path))`` seeds it, the
-    one copy of the spawn rule.  The run's pool, the hash constants a
-    one-word path takes and ``generate_state``'s are fixed here, once per
-    (seed, purpose), so a path hashes only its own words and then the pool's
-    ``generate_state(4, uint64)``: (state seed, sequence) as 128-bit words."""
-    pool, const = _seeded_pool(seed, purpose)
     mask, right = _MASK32, _MIX_MULT_R
     left0, left1, left2, left3 = (_MIX_MULT_L * word for word in pool)
     (y0, n0), (y1, n1), (y2, n2), (y3, n3) = _hash_pairs(const, _POOL_SIZE)
@@ -329,7 +321,7 @@ def _uniforms(state: int, inc: int, size: int) -> tuple[list[float], int]:
 @functools.cache
 def _ziggurat() -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]:
     """numpy's ziggurat tables for ``standard_normal``, ``ki``, ``wi`` and
-    ``fi``, read from the package's data file on the first normal draw."""
+    ``fi``, cached: the package's data file is read once, on the first draw."""
     with open(os.path.join(os.path.dirname(__file__), "ziggurat.txt")) as handle:
         rows = [line.split() for line in handle if not line.startswith("#")]
     ki, wi, fi = zip(*rows)

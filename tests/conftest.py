@@ -1,6 +1,8 @@
 """Shared test oracles, built with raw numpy or written out by hand so they
 stay independent of the operations they check."""
 
+import importlib
+
 import numpy as np
 
 RT2 = np.sqrt(2.0)
@@ -101,3 +103,26 @@ def _sample_outcome(children, draw: float):
         if draw < cumulative:
             break
     return drawn
+
+
+# The modules whose attributes bench/worker.py searches for memo caches, and
+# clears, before each in-process call, so that a call starts as cold as a CLI
+# process.
+CLEARED_MODULES = ("qstate", "channel", "protocol", "adversary", "cli")
+
+
+def memo_caches(*modules: str) -> list:
+    """The objects with a ``cache_clear`` among the attributes of the named
+    ``hqis`` modules, each once: a cache imported by another module counts once."""
+    found = {}
+    for name in modules:
+        for obj in vars(importlib.import_module(f"hqis.{name}")).values():
+            if hasattr(obj, "cache_clear"):
+                found[id(obj)] = obj
+    return list(found.values())
+
+
+def clear_memo_caches() -> None:
+    """Start cold, as bench/worker.py does before each call."""
+    for cache in memo_caches(*CLEARED_MODULES):
+        cache.cache_clear()

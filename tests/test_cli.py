@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import clear_memo_caches
 
 from hqis.adversary import (
     Scenario,
@@ -167,6 +169,13 @@ def test_parse_renormalizes_slightly_off_secret(capsys):
     assert "renormalizing" in capsys.readouterr().err
     norm = abs(config.secret.alpha) ** 2 + abs(config.secret.beta) ** 2
     assert norm == pytest.approx(1.0, abs=1e-12)
+    # The warning starts where SecretState's own tolerance, NORM_TOL, ends:
+    # |a|^2+|b|^2 - 1 is 0.96e-10 for the first and 1.08e-10 for the second.
+    for re_a, warns in (("0.60000000008", False), ("0.60000000009", True)):
+        assert (abs(float(re_a) ** 2 + 0.8**2 - 1.0) > qstate.NORM_TOL) is warns
+        parse_args(["run", "--m", "1", "--n", "1", "--designee", "charlie:1",
+                    "--secret", f"{re_a},0,0.8,0"])
+        assert ("renormalizing" in capsys.readouterr().err) is warns
 
 
 def test_parse_rejects_bad_seed():
@@ -734,6 +743,48 @@ def test_a_sampled_run_makes_one_public_protocol_run_call_per_trial(monkeypatch,
         assert main(["run", "--m", "3", "--n", "2", "--designee", *designee, "--trials", "7"]) == 0
         assert len(calls) == 7, calls
     assert len(capsys.readouterr().out.splitlines()) == 14
+
+
+# The bench's sample and enumerate argvs at its seed, 17, and other runs that
+# differ in mode, grade, size or secret.
+COLD_RUN_ARGVS = [
+    ["run", "--mode", "sample", "--m", "3", "--n", "3", "--designee", "charlie:2",
+     "--secret", "random", "--trials", "1000", "--seed", "17"],
+    ["run", "--mode", "enumerate", "--m", "5", "--n", "6", "--designee", "charlie:3",
+     "--secret", "random", "--seed", "17"],
+    ["run", "--mode", "enumerate", "--m", "2", "--n", "3", "--designee", "bob:2",
+     "--charlie-star", "1"],
+    ["run", "--mode", "enumerate", "--m", "2", "--n", "3", "--designee", "charlie:2"],
+    ["run", "--m", "300", "--n", "300", "--designee", "charlie:1", "--trials", "50"],
+    ["run", "--mode", "enumerate", "--m", "1", "--n", "1", "--designee", "charlie:1",
+     "--secret", "1,0,0,0"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv,contractions",
+    [(argv, {4: 4, 2: 8, 1: 16}) for argv in COLD_RUN_ARGVS]
+    + [(["attack", "--scenario", "intercept-resend", "--m", "5", "--n", "6",
+         "--rounds", "3000000", "--seed", "17"], {})],
+    ids=["bench-sample", "bench-enumerate", "bob", "charlie", "wide", "basis", "bench-attack"],
+)
+def test_a_cold_cli_run_contracts_a_fixed_number_of_times(argv, contractions, monkeypatch, capsys):
+    # Keyed by the register's qubit count: the Bell step contracts (S, A, a, c),
+    # a label (a, c) and a leaf the designee's qubit.  A run builds its table
+    # whole when it starts, so the counts hold at any size, mode and secret;
+    # the attack reads the class register's support and contracts nothing.
+    clear_memo_caches()
+    counts = Counter()
+    contract = qstate._contract_support
+
+    def counting(pairs, num_qubits, bra, axis):
+        counts[num_qubits] += 1
+        return contract(pairs, num_qubits, bra, axis)
+
+    monkeypatch.setattr(qstate, "_contract_support", counting)
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+    assert counts == contractions
 
 
 def test_streamed_enumeration_matches_the_branch_list():

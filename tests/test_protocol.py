@@ -4,12 +4,19 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import _reference_plan, _reference_qubit, random_secrets
+from conftest import _reference_plan, _reference_qubit, bits_index, random_secrets
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqis import dense, protocol, qstate
-from hqis.channel import PartySizes, SecretState, compose_with_secret, make_channel
+from hqis.channel import (
+    _CLASSES,
+    PartySizes,
+    SecretState,
+    _channel_support,
+    compose_with_secret,
+    make_channel,
+)
 from hqis.protocol import (
     BOB_CORRECTIONS,
     CHARLIE_CORRECTIONS,
@@ -659,6 +666,52 @@ def test_no_bell_outcome_or_contracted_label_is_impossible(grade, m, n):
             for outcome in (0, 1):
                 probabilities = [dense.project(state, q, basis, outcome)[0] for state in states]
                 _assert_form_is(probabilities, 0.5)
+
+
+def test_no_outcome_is_impossible_exactly_at_every_size():
+    """The certificate above in exact arithmetic, for every secret.  The run
+    reads only the class register (S, A, a, c), one Bob's bit a and one
+    Charlie's bit c standing for their classes, the same at every m and n.
+    Per Bell outcome, with or without the relabel's Z on a: charlie*'s
+    computational outcome on c (a Bob designee) and the last Bob's |+>/|->
+    on a (a Charlie designee) each have probability 1/8 per label."""
+    sympy = pytest.importorskip("sympy")
+    re_a, im_a, re_b, im_b = sympy.symbols("re_a im_a re_b im_b", real=True)
+    alpha, beta = re_a + sympy.I * im_a, re_b + sympy.I * im_b
+    norm = re_a**2 + im_a**2 + re_b**2 + im_b**2  # |alpha|^2 + |beta|^2
+    half, rt2 = sympy.Rational(1, 2), sympy.sqrt(2)
+
+    def prob(amps):
+        return sum(sympy.expand(amp * sympy.conjugate(amp)) for amp in amps)
+
+    def exactly(value, expected):
+        return sympy.expand(value - expected) == 0
+
+    # The channel on (A, a, c): 1/2 sum over a, c of (-1)^(ac) |a a c>.
+    channel = {(a, a, c): half * (-1) ** (a * c) for a in (0, 1) for c in (0, 1)}
+    support = dict(_channel_support(_CLASSES))
+    assert sorted(support) == sorted(bits_index(bits) for bits in channel)
+    for bits, amp in channel.items():
+        assert support[bits_index(bits)] == complex(amp)
+    # The secret S before it: (alpha|0> + beta|1>) x channel, keyed (s, A, a, c).
+    whole = {(s, *bits): s_amp * amp for s, s_amp in enumerate((alpha, beta))
+             for bits, amp in channel.items()}
+    # <Bell| on (S, A): (<00| +- <11|)/sqrt(2) and (<01| +- <10|)/sqrt(2).
+    bells = [{(0, 0): 1, (1, 1): sign} for sign in (1, -1)]
+    bells += [{(0, 1): 1, (1, 0): sign} for sign in (1, -1)]
+    for bra in bells:
+        post = {
+            (a, c): sum(w * whole.get((*sa, a, c), 0) for sa, w in bra.items()) / rt2
+            for a in (0, 1) for c in (0, 1)
+        }
+        assert exactly(prob(post.values()), norm / 4)
+        for z in (0, 1):
+            state = {(a, c): (-1) ** (z * a) * amp for (a, c), amp in post.items()}
+            for label in (0, 1):
+                on_c = [state[a, label] for a in (0, 1)]
+                on_a = [(state[0, c] + (-1) ** label * state[1, c]) / rt2 for c in (0, 1)]
+                assert exactly(prob(on_c), norm / 8)
+                assert exactly(prob(on_a), norm / 8)
 
 
 @pytest.mark.parametrize("qubits", [4, 2], ids=["bell", "label"])

@@ -10,12 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import CLEARED_MODULES, memo_caches
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqis import qstate
+from hqis import protocol, qstate
 from hqis.adversary import Scenario, correlation_check
 from hqis.channel import PartySizes
+from hqis.protocol import Designee
 from hqis.qstate import SecretState, Stream
 
 # Words past 2**64 and 2**128, bools, and numpy ints, which numpy takes as the ints they equal.
@@ -94,13 +96,22 @@ def test_a_runs_seeder_draws_the_trial_streams(seed, k):
 
 
 def test_the_seeder_cache_is_a_module_attribute_that_clears():
-    # bench/worker.py clears the caches it finds among a module's attributes
-    # before each call, so that a call starts cold, as a CLI process does.
-    qstate._seeder(17, 1)
-    cached = vars(qstate)["_seeder"]
-    assert cached.cache_info().currsize >= 1
-    cached.cache_clear()
-    assert cached.cache_info().currsize == 0
+    # bench/worker.py clears the caches it finds among these modules' attributes
+    # before each call, so that a call starts cold, as a CLI process does.  The
+    # four kept are those a caller reads again: every trial's Stream reads the
+    # seeder, library run_recovery the leaf table, agent_marginal and each
+    # table of a secret its Bell children, and every normal draw the ziggurat.
+    caches = memo_caches(*CLEARED_MODULES)
+    kept = [qstate._seeder, qstate._ziggurat, protocol._bell_children, protocol._leaf_table]
+    assert sorted(map(id, caches)) == sorted(map(id, kept)), [c.__wrapped__ for c in caches]
+    # The worker never clears these two, so a cache there would outlive a call.
+    assert memo_caches("binomial", "dense") == []
+    Stream(17, 0).normal(4)
+    protocol._leaf_table(PartySizes(2, 2), Designee.charlie(1), SecretState(0.6, 0.8))
+    for cached in kept:
+        assert cached.cache_info().currsize >= 1
+        cached.cache_clear()
+        assert cached.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("words", [(3.0, 1), (3, 1.0), (3, 1, 7.0)])
@@ -108,7 +119,7 @@ def test_a_float_word_is_refused_even_after_its_int_is_cached(words):
     seed, *spawn_key = words
     with pytest.raises(TypeError):
         np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
-    qstate._seeded_pool.cache_clear()
+    qstate._seeder.cache_clear()
     ints = [int(word) for word in words]
     for _ in range(2):
         # The cache takes 3.0 for the key 3, so this holds only if the check precedes it.
