@@ -15,9 +15,8 @@ tests compare with, and is still served here.
 
 import operator
 from collections import namedtuple
-from enum import Enum
 
-from .channel import _CLASSES, PartySizes, _channel_support, _fake_channel_support
+from .channel import _CLASSES, PartySizes, Scenario, _channel_support, _fake_channel_support
 from .qstate import MAX_TRIALS, _from_dense
 
 __getattr__ = _from_dense(__name__, {"build_scenario_state"})
@@ -33,11 +32,6 @@ def _check_rounds(rounds: int) -> int:
     if not 1 <= rounds <= MAX_ROUNDS:
         raise ValueError(f"rounds must be in 1..{MAX_ROUNDS}, got {rounds}")
     return rounds
-
-
-class Scenario(Enum):
-    HONEST = "honest"
-    INTERCEPT_RESEND = "intercept-resend"
 
 
 class CheckStats(namedtuple("CheckStats", "rounds alice_bob_match_rates"

@@ -15,6 +15,7 @@ are still served here.
 
 import operator
 from collections import namedtuple
+from enum import Enum
 
 from .qstate import SecretState, _from_dense
 
@@ -46,6 +47,14 @@ def _bits_index(bits: list[int]) -> int:
     for b in bits:
         idx = (idx << 1) | b
     return idx
+
+
+class Scenario(Enum):
+    """What reaches the agents: the channel, or Eve's look-alike without A
+    (:mod:`hqis.adversary`, which serves this name too)."""
+
+    HONEST = "honest"
+    INTERCEPT_RESEND = "intercept-resend"
 
 
 # One Bob and one Charlie, standing for their classes.

@@ -10,14 +10,17 @@ strict JSON: a NaN or an infinity fails the run instead of being written.
 ``_dumps`` owns that format and writes every line: a record's once per
 distinct leaf of the run's table, with slots for the helpers' bits and the
 counter, all that a record fills in (``_record_encoder``).  Both modes write
-their records from the table's ``(leaf, bits)`` and build no ``TrialResult``;
-a sampled trial draws from a seeder built once per run.  A run that fails
-after its first record, or that a SIGTERM or SIGHUP stops, removes its
+their records from the table's leaves and bits and build no ``TrialResult``.
+A sampled trial draws from a seeder built once per run.  An enumeration joins
+each record of a walk block, up to 64, from texts made before it: the bits of
+each block suffix once per run, and the block prefix's once.  A run that
+fails after its first record, or that a SIGTERM or SIGHUP stops, removes its
 ``--output`` file, if that path names a regular file, and empties the regular
 file a symlinked path reaches.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -27,16 +30,11 @@ import stat
 import sys
 from collections import namedtuple
 
-from .adversary import (
-    Scenario,
-    correlation_check,
-    exact_detection_probability,
-    missed_detection_probability,
-)
-from .channel import PartySizes, SecretState
+from .channel import PartySizes, Scenario, SecretState
 from .qstate import NORM_TOL, ResourceLimitError, Stream, _seeder, _uniforms, register_cap
 
-# Only the functions that use hqis.protocol import it: ``attack`` never loads it.
+# Only the functions that use hqis.protocol or hqis.adversary import them:
+# ``attack`` never loads the one, ``run`` and ``tables`` never the other.
 
 SECRET_NORM_SLACK = 1e-6
 
@@ -45,6 +43,9 @@ SECRET_NORM_SLACK = 1e-6
 _STREAM_SECRET = 0
 _STREAM_TRIAL = 1
 _STREAM_ATTACK = 2
+# At most 2**6 records per enumeration block: what a run keeps per block
+# suffix, its bits texts among them, then stays a few KiB.
+_BLOCK_WIDTH = 6
 
 
 class UsageError(Exception):
@@ -184,7 +185,14 @@ def parse_args(argv: list[str]) -> RunConfig:
     ``check_designee``.  No subcommand builds a dense register, so the
     register cap bounds no size here.
     """
-    args = _build_parser().parse_args(_join_secret(argv))
+    argv = _join_secret(argv)
+    if argv[:1] == ["run"]:
+        # Compiling hqis.protocol is a run's largest allocation.  Done before
+        # the parser is built, it does not stack on the help formatters that
+        # argparse leaves for the cyclic collector.  argparse takes ``run``
+        # only as the first argument, so every run imports these here.
+        from .protocol import Designee, check_designee
+    args = _build_parser().parse_args(argv)
 
     if args.command == "tables":
         return RunConfig(mode="tables", output_path=args.output)
@@ -201,8 +209,6 @@ def parse_args(argv: list[str]) -> RunConfig:
                 threshold=args.threshold,
                 output_path=args.output,
             )
-
-        from .protocol import Designee, check_designee
 
         role = _parse_designee(args.designee)
         if args.trials < 1:
@@ -248,29 +254,29 @@ def _base_record(config: RunConfig, record: str) -> dict:
     }
 
 
-def _secret_fields(secret: SecretState) -> list[float]:
-    return [secret.alpha.real, secret.alpha.imag, secret.beta.real, secret.beta.imag]
-
-
 def _record_encoder(constants: dict, counter: str, labels: tuple[str, ...]):
-    """``encode(k, leaf, bits)``: the line of record ``k`` of a run, the
-    ``_dumps`` of its dict plus a newline.
+    """``(encode, encode_walk)``: ``encode(k, leaf, bits)`` is the line of
+    record ``k`` of a run, the ``_dumps`` of its dict plus a newline, and the
+    generator ``encode_walk(table)`` yields an enumeration's lines, a
+    ``table.walk`` block at a time, and returns the number of records, their
+    probability sum, added in record order, and their fidelities.
 
     The dict is ``constants``, ``counter: k``, the fields of ``leaf``, a leaf
     of the run's table, and ``bits`` mapping the helpers' ``labels`` (plan
     order) to their bits.  A run has at most 16 leaves, so ``_dumps`` encodes
-    one dict per distinct leaf, with a NUL string in the ``bits`` and counter
-    slots, and the line is kept split around those two slots.  A record then
-    costs its ``bits``, from a %-template ``_dumps`` also wrote, its counter
-    and one join.  ``_dumps`` rejects a non-finite float before its leaf is
-    cached.  A probability is never -0.0, the one float that equals another
-    with a different repr.
+    one dict per distinct leaf that a record reaches, with a NUL string in
+    the ``bits`` and counter slots, and the line is kept split around those
+    two slots.  A record then costs its ``bits``, from a %-template ``_dumps``
+    also wrote, its counter and one join.  ``_dumps`` rejects a non-finite
+    float before its leaf is cached.  A probability is never -0.0, the one
+    float that equals another with a different repr.
     """
     # _dumps escapes a NUL, so only the slots themselves encode to this.
     slot = _dumps("\0")
     # The bits in sort_keys order, so bob:10 comes before bob:2.
     order = sorted(range(len(labels)), key=labels.__getitem__)
-    template = _dumps(dict.fromkeys(labels, "\0")).replace(slot, "%d")
+    pieces = _dumps(dict.fromkeys(labels, "\0")).split(slot)
+    template = "%d".join(pieces)
     # One helper makes ``pick`` return a bare int, which % takes as its one value.
     pick = operator.itemgetter(*order)
     leaves = {}
@@ -299,7 +305,53 @@ def _record_encoder(constants: dict, counter: str, labels: tuple[str, ...]):
         # 4096 records).
         return "".join((head, template % pick(bits), middle, repr(k), tail))
 
-    return encode
+    def encode_walk(table):
+        # A block's records differ in three places only: in the bits of its
+        # last helpers, at most _BLOCK_WIDTH whose slots sit next to each
+        # other in sort_keys order, a character each (characters at to end of
+        # the bits); in their counter; and in their tail ("bell" and "bits"
+        # sort before "branch", and every other field after it).
+        for width in range(min(len(order), _BLOCK_WIDTH), 0, -1):
+            ranks = sorted(map(order.index, range(len(order) - width, len(order))))
+            if ranks[-1] - ranks[0] < width:
+                break
+        at, end = (len("0".join(pieces[: rank + 1])) for rank in (ranks[0], ranks[-1]))
+        zeros, pad = (0,) * (len(order) - width), bytes(width)
+        texts = [
+            (template % pick(zeros + bits))[at : end + 1]
+            for bits in itertools.product((0, 1), repeat=width)
+        ]
+        # A Bell outcome's blocks are at most four tuples, whose tails are
+        # kept, by identity, while the walk is on that outcome: an entry keeps
+        # its block alive, so no other block takes its id.
+        seen, bell, k, probability_sum = {}, None, 0, 0
+        for block, prefix in table.walk(width):
+            if block[0][0] is not bell:
+                bell, seen = block[0][0], {}
+            head, middle, _ = leaves.get(block[0]) or leaf_parts(block[0])
+            entry = seen.get(id(block))
+            # A new block's leaves are encoded as its records reach them: a
+            # leaf that _dumps refuses fails after the records before it.
+            tails = entry[1] if entry else (
+                (leaves.get(leaf) or leaf_parts(leaf))[2] for leaf in block
+            )
+            bits = template % pick(prefix + pad)
+            yield from map("".join, zip(
+                itertools.repeat(head + bits[:at]), texts,
+                itertools.repeat(bits[end + 1 :] + middle), map(repr, itertools.count(k)), tails,
+            ))
+            if entry is None:
+                seen[id(block)] = block, tuple(map(operator.itemgetter(2), map(leaves.get, block)))
+            # Added in record order, with +.
+            probability_sum = functools.reduce(
+                operator.add, map(operator.itemgetter(4), block), probability_sum
+            )
+            k += len(block)
+        # Every leaf encoded is a record's, in the order records first reach
+        # them: min() and max() pick the fidelities they would over records.
+        return k, probability_sum, list(map(operator.itemgetter(5), leaves))
+
+    return encode, encode_walk
 
 
 def _run_records(config: RunConfig):
@@ -317,10 +369,10 @@ def _run_records(config: RunConfig):
     context = {
         "designee": designee.role.label,
         "charlie_star": designee.charlie_star,
-        "secret": _secret_fields(secret),
+        "secret": [secret.alpha.real, secret.alpha.imag, secret.beta.real, secret.beta.imag],
     }
     labels = tuple(role.label for role in table.index)
-    encode = _record_encoder(_base_record(config, counter) | context, counter, labels)
+    encode, encode_walk = _record_encoder(_base_record(config, counter) | context, counter, labels)
     if config.mode == "sample":
         # Trial k draws as derived_rng(seed, _STREAM_TRIAL, k).random(1 + helpers).
         seed_trial, size = _seeder(config.seed, _STREAM_TRIAL), 1 + len(labels)
@@ -328,15 +380,10 @@ def _run_records(config: RunConfig):
             draws, _ = _uniforms(*seed_trial(k), size)
             yield encode(k, *protocol.run_pick(table, draws))
         return
-    # Records stream as the walk reaches each branch.  The sum keeps their
-    # order, and the set the first of equal fidelities, as min() and max() would.
-    probability_sum, fidelities = 0, set()
-    for k, (leaf, bits) in enumerate(table.walk()):
-        yield encode(k, leaf, bits)
-        probability_sum += leaf[4]
-        fidelities.add(leaf[5])
+    # Records stream a walk block at a time.
+    branches, probability_sum, fidelities = yield from encode_walk(table)
     summary = _base_record(config, "summary") | context | {
-        "branches": k + 1,
+        "branches": branches,
         "probability_sum": probability_sum,
         "min_fidelity": min(fidelities),
         "max_fidelity": max(fidelities),
@@ -345,6 +392,9 @@ def _run_records(config: RunConfig):
 
 
 def _attack_records(config: RunConfig):
+    from .adversary import (correlation_check, exact_detection_probability,
+                            missed_detection_probability)
+
     sizes = config.sizes
     stats = correlation_check(
         sizes,

@@ -13,11 +13,11 @@ then measure according to the designee's grade:
   Bell outcome and the two per-grade parities.
 
 Both kinds of run read one table of scored leaves, built once per run
-(``_leaf_table``), as ``(leaf, bits)``: its ``walk`` yields every outcome
-string in ``itertools.product`` order, and ``run_pick`` the one a trial's
-draws pick, a draw per step, Alice's first.  ``iter_branches`` and
-``run_recovery``, which draws with one ``rng.random(1 + helpers)`` call, wrap
-them in ``TrialResult``s; the CLI writes its records from them directly.
+(``_leaf_table``): its ``walk`` yields every outcome string in
+``itertools.product`` order, in blocks that share a prefix, and ``run_pick``
+the one a trial's draws pick, a draw per step, Alice's first.  ``iter_branches``
+and ``run_recovery``, which draws with one ``rng.random(1 + helpers)`` call,
+wrap them in ``TrialResult``s; the CLI reads them directly.
 
 The walk is keyed by class, not by qubit.  After the Bell measurement every
 Bob's bit equals one bit a and every Charlie's one bit c, so the state is at
@@ -391,15 +391,27 @@ class _LeafTable:
         bell, v_g1, aux, op, prob, fidelity = leaf
         return TrialResult(bell, _HelperBits(self.index, bits), v_g1, aux, op, prob, fidelity)
 
-    def walk(self):
-        """Every branch as ``(leaf, bits)``, outcome 0 first at every step, so
-        in ``itertools.product`` order; the bits' label and sign pick the leaf."""
-        at = self.contracted
-        for _, children in self.root:
-            for bits in map(bytes, itertools.product((0, 1), repeat=len(self.index))):
-                p, b = bits.count(1, 0, at) & 1, bits[at]
-                label, sign = (b, p) if self.axis else (b ^ p, bits.count(1, at + 1) & 1)
-                yield children[label][1][sign], bits
+    def walk(self, width: int):
+        """Every branch, outcome 0 first at every step, so in
+        ``itertools.product`` order, in blocks ``(leaves, prefix)`` of
+        ``2**width``: one Bell outcome and one ``prefix`` of the leading plan
+        positions, block branch i having the bits ``prefix`` then i's
+        ``width`` bits, and the leaf ``leaves[i]``.  The label and sign that
+        pick a leaf are parities of the bits, so a prefix's pair XORs each
+        suffix's: ``leaves`` is one of four tuples per Bell outcome."""
+        at, cut = self.contracted, len(self.index) - width
+        # What each helper's bit flips in a leaf's key, label << 1 | sign.
+        flips = [2 if i == at or i < at and not self.axis else 1 for i in range(len(self.index))]
+        keys = [
+            functools.reduce(operator.xor, itertools.compress(flips[cut:], bits), 0)
+            for bits in itertools.product((0, 1), repeat=width)
+        ]
+        for _, ((_, label_0), (_, label_1)) in self.root:
+            leaves = label_0 + label_1  # by key
+            blocks = [tuple(map(leaves.__getitem__, map(x.__xor__, keys))) for x in range(4)]
+            for prefix in itertools.product((0, 1), repeat=cut):
+                key = functools.reduce(operator.xor, itertools.compress(flips, prefix), 0)
+                yield blocks[key], bytes(prefix)
 
 
 # The run's leaf table, cached: library ``run_recovery`` reads it every trial.
@@ -459,7 +471,8 @@ def iter_branches(
     """
     _check_branch_limit(sizes, designee, branch_limit)
     table = _leaf_table(sizes, designee, secret)
-    yield from itertools.starmap(table.result, table.walk())
+    for (leaf,), bits in table.walk(0):
+        yield table.result(leaf, bits)
 
 
 def enumerate_branches(

@@ -180,7 +180,11 @@ def _contract_support(
         if weight:
             key = (index >> (low + width)) << low | (index & low_mask)
             coeffs[key] = coeffs.get(key, 0) + weight * amp
-    prob = sum((c.real * c.real + c.imag * c.imag for c in coeffs.values()), 0.0)
+    # Added in order with +: from Python 3.12, sum() of floats is compensated
+    # and would round differently.
+    prob = 0.0
+    for c in coeffs.values():
+        prob += c.real * c.real + c.imag * c.imag
     if prob < ZERO_BRANCH_TOL:
         return prob, None
     norm = math.sqrt(prob)

@@ -714,20 +714,24 @@ ENUMERATE_ARGV = ["run", "--m", "2", "--n", "3", "--designee", "bob:2", "--charl
 
 
 def test_enumerate_streams_one_record_per_branch(monkeypatch):
+    # The walk yields blocks of branches; a block's records stream one at a
+    # time, and none is written before the walk has produced its block.
     produced = []
     walk = protocol._LeafTable.walk
 
-    def counting_walk(table):
-        for step in walk(table):
-            produced.append(step)
-            yield step
+    def counting_walk(table, width):
+        for block in walk(table, width):
+            produced.append(block)
+            yield block
 
     monkeypatch.setattr(protocol._LeafTable, "walk", counting_walk)
     lines = _run_records(parse_args(ENUMERATE_ARGV))
-    assert json.loads(next(lines))["branch"] == 0
-    assert len(produced) == 1
-    assert json.loads(next(lines))["branch"] == 1
-    assert len(produced) == 2
+    for k in range(16):
+        assert json.loads(next(lines))["branch"] == k
+        assert sum(len(leaves) for leaves, _ in produced[:-1]) <= k < sum(
+            len(leaves) for leaves, _ in produced
+        )
+    assert len(produced) == 4  # 16 branches in blocks of 4
 
 
 def test_a_sampled_run_makes_one_public_protocol_run_call_per_trial(monkeypatch, capsys):

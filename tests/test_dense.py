@@ -75,6 +75,8 @@ def test_no_cli_path_loads_the_dense_module():
         assert "signal" not in imported, argv
         # The run and the tables read the protocol; the check never does.
         assert ("hqis.protocol" in imported) == (argv[0] != "attack"), argv
+        # The check's module loads for the check alone.
+        assert ("hqis.adversary" in imported) == (argv[0] == "attack"), argv
 
 
 def test_the_package_serves_its_modules_after_importing_the_cli():

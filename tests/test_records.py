@@ -146,7 +146,12 @@ def test_run_lines_equal_json_dumps_of_the_record_dicts(argv):
 # under either grade (no helper before or after the contracted one), with
 # bob:11 (bits sorted in another order than the plan's), with charlie:9, and
 # the 3000 trials at seed 2**64 - 1 are as they were written from one
-# TrialResult and one seeded Stream per trial.
+# TrialResult and one seeded Stream per trial.  The last four enumerations
+# are as they were written a record at a time from the walk's (leaf, bits):
+# the final plan positions cross the charlie:9/charlie:10 sort boundary; a
+# Bob designee at m=10 whose last six helpers, charlie* among them, sort next
+# to each other; one at m=11 whose last two, bob:11 and charlie:2, do not
+# (bob:11 sorts second); and a run whose six helpers sort in plan order.
 PINNED_STDOUT_SHA256 = {
     "run --mode sample --m 3 --n 3 --designee charlie:2 --secret random --trials 1000 --seed 17":
         "e28ec3a16f7a662d37c8e511c8d2f60b3bd0338f50cc9bfc5b05304aa8660813",
@@ -201,6 +206,16 @@ PINNED_STDOUT_SHA256 = {
     "run --m 3 --n 3 --designee charlie:2 --secret random --trials 3000"
     " --seed 18446744073709551615":
         "cf0a0c8c1b5c42d1683cb3354f470939fc404b6c49f4699949a7f3389dd62279",
+    "run --mode enumerate --m 2 --n 11 --designee charlie:4 --secret random --seed 23":
+        "882c1beae6645342104e1a72ad3c6654fde066a6873ab62511914ff7fdf9c09b",
+    "run --mode enumerate --m 10 --n 3 --designee bob:10 --charlie-star 2 --secret random"
+    " --seed 19":
+        "46db5378c6ee222ee14f15c07b4d122be0be90ae04d884bda7cee68970f80fac",
+    "run --mode enumerate --m 11 --n 2 --designee bob:1 --charlie-star 2 --secret random"
+    " --seed 29":
+        "1e0ebed36b7e8d190824929bb9387eda8207d27b5ab2374e484c39d757a341d8",
+    "run --mode enumerate --m 3 --n 4 --designee charlie:2 --secret 0,0.6,-0.8,0 --seed 3":
+        "7234684fc96477fc5fdea8cc3b24b3702771a57c0f45e100f19c6c24ae1b1e14",
 }
 
 
@@ -255,8 +270,9 @@ def _break_result_at(monkeypatch, name: str, at: int, **fields):
 
     For ``run_recovery``, the leaf of call ``at`` of ``protocol.run_pick``,
     which both ``run_recovery`` and the CLI's sampled runs call per trial.
-    For ``iter_branches``, the leaf of step ``at`` of ``_LeafTable.walk``,
-    which both ``iter_branches`` and the CLI's enumeration read.
+    For ``iter_branches``, the leaf of branch ``at`` in the blocks of
+    ``_LeafTable.walk``, which both ``iter_branches`` and the CLI's
+    enumeration read.
     """
     count = itertools.count()
 
@@ -273,11 +289,15 @@ def _break_result_at(monkeypatch, name: str, at: int, **fields):
         return
     walk = protocol._LeafTable.walk
 
-    def broken_walk(table):
-        for leaf, bits in walk(table):
-            if next(count) == at:
+    def broken_walk(table, width):
+        start = 0
+        for leaves, prefix in walk(table, width):
+            if 0 <= at - start < len(leaves):
+                leaf = leaves[at - start]
                 leaf = tuple(fields.get(key, value) for key, value in zip(LEAF_FIELDS, leaf))
-            yield leaf, bits
+                leaves = leaves[: at - start] + (leaf,) + leaves[at - start + 1 :]
+            start += len(leaves)
+            yield leaves, prefix
 
     monkeypatch.setattr(protocol._LeafTable, "walk", broken_walk)
 
@@ -476,6 +496,16 @@ def test_enumeration_memory_does_not_grow_with_the_branch_count():
     # pays for an import or for building its leaf table.
     small = "run --mode enumerate --m 5 --n 6 --designee charlie:3 --seed 17"
     large = "run --mode enumerate --m 7 --n 8 --designee charlie:3 --seed 17"
+    peaks = [(_drained_peak(argv), _drained_peak(argv))[1] for argv in (small, large)]
+    assert abs(peaks[1] - peaks[0]) <= 2**12, peaks
+
+
+def test_enumeration_memory_stays_flat_to_2_18_branches():
+    # 2**12 and 2**18 branches, each after a warm-up run.  A walk block has
+    # at most 2**6 branches, and the run keeps its suffixes' texts once: a
+    # bits text shared by every branch, with no cap, peaked at 44 MiB here.
+    small = "run --mode enumerate --m 5 --n 6 --designee charlie:3 --seed 17"
+    large = "run --mode enumerate --m 8 --n 9 --designee charlie:3 --seed 17"
     peaks = [(_drained_peak(argv), _drained_peak(argv))[1] for argv in (small, large)]
     assert abs(peaks[1] - peaks[0]) <= 2**12, peaks
 
