@@ -50,11 +50,12 @@ def _check_scenario(scenario) -> Scenario:
 
 
 def _outcomes(scenario: Scenario):
-    """``(probs, bits)``: each class-register support entry's probability and
-    computational bits ``(alice, bob, charlie)``, the channel's 4 when honest
-    and those times the fake channel's 4 under attack, in the index order of
-    :func:`hqis.dense.build_scenario_state` at any size.  Every amplitude is
-    +-1/2 or a product of two, so the probabilities are exact and sum to 1.
+    """``(probs, matched)``: each class-register support entry's probability
+    and whether its Bob bit equals its Alice bit, the channel's 4 entries when
+    honest and those times the fake channel's 4 under attack, in the index
+    order of :func:`hqis.dense.build_scenario_state` at any size.  Every
+    amplitude is +-1/2 or a product of two, so the probabilities are exact
+    and sum to 1.
     Not cached: the check and the exact probability each run it once a call."""
     pairs = _channel_support(_CLASSES)
     if _check_scenario(scenario) is Scenario.HONEST:
@@ -66,8 +67,8 @@ def _outcomes(scenario: Scenario):
             for fake_index, fake_amp in _fake_channel_support(_CLASSES)
         ]
     probs = tuple(abs(amp) ** 2 for _, _, amp in entries)
-    bits = tuple((alice, agents >> 1 & 1, agents & 1) for alice, agents, _ in entries)
-    return probs, bits
+    matched = tuple(agents >> 1 & 1 == alice for alice, agents, _ in entries)
+    return probs, matched
 
 
 def correlation_check(
@@ -95,18 +96,18 @@ def correlation_check(
     rounds = _check_rounds(rounds)
     if not 0.0 <= threshold <= 1.0:  # NaN fails this comparison too
         raise ValueError(f"threshold must be a number in [0, 1], got {threshold!r}")
-    probs, bits = _outcomes(scenario)
+    probs, matched = _outcomes(scenario)
     counts = rng.multinomial(rounds, probs)
-    matches = sum(int(count) for count, (alice, bob, _) in zip(counts, bits) if bob == alice)
+    rate = sum(int(count) for count, match in zip(counts, matched) if match) / rounds
 
-    match_rates = (matches / rounds,) * sizes.m
     rule = f"flag when any Alice-vs-Bob computational match rate drops below {threshold}"
     return CheckStats(
         rounds=rounds,
-        alice_bob_match_rates=match_rates,
+        alice_bob_match_rates=(rate,) * sizes.m,
         # Both supports give every Charlie the same bit c, so they always agree.
         charlie_group_consistent_rate=1.0,
-        detected=any(rate < threshold for rate in match_rates),
+        # Every Bob's rate is this one, so some rate drops below iff it does.
+        detected=bool(rate < threshold),
         detection_rule=rule,
     )
 
@@ -121,8 +122,8 @@ def exact_detection_probability(
     It reads the class register, so it is the same at every size, and builds
     no register, so the register cap does not apply.
     """
-    probs, bits = _outcomes(scenario)
-    return 1.0 - sum(p for p, (alice, bob, _) in zip(probs, bits) if bob == alice)
+    probs, matched = _outcomes(scenario)
+    return 1.0 - sum(p for p, match in zip(probs, matched) if match)
 
 
 def missed_detection_probability(sizes: PartySizes, rounds: int) -> float:

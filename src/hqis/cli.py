@@ -73,12 +73,6 @@ class RunConfig(namedtuple(
     __slots__ = ()
 
 
-def derived_rng(seed: int, purpose: int, *path: int) -> Stream:
-    """Independent stream for (seed, purpose, path): numpy's PCG64 stream
-    seeded by ``SeedSequence(entropy=seed, spawn_key=(purpose, *path))``."""
-    return Stream(seed, purpose, *path)
-
-
 def _parse_seed(text: str) -> int:
     try:
         seed = int(text)
@@ -234,7 +228,7 @@ def resolve_secret(config: RunConfig) -> SecretState:
     """The run's secret; 'random' draws one uniformly from the seed stream."""
     if config.secret is not None:
         return config.secret
-    return SecretState.haar_random(derived_rng(config.seed, _STREAM_SECRET))
+    return SecretState.haar_random(Stream(config.seed, _STREAM_SECRET))
 
 
 def _dumps(value) -> str:
@@ -374,7 +368,7 @@ def _run_records(config: RunConfig):
     labels = tuple(role.label for role in table.index)
     encode, encode_walk = _record_encoder(_base_record(config, counter) | context, counter, labels)
     if config.mode == "sample":
-        # Trial k draws as derived_rng(seed, _STREAM_TRIAL, k).random(1 + helpers).
+        # Trial k draws as Stream(seed, _STREAM_TRIAL, k).random(1 + helpers).
         seed_trial, size = _seeder(config.seed, _STREAM_TRIAL), 1 + len(labels)
         for k in range(config.trials):
             draws, _ = _uniforms(*seed_trial(k), size)
@@ -400,7 +394,7 @@ def _attack_records(config: RunConfig):
         sizes,
         config.attack_scenario,
         config.rounds,
-        derived_rng(config.seed, _STREAM_ATTACK),
+        Stream(config.seed, _STREAM_ATTACK),
         threshold=config.threshold,
     )
     check = _base_record(config, "check") | {
@@ -445,7 +439,7 @@ def execute(config: RunConfig) -> int:
     # A failing run (rounds, threshold, branch limit) raises before its
     # first record, so drawing that record first opens no file on failure.
     lines = itertools.chain([next(lines)], lines)
-    if config.output_path:
+    if config.output_path is not None:
         import signal
         import threading
 

@@ -153,6 +153,15 @@ def _times_h(rows):
     return tuple((h * (r0 + r1), h * (r0 - r1)) for r0, r1 in rows)
 
 
+def _correction(h: int, x: int, z: int) -> CorrectionOp:
+    """The CorrectionOp X^x Z^z, after a Hadamard when h is set.
+
+    XZ is the member iY, which equals it up to a global phase.
+    """
+    pauli = {(0, 0): "", (1, 0): "X", (0, 1): "Z", (1, 1): "iY"}[x, z]
+    return CorrectionOp(pauli + "H" * h or "I")
+
+
 # Each op's 2x2 matrix as rows; iY is i*sigma_y written as a real matrix,
 # the factor i only shifting global phase, which no fidelity can see.
 _PAULI_ROWS = {
@@ -162,23 +171,9 @@ _PAULI_ROWS = {
     CorrectionOp.Z: ((1, 0), (0, -1)),
 }
 _CORRECTION_ROWS = _PAULI_ROWS | {
-    composite: _times_h(_PAULI_ROWS[pauli])
-    for composite, pauli in (
-        (CorrectionOp.H, CorrectionOp.I),
-        (CorrectionOp.XH, CorrectionOp.X),
-        (CorrectionOp.IYH, CorrectionOp.IY),
-        (CorrectionOp.ZH, CorrectionOp.Z),
-    )
+    _correction(1, x, z): _times_h(_PAULI_ROWS[_correction(0, x, z)])
+    for x, z in itertools.product((0, 1), repeat=2)
 }
-
-
-def _correction(h: int, x: int, z: int) -> CorrectionOp:
-    """The CorrectionOp X^x Z^z, after a Hadamard when h is set.
-
-    XZ is the member iY, which equals it up to a global phase.
-    """
-    pauli = {(0, 0): "", (1, 0): "X", (0, 1): "Z", (1, 1): "iY"}[x, z]
-    return CorrectionOp(pauli + "H" * h or "I")
 
 
 # Bob designee lookup: (Bell outcome, v_sum) -> X^psi Z^(sign xor v_sum),

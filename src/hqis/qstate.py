@@ -2,12 +2,13 @@
 
 The protocol's runs hold each state as its support, ``(basis index,
 amplitude)`` pairs plus the qubit count.  :func:`_contract_support` measures
-it, once per outcome when a run starts, and a trial picks one of those
-``(prob, post)`` children by one draw of a :class:`Stream`, numpy's seeded
-generator reproduced in plain Python, or of a run's ``_seeder``, which hashes
-the run's seed and purpose once and seeds the same streams.  Qubit 0 sits at
-the most significant bit of the index.  This module also owns the register
-cap, the tolerances and the measurement bases' bras, and imports no numpy.
+it, once per outcome, only while a run's table of outcomes is built; a trial
+then reads that table's stored probability sums (``protocol.run_pick``) with
+draws of a :class:`Stream`, numpy's seeded generator reproduced in plain
+Python, or of a run's ``_seeder``, which hashes the run's seed and purpose
+once and seeds the same streams.  Qubit 0 sits at the most significant bit
+of the index.  This module also owns the register cap, the tolerances and
+the measurement bases' bras, and imports no numpy.
 The dense :class:`StateVector` layer, the oracle the support runtime is
 tested against, lives in :mod:`hqis.dense` with the gate matrices and the
 basis vectors as arrays; the names that moved there from here are still

@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 
 from hqis import protocol, qstate
 from hqis.channel import PartySizes, SecretState
-from hqis.cli import derived_rng
 from hqis.protocol import (
     BOB_CORRECTIONS,
     CHARLIE_CORRECTIONS,
@@ -38,6 +37,7 @@ from hqis.protocol import (
     parity,
     run_recovery,
 )
+from hqis.qstate import Stream
 
 BASIS_SECRETS = [SecretState(1, 0), SecretState(0, 1), SecretState(0, 1j)]
 
@@ -120,8 +120,8 @@ def _assert_walks_agree(sizes, designee, secret, seed):
     for result, branch in zip(results, expected):
         _assert_same_branch(result, branch)
     for k in range(8):
-        (branch,) = _support_branch_results(sizes, designee, secret, derived_rng(seed, 1, k))
-        _assert_same_branch(run_recovery(sizes, designee, secret, derived_rng(seed, 1, k)), branch)
+        (branch,) = _support_branch_results(sizes, designee, secret, Stream(seed, 1, k))
+        _assert_same_branch(run_recovery(sizes, designee, secret, Stream(seed, 1, k)), branch)
 
 
 @pytest.mark.parametrize("grade", ["bob", "charlie"])
@@ -156,8 +156,8 @@ def test_sampled_trials_match_the_support_walk_at_large_sizes(size, designee):
     sizes = PartySizes(size, size)
     secret = SecretState(0.6, 0.8j)
     for k in range(8):
-        (branch,) = _support_branch_results(sizes, designee, secret, derived_rng(29, 1, k))
-        _assert_same_branch(run_recovery(sizes, designee, secret, derived_rng(29, 1, k)), branch)
+        (branch,) = _support_branch_results(sizes, designee, secret, Stream(29, 1, k))
+        _assert_same_branch(run_recovery(sizes, designee, secret, Stream(29, 1, k)), branch)
 
 
 def _reference_pick(table, draws):
@@ -286,5 +286,5 @@ def test_sampled_trials_equal_enumerated_branches_exactly(grade, m, n):
         # The trials read a table of their own, built whole before the first draw.
         protocol._leaf_table.cache_clear()
         for seed in range(200):
-            result = run_recovery(sizes, designee, secret, derived_rng(seed, 1, 0))
+            result = run_recovery(sizes, designee, secret, Stream(seed, 1, 0))
             assert result == branches[result.bell, tuple(result.classical_bits.values())]

@@ -22,7 +22,6 @@ from hqis.cli import (
     UsageError,
     _dumps,
     _run_records,
-    derived_rng,
     execute,
     main,
     parse_args,
@@ -36,7 +35,7 @@ from hqis.protocol import (
     agent_marginal,
     enumerate_branches,
 )
-from hqis.qstate import SecretState, register_cap
+from hqis.qstate import SecretState, Stream, register_cap
 
 # The Bob-designee correction table, expanded over both Bell signs.
 GOLDEN_BOB_TABLE = {
@@ -331,18 +330,18 @@ def test_different_seeds_give_different_output(tmp_path):
 
 def test_trials_reproducible_in_isolation():
     # one stream per trial index, so trial k can be replayed on its own
-    a = derived_rng(42, 1, 3).random(4)
-    b = derived_rng(42, 1, 3).random(4)
+    a = Stream(42, 1, 3).random(4)
+    b = Stream(42, 1, 3).random(4)
     np.testing.assert_array_equal(a, b)
-    assert not np.array_equal(a, derived_rng(42, 1, 4).random(4))
+    assert not np.array_equal(a, Stream(42, 1, 4).random(4))
 
 
 @pytest.mark.parametrize("seed,k", [(0, 0), (42, 3), (2**64 - 1, 999)])
 def test_one_bulk_draw_is_the_stream_of_scalar_draws(seed, k):
     # A sampled trial draws its steps with one rng.random(1 + helpers) call.
     for count in (1, 6, 1200):
-        scalar = derived_rng(seed, 1, k)
-        assert list(derived_rng(seed, 1, k).random(count)) == [
+        scalar = Stream(seed, 1, k)
+        assert list(Stream(seed, 1, k).random(count)) == [
             scalar.random() for _ in range(count)
         ]
 
@@ -845,6 +844,21 @@ def test_unopenable_output_is_an_error(tmp_path, capsys, target):
     assert captured.out == ""
     (error,) = captured.err.splitlines()
     assert error.startswith("error:") and str(path) in error
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--m", "1", "--n", "1", "--designee", "charlie:1"],
+    ["attack", "--m", "1", "--n", "1"],
+    ["tables"],
+])
+def test_an_empty_output_path_is_an_error_not_stdout(monkeypatch, tmp_path, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--output", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (error,) = captured.err.splitlines()
+    assert error.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_closed_stdout_ends_with_one_error_line():

@@ -33,9 +33,9 @@ from hqis.protocol import (
     parity,
     run_recovery,
 )
-from hqis.cli import derived_rng
 from hqis.qstate import (
     MeasBasis,
+    Stream,
     apply_gate,
     bell_project,
     project,
@@ -562,8 +562,8 @@ def test_walk_matches_per_leaf_reference(grade, m, n, seed, data):
         _assert_same_branch(result, branch)
     for k in range(8):
         _assert_same_branch(
-            run_recovery(sizes, designee, secret, derived_rng(seed, 1, k)),
-            _reference_sample(sizes, designee, secret, derived_rng(seed, 1, k)),
+            run_recovery(sizes, designee, secret, Stream(seed, 1, k)),
+            _reference_sample(sizes, designee, secret, Stream(seed, 1, k)),
         )
 
 
@@ -573,7 +573,7 @@ def test_sampled_trial_memory_follows_the_support():
     secret = SecretState(0.6, 0.8j)
     tracemalloc.start()
     try:
-        result = run_recovery(sizes, Designee.charlie(3), secret, derived_rng(3, 1, 0))
+        result = run_recovery(sizes, Designee.charlie(3), secret, Stream(3, 1, 0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -730,7 +730,7 @@ def test_an_impossible_outcome_fails_the_build(monkeypatch, qubits):
     try:
         for designee in (Designee.bob(1, 2), Designee.charlie(2)):
             with pytest.raises(ArithmeticError, match="probability 0.0"):
-                run_recovery(PartySizes(2, 2), designee, SECRETS[3], derived_rng(0, 1, 0))
+                run_recovery(PartySizes(2, 2), designee, SECRETS[3], Stream(0, 1, 0))
             with pytest.raises(ArithmeticError, match="probability 0.0"):
                 enumerate_branches(PartySizes(2, 2), designee, SECRETS[3])
     finally:

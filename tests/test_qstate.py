@@ -64,6 +64,17 @@ def test_statevector_rejects_unnormalized():
         StateVector(1, np.array([1.0, 1.0]))
 
 
+def test_statevector_needs_a_qubit():
+    with pytest.raises(ValueError, match=r"^register needs at least one qubit, got 0$"):
+        StateVector(0, np.array([1.0]))
+
+
+def test_statevector_rejects_an_amplitude_count_that_is_not_two_to_the_qubits():
+    with pytest.raises(ValueError) as caught:
+        StateVector(2, np.array([1.0, 0.0]))
+    assert str(caught.value) == "expected 4 amplitudes for 2 qubits, got shape (2,)"
+
+
 def test_statevector_amplitudes_readonly():
     state = basis_state(1, "0")
     with pytest.raises(ValueError):
@@ -98,6 +109,12 @@ def test_apply_gate_rejects_bad_input():
         apply_gate(state, 2, qstate.X)
     with pytest.raises(ValueError):
         apply_gate(state, 0, np.array([[1, 1], [0, 1]], dtype=complex))
+
+
+def test_apply_gate_rejects_a_gate_that_is_not_2x2():
+    with pytest.raises(ValueError) as caught:
+        apply_gate(basis_state(2, "00"), 0, np.eye(4))
+    assert str(caught.value) == "expected a 2x2 gate, got shape (4, 4)"
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), data=st.data())
@@ -304,6 +321,11 @@ def test_reduced_density_product_state():
     state = basis_state(2, "01")
     np.testing.assert_allclose(reduced_density(state, 0), [[1, 0], [0, 0]], atol=1e-15)
     np.testing.assert_allclose(reduced_density(state, 1), [[0, 0], [0, 1]], atol=1e-15)
+
+
+def test_reduced_density_of_one_qubit_is_its_outer_product():
+    rho = reduced_density(sv([0.6, 0.8j]), 0)
+    np.testing.assert_allclose(rho, [[0.36, -0.48j], [0.48j, 0.64]], atol=1e-15)
 
 
 def test_reduced_density_maximally_entangled():

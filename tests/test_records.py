@@ -24,7 +24,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hqis import cli, protocol
-from hqis.cli import _run_records, derived_rng, main, parse_args, resolve_secret
+from hqis.cli import _run_records, main, parse_args, resolve_secret
+from hqis.qstate import Stream
 from hqis.protocol import TrialResult, enumerate_branches, iter_branches, run_recovery
 
 MAX_SEED = 2**64 - 1
@@ -68,7 +69,7 @@ def _oracle_lines(config) -> list[str]:
     if config.mode == "sample":
         return [
             _json(_oracle_record(config, secret, "trial", k, run_recovery(
-                sizes, designee, secret, derived_rng(config.seed, cli._STREAM_TRIAL, k)
+                sizes, designee, secret, Stream(config.seed, cli._STREAM_TRIAL, k)
             )))
             for k in range(config.trials)
         ]
@@ -342,7 +343,7 @@ def test_non_finite_float_raises_json_error(
             # The library's sampled runs make the same pick.
             results = [
                 run_recovery(config.sizes, config.designee, secret,
-                             derived_rng(config.seed, cli._STREAM_TRIAL, k))
+                             Stream(config.seed, cli._STREAM_TRIAL, k))
                 for k in range(config.trials)
             ]
     assert getattr(results[5], field) is value

@@ -42,7 +42,7 @@ NEGATIVE_WORDS = [
     ("from hqis.qstate import Stream", "Stream(-1, 1)", dict(entropy=-1, spawn_key=(1,))),
     ("from hqis.qstate import Stream", "Stream(0, -1)", dict(entropy=0, spawn_key=(-1,))),
     ("from hqis.qstate import Stream", "Stream(0, 1, 7, -1)", dict(entropy=0, spawn_key=(1, 7, -1))),
-    ("from hqis.cli import derived_rng", "derived_rng(0, 1, -1)", dict(entropy=0, spawn_key=(1, -1))),
+    ("from hqis.qstate import Stream", "Stream(0, 1, -1)", dict(entropy=0, spawn_key=(1, -1))),
 ]
 
 
