@@ -42,7 +42,8 @@ NEGATIVE_WORDS = [
     ("from hqis.qstate import Stream", "Stream(-1, 1)", dict(entropy=-1, spawn_key=(1,))),
     ("from hqis.qstate import Stream", "Stream(0, -1)", dict(entropy=0, spawn_key=(-1,))),
     ("from hqis.qstate import Stream", "Stream(0, 1, 7, -1)", dict(entropy=0, spawn_key=(1, 7, -1))),
-    ("from hqis.qstate import Stream", "Stream(0, 1, -1)", dict(entropy=0, spawn_key=(1, -1))),
+    pytest.param("from hqis.qstate import Stream", "Stream(0, 1, -1)",
+                 dict(entropy=0, spawn_key=(1, -1)), id="one negative path word"),
 ]
 
 
