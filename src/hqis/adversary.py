@@ -61,10 +61,11 @@ def _outcomes(scenario: Scenario):
     if _check_scenario(scenario) is Scenario.HONEST:
         entries = [(index >> 2, index, amp) for index, amp in pairs]
     else:
+        fake = _fake_channel_support(_CLASSES)
         entries = [
             (index >> 2, fake_index, amp * fake_amp)
             for index, amp in pairs
-            for fake_index, fake_amp in _fake_channel_support(_CLASSES)
+            for fake_index, fake_amp in fake
         ]
     probs = tuple(abs(amp) ** 2 for _, _, amp in entries)
     matched = tuple(agents >> 1 & 1 == alice for alice, agents, _ in entries)

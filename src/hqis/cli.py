@@ -11,12 +11,14 @@ strict JSON: a NaN or an infinity fails the run instead of being written.
 distinct leaf of the run's table, with slots for the helpers' bits and the
 counter, all that a record fills in (``_record_encoder``).  Both modes write
 their records from the table's leaves and bits and build no ``TrialResult``.
-A sampled trial draws from a seeder built once per run.  An enumeration joins
-each record of a walk block, up to 64, from texts made before it: the bits of
-each block suffix once per run, and the block prefix's once.  A run that
-fails after its first record, or that a SIGTERM or SIGHUP stops, removes its
-``--output`` file, if that path names a regular file, and empties the regular
-file a symlinked path reaches.
+A sampled run draws its trials from a seeder built once per run, a block of
+trials at a time (:mod:`hqis.lanes`), and picks and encodes each trial alone,
+in order.  An enumeration joins each record of a walk block, up to 64, from
+texts made before it: the bits of each block suffix once per run, and the
+block prefix's once.  A run that fails after its first record, or that a
+SIGTERM or SIGHUP stops, removes its ``--output`` file, if that path names a
+regular file, and empties the regular file a symlinked path reaches.  The
+argument parser is built with the one subparser the first argument names.
 """
 
 import argparse
@@ -31,7 +33,7 @@ import sys
 from collections import namedtuple
 
 from .channel import PartySizes, Scenario, SecretState
-from .qstate import NORM_TOL, ResourceLimitError, Stream, _seeder, _uniforms, register_cap
+from .qstate import NORM_TOL, ResourceLimitError, Stream, _seeder, register_cap
 
 # Only the functions that use hqis.protocol or hqis.adversary import them:
 # ``attack`` never loads the one, ``run`` and ``tables`` never the other.
@@ -139,36 +141,42 @@ def _parse_designee(text: str) -> "Role":
     return Role(grade, int(index_text))
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command: str | None = None) -> _Parser:
+    """The parser, with only ``command``'s subparser when it names one, else
+    with all three, so that the help and an invalid choice list each."""
     parser = _Parser(prog="hqis", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    every = command not in ("run", "attack", "tables")
 
-    run = sub.add_parser("run", help="execute protocol trials or enumerate branches")
-    run.add_argument("--m", type=int, required=True, help="number of Bobs")
-    run.add_argument("--n", type=int, required=True, help="number of Charlies")
-    run.add_argument("--designee", required=True, help="bob:i or charlie:j")
-    run.add_argument("--charlie-star", type=int, help="assisting Charlie for a Bob designee")
-    run.add_argument("--secret", default="random", help="'random' or Re(a),Im(a),Re(b),Im(b)")
-    run.add_argument("--mode", choices=("sample", "enumerate"), default="sample")
-    run.add_argument("--trials", type=int, default=1)
-    run.add_argument("--seed", default="0")
-    run.add_argument("--output", help="write records to this file instead of stdout")
+    if every or command == "run":
+        run = sub.add_parser("run", help="execute protocol trials or enumerate branches")
+        run.add_argument("--m", type=int, required=True, help="number of Bobs")
+        run.add_argument("--n", type=int, required=True, help="number of Charlies")
+        run.add_argument("--designee", required=True, help="bob:i or charlie:j")
+        run.add_argument("--charlie-star", type=int, help="assisting Charlie for a Bob designee")
+        run.add_argument("--secret", default="random", help="'random' or Re(a),Im(a),Re(b),Im(b)")
+        run.add_argument("--mode", choices=("sample", "enumerate"), default="sample")
+        run.add_argument("--trials", type=int, default=1)
+        run.add_argument("--seed", default="0")
+        run.add_argument("--output", help="write records to this file instead of stdout")
 
-    attack = sub.add_parser("attack", help="run eavesdropping correlation checks")
-    attack.add_argument("--m", type=int, required=True)
-    attack.add_argument("--n", type=int, required=True)
-    attack.add_argument(
-        "--scenario",
-        choices=tuple(s.value for s in Scenario),
-        default=Scenario.INTERCEPT_RESEND.value,
-    )
-    attack.add_argument("--rounds", type=int, default=64)
-    attack.add_argument("--threshold", type=float, default=0.99)
-    attack.add_argument("--seed", default="0")
-    attack.add_argument("--output")
+    if every or command == "attack":
+        attack = sub.add_parser("attack", help="run eavesdropping correlation checks")
+        attack.add_argument("--m", type=int, required=True)
+        attack.add_argument("--n", type=int, required=True)
+        attack.add_argument(
+            "--scenario",
+            choices=tuple(s.value for s in Scenario),
+            default=Scenario.INTERCEPT_RESEND.value,
+        )
+        attack.add_argument("--rounds", type=int, default=64)
+        attack.add_argument("--threshold", type=float, default=0.99)
+        attack.add_argument("--seed", default="0")
+        attack.add_argument("--output")
 
-    tables = sub.add_parser("tables", help="dump the correction lookup tables")
-    tables.add_argument("--output")
+    if every or command == "tables":
+        tables = sub.add_parser("tables", help="dump the correction lookup tables")
+        tables.add_argument("--output")
     return parser
 
 
@@ -186,7 +194,9 @@ def parse_args(argv: list[str]) -> RunConfig:
         # argparse leaves for the cyclic collector.  argparse takes ``run``
         # only as the first argument, so every run imports these here.
         from .protocol import Designee, check_designee
-    args = _build_parser().parse_args(argv)
+    # argparse takes a subcommand from the first argument only, and that
+    # subcommand's parser takes every argument after it.
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
 
     if args.command == "tables":
         return RunConfig(mode="tables", output_path=args.output)
@@ -368,10 +378,13 @@ def _run_records(config: RunConfig):
     labels = tuple(role.label for role in table.index)
     encode, encode_walk = _record_encoder(_base_record(config, counter) | context, counter, labels)
     if config.mode == "sample":
-        # Trial k draws as Stream(seed, _STREAM_TRIAL, k).random(1 + helpers).
-        seed_trial, size = _seeder(config.seed, _STREAM_TRIAL), 1 + len(labels)
-        for k in range(config.trials):
-            draws, _ = _uniforms(*seed_trial(k), size)
+        # Trial k draws as Stream(seed, _STREAM_TRIAL, k).random(1 + helpers),
+        # a block of trials at a time, and is picked and encoded alone.
+        from .lanes import trial_draws
+
+        seed_trial = _seeder(config.seed, _STREAM_TRIAL)
+        rows = trial_draws(seed_trial, 0, config.trials, 1 + len(labels))
+        for k, draws in enumerate(rows):
             yield encode(k, *protocol.run_pick(table, draws))
         return
     # Records stream a walk block at a time.

@@ -1,4 +1,6 @@
+import contextlib
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -189,6 +191,41 @@ def test_help_exits_success(capsys):
         parse_args(["--help"])
     assert exc.value.code == 0
     assert "usage" in capsys.readouterr().out
+
+
+# Each --help, and a bad argv of each kind: a subcommand's bad, missing or
+# unknown option, an invalid or missing subcommand, and options before one.
+PARSER_ARGVS = [
+    [], ["--help"], ["-h"], ["run", "--help"], ["attack", "-h"], ["tables", "--help"],
+    ["bogus"], ["Run"], ["--m", "1", "run"], ["-x"], ["--", "run"], ["run"],
+    ["run", "--m", "x", "--n", "1", "--designee", "bob:1"],
+    ["run", "--m", "1", "--n", "1", "--designee", "bob:1", "--mode", "both"],
+    ["run", "--m", "1", "--n", "1", "--designee", "bob:1", "attack"],
+    ["run", "--m", "1", "--n", "1", "--designee", "charlie:1", "--secr", "0.6,0,0,0.8"],
+    ["attack", "--m", "1"], ["attack", "--m", "1", "--n", "1", "--scenario", "none"],
+    ["attack", "--m", "1", "--n", "1", "--rounds", "1.5"], ["attack", "--bogus"],
+    ["tables", "--output"], ["tables", "run"], ["tables", "--help", "--bogus"],
+]
+
+
+def _parsed(parser, argv: list[str]) -> tuple:
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "parsed", vars(parser.parse_args(argv)), out.getvalue()
+    except UsageError as exc:
+        return "usage error", str(exc), out.getvalue()
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_the_first_arguments_subparser_parses_as_every_subparser_does(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    one = _parsed(cli._build_parser(argv[0] if argv else None), argv)
+    assert one == _parsed(cli._build_parser(), argv)
+    if argv[:1] in (["--help"], ["-h"]):
+        assert "{run,attack,tables}" in one[2]
 
 
 def test_main_reports_usage_errors(capsys):

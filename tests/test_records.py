@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hqis import cli, protocol
+from hqis import cli, lanes, protocol, qstate
 from hqis.cli import _run_records, main, parse_args, resolve_secret
 from hqis.qstate import Stream
 from hqis.protocol import TrialResult, enumerate_branches, iter_branches, run_recovery
@@ -518,3 +518,30 @@ def test_sampled_memory_does_not_grow_with_the_trial_count():
     large = "run --m 3 --n 3 --designee charlie:2 --trials 16384 --seed 17"
     peaks = [(_drained_peak(argv), _drained_peak(argv))[1] for argv in (small, large)]
     assert abs(peaks[1] - peaks[0]) <= 2**12, peaks
+
+
+def _scalar_trial_draws(seed_path, start, stop, size):
+    return (qstate._uniforms(*seed_path(k), size)[0] for k in range(start, stop))
+
+
+# Both grades, at trial counts either side of the fallback to drawing trial by
+# trial and past whole blocks, then wider trials.
+BLOCK_ARGVS = [
+    f"run --m 3 --n 4 --designee {designee} --trials {trials} --seed 17"
+    for designee in ("bob:2 --charlie-star 3", "charlie:2")
+    for trials in (1, lanes.MIN_LANES - 1, lanes.MIN_LANES, lanes.LANES + 1, 3 * lanes.LANES + 7)
+] + [
+    # 100 draws a trial: blocks of 40 trials, then a short one.
+    "run --m 60 --n 40 --designee charlie:7 --trials 90 --seed 2",
+    # More draws a trial than a block's cells.
+    f"run --m {lanes.LANE_CELLS} --n 1 --designee charlie:1 --trials 3 --seed 2",
+]
+
+
+@pytest.mark.parametrize("argv", BLOCK_ARGVS)
+def test_trials_drawn_in_blocks_write_what_trials_drawn_alone_write(monkeypatch, capsys, argv):
+    assert main(argv.split()) == 0
+    blocks = capsys.readouterr()
+    monkeypatch.setattr(lanes, "trial_draws", _scalar_trial_draws)
+    assert main(argv.split()) == 0
+    assert capsys.readouterr() == blocks

@@ -5,6 +5,7 @@ its secret, its trials and its check tallies."""
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from conftest import CLEARED_MODULES, memo_caches
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqis import protocol, qstate
+from hqis import lanes, protocol, qstate
 from hqis.adversary import Scenario, correlation_check
 from hqis.channel import PartySizes
 from hqis.protocol import Designee
@@ -94,6 +95,61 @@ def test_a_runs_seeder_draws_the_trial_streams(seed, k):
         assert draws == reference.random(size).tolist() == stream.random(size)
         assert state == reference.bit_generator.state["state"]["state"] == stream.state
         assert seed_trial(k)[1] == reference.bit_generator.state["state"]["inc"] == stream.inc
+
+
+# Lane counts on both sides of the fallback to drawing trial by trial, and
+# past a full block.
+LANE_COUNTS = st.one_of(
+    st.integers(1, 2 * lanes.MIN_LANES), st.integers(lanes.LANES - 2, lanes.LANES + 40)
+)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    seed=st.one_of(st.sampled_from([0, 1, 17, 2**32 - 1, 2**32, 2**64 - 1]),
+                   st.integers(0, 2**64 - 1)),
+    count=LANE_COUNTS,
+    size=st.integers(1, 40),
+    data=st.data(),
+)
+def test_lane_rows_are_each_trials_stream(seed, count, size, data):
+    # The last block below 2**32 too, where the one-word paths end.
+    k0 = data.draw(st.one_of(st.just(0), st.just(2**32 - count), st.integers(0, 2**32 - 300)))
+    seed_trial = qstate._seeder(seed, 1)
+    rows = list(map(list, lanes.lane_uniforms(*seed_trial(k0, lanes=count), count, size)))
+    expected = [qstate._uniforms(*seed_trial(k), size)[0] for k in range(k0, k0 + count)]
+    assert rows == expected
+    assert rows[-1] == _numpy_rng(seed, 1, k0 + count - 1).random(size).tolist()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    seed=st.sampled_from([0, 17, 2**64 - 1]),
+    start=st.one_of(st.integers(0, 300), st.integers(2**32 - 300, 2**32 + 5)),
+    count=st.one_of(LANE_COUNTS, st.integers(2 * lanes.LANES, 3 * lanes.LANES + 7)),
+    size=st.sampled_from([1, 6, 40, 100, lanes.LANE_CELLS + 1]),
+)
+def test_trial_draws_are_each_trials_stream_in_order(seed, start, count, size):
+    # A block of trials packed, one too small to pack, one that would cross
+    # 2**32 and a draw count past a block's cells.
+    count = min(count, 2 * lanes.LANE_CELLS // size)
+    seed_trial = qstate._seeder(seed, 1)
+    rows = lanes.trial_draws(seed_trial, start, start + count, size)
+    expected = [qstate._uniforms(*seed_trial(k), size)[0] for k in range(start, start + count)]
+    assert list(map(list, rows)) == expected
+
+
+def test_a_block_of_trials_holds_at_most_its_cells_of_draws():
+    # A block of LANES trials of 1000 draws would hold 4 MiB of floats.
+    seed_trial = qstate._seeder(17, 1)
+    tracemalloc.start()
+    try:
+        for _ in lanes.trial_draws(seed_trial, 0, lanes.LANES, 1000):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * lanes.LANE_CELLS, peak
 
 
 def test_the_seeder_cache_is_a_module_attribute_that_clears():
