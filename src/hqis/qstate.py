@@ -7,10 +7,9 @@ then reads that table's stored probability sums (``protocol.run_pick``) with
 draws of a :class:`Stream`, numpy's seeded generator reproduced in plain
 Python, or of a run's ``_seeder``, which hashes the run's seed and purpose
 once and seeds the same streams: one at a time, or a block of them at once,
-a stream a lane of one int, as :mod:`hqis.lanes` draws them.  Qubit 0 sits
-at the most significant bit of the index.  This module also owns the
-register cap, the tolerances and the measurement bases' bras, and imports no
-numpy.
+a stream a lane of one int, for :mod:`hqis.lanes` to pack.  Qubit 0 sits at
+the most significant bit of the index.  This module also owns the register
+cap, the tolerances and the measurement bases' bras, and imports no numpy.
 The dense :class:`StateVector` layer, the oracle the support runtime is
 tested against, lives in :mod:`hqis.dense` with the gate matrices and the
 basis vectors as arrays; the names that moved there from here are still
@@ -222,29 +221,15 @@ def _uint32_words(value: int) -> list[int]:
     return words
 
 
-def _ones(lanes: int, width: int) -> int:
-    """A 1 in each of ``lanes`` lanes ``width`` bits wide, whole bytes: times
-    a value below ``2**width``, that value in every lane."""
-    return int.from_bytes((b"\1" + bytes(width // 8 - 1)) * lanes, "little")
+def _hashmix(value: int, xor: int, mult: int) -> int:
+    """SeedSequence's ``hashmix``, given its constants from ``_hash_pairs``."""
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
 
 
-def _hashmix(value: int, xor: int, mult: int, ones: int = 1) -> int:
-    """SeedSequence's ``hashmix``, given its constants from ``_hash_pairs``,
-    of the uint32 in each 64-bit lane that ``ones`` marks: ``(value ^ xor) *
-    mult`` stays in its lane, and the mask clears what ``>> 16`` shifts in
-    from the next."""
-    mask = _MASK32 * ones
-    value = (value ^ xor * ones) * mult & mask
-    return (value ^ value >> 16) & mask
-
-
-def _mix(x: int, y: int, ones: int = 1) -> int:
-    """SeedSequence's ``mix``, lane by lane as ``_hashmix``: its difference
-    is taken as a sum, ``L*x mod 2**32 + (2**32 - R)*y``, which stays below
-    2**64, so no lane borrows from the next."""
-    mask = _MASK32 * ones
-    mixed = (_MIX_MULT_L * x & mask) + (2**32 - _MIX_MULT_R) * y & mask
-    return (mixed ^ mixed >> 16) & mask
+def _mix(x: int, y: int) -> int:
+    mixed = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return mixed ^ mixed >> 16
 
 
 def _hash_pairs(const: int, count: int, mult: int = _MULT_A) -> tuple[tuple[int, int], ...]:
@@ -258,16 +243,14 @@ def _hash_pairs(const: int, count: int, mult: int = _MULT_A) -> tuple[tuple[int,
     return tuple(pairs)
 
 
-def _mix_in(pool, const: int, words, ones: int = 1) -> tuple[list[int], int]:
+def _mix_in(pool, const: int, words) -> tuple[list[int], int]:
     """The pool and hash constant after SeedSequence mixes entropy ``words``,
-    those past the pool's size, into every pool word.  With ``ones`` marking
-    64-bit lanes, a word holds one stream's in each lane, and each lane gets
-    its own copy of the pool."""
-    pool = [word * ones for word in pool]
+    those past the pool's size, into every pool word."""
+    pool = list(pool)
     pairs = _hash_pairs(const, _POOL_SIZE * len(words))
     for step, pair in enumerate(pairs):
         dst = step % _POOL_SIZE
-        pool[dst] = _mix(pool[dst], _hashmix(words[step // _POOL_SIZE], *pair, ones), ones)
+        pool[dst] = _mix(pool[dst], _hashmix(words[step // _POOL_SIZE], *pair))
     return pool, pairs[-1][1] if pairs else const
 
 
@@ -280,11 +263,15 @@ def _seeder(seed: int, purpose: int):
     """``seed_path(*path)``: PCG64's ``(state, inc)`` as
     ``SeedSequence(entropy=seed, spawn_key=(purpose, *path))`` seeds it, the
     one copy of the spawn rule; cached, as every trial's ``Stream`` reads it.
-    ``seed_path(k, lanes=count)`` seeds the one-word paths ``k`` to
-    ``k + count - 1``, each below 2**32, at once, packed as ``_pcg_seed``
-    packs them.  Here numpy's ``mix_entropy`` mixes the seed's words, padded
-    to the pool's size as a spawn key follows, then ``purpose``, into the
-    run's pool; so a path mixes in only its own words."""
+    Here numpy's ``mix_entropy`` mixes the seed's words, padded to the pool's
+    size as a spawn key follows, then ``purpose``, into the run's pool, and a
+    one-word path's hash constants are fixed; so a path hashes only its own
+    words, then the pool's ``generate_state(4, uint64)``: (state seed,
+    sequence) as 128-bit words.  ``seed_path(word, ones=ones)``, with
+    ``ones`` marking 64-bit lanes, hashes the one-word path in each lane of
+    ``word`` and returns ``generate_state``'s eight uint32 words, lane by
+    lane, each with junk above its low 32 bits, for :mod:`hqis.lanes` to
+    pack."""
     words = _uint32_words(seed)
     words += [0] * (_POOL_SIZE - len(words))
     # A hash per pool word, then one per ordered pair of pool words.
@@ -296,41 +283,43 @@ def _seeder(seed: int, purpose: int):
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(cross)))
     pool, const = _mix_in(pool, pairs[-1][1], words[_POOL_SIZE:] + _uint32_words(purpose))
+    # A one-word path's constants for each pool word: _mix's term of the pool
+    # word, then the hash's; _mix's difference is taken as the sum
+    # L*x mod 2**32 + (2**32 - R)*y, below 2**64.
+    one_word = [(_MIX_MULT_L * word & _MASK32, *pair)
+                for word, pair in zip(pool, _hash_pairs(const, _POOL_SIZE))]
+    right = 2**32 - _MIX_MULT_R
+    (x0, m0), (x1, m1), (x2, m2), (x3, m3), (x4, m4), (x5, m5), (x6, m6), (x7, m7) = _GENERATE_PAIRS
 
-    def seed_path(*path: int, lanes: int = 0) -> tuple[int, int]:
-        if lanes:
-            # Path k + j in 64-bit lane j: j < 256 is the lane's low byte.
-            index = bytearray(8 * lanes)
-            index[::8] = range(lanes)
-            ones = _ones(lanes, 64)
-            words = [path[0] * ones + int.from_bytes(index, "little")]
+    def seed_path(*path: int, ones: int = 1) -> tuple[int, ...]:
+        # _mix_in, _hashmix and _mix inlined for a one-word path, which every
+        # trial below 2**32 has, in each 64-bit lane that ones marks: no
+        # product or sum leaves its lane, and a mask clears what >> 16 shifts
+        # in from the next lane wherever a product follows.
+        mask = _MASK32 * ones
+        if len(path) == 1 and 0 <= (k := operator.index(path[0])) <= mask:
+            a, b, c, d = [
+                (v := left * ones + right * ((h := (k ^ xor * ones) * mult & mask) ^ h >> 16 & mask)
+                 & mask) ^ v >> 16 & mask
+                for left, xor, mult in one_word
+            ]
         else:
-            lanes, ones, words = 1, 1, [w for k in path for w in _uint32_words(k)]
-        return _pcg_seed(_mix_in(pool, const, words, ones)[0], lanes)
+            (a, b, c, d), _ = _mix_in(pool, const, [w for k in path for w in _uint32_words(k)])
+        w0 = (v := (a ^ x0 * ones) * m0 & mask) ^ v >> 16
+        w1 = (v := (b ^ x1 * ones) * m1 & mask) ^ v >> 16
+        w2 = (v := (c ^ x2 * ones) * m2 & mask) ^ v >> 16
+        w3 = (v := (d ^ x3 * ones) * m3 & mask) ^ v >> 16
+        w4 = (v := (a ^ x4 * ones) * m4 & mask) ^ v >> 16
+        w5 = (v := (b ^ x5 * ones) * m5 & mask) ^ v >> 16
+        w6 = (v := (c ^ x6 * ones) * m6 & mask) ^ v >> 16
+        w7 = (v := (d ^ x7 * ones) * m7 & mask) ^ v >> 16
+        if ones != 1:
+            return w0, w1, w2, w3, w4, w5, w6, w7
+        # Little-endian pairs of uint32 make the uint64s, high uint64 first in each word.
+        inc = (w5 << 97 | w4 << 65 | w7 << 33 | w6 << 1 | 1) & _MASK128
+        return ((inc + (w1 << 96 | w0 << 64 | w3 << 32 | w2)) * _PCG_MULT + inc) & _MASK128, inc
 
     return seed_path
-
-
-def _pcg_seed(pool: list[int], lanes: int) -> tuple[int, int]:
-    """PCG64's ``(state, inc)`` from the pool's ``generate_state(4,
-    uint64)``, (state seed, sequence) as 128-bit words, a stream a lane: in
-    64-bit lanes of the pool words, and in 256-bit lanes of the state and
-    the increment, as :func:`hqis.lanes.lane_uniforms` takes them."""
-    ones = _ones(lanes, 64)
-    w = [_hashmix(word, *pair, ones) for word, pair in zip(pool * 2, _GENERATE_PAIRS)]
-    # Little-endian pairs of uint32 make the uint64s, the high uint64 first
-    # in each word.  A lane holds the seed's low and high uint64, then the
-    # sequence's.
-    both = memoryview(bytearray(32 * lanes)).cast("Q")
-    for slot, (high, low) in enumerate(((3, 2), (1, 0), (7, 6), (5, 4))):
-        uint64s = (w[high] << 32 | w[low]).to_bytes(8 * lanes, "little")
-        both[slot::4] = memoryview(uint64s).cast("Q")
-    both = int.from_bytes(both, "little")
-    wide = _ones(lanes, 256)
-    mask = _MASK128 * wide
-    inc = ((both >> 128 & mask) << 1 | wide) & mask
-    # A lane's product stays below 2**256.
-    return (((inc + (both & mask)) & mask) * _PCG_MULT + inc) & mask, inc
 
 
 def _uniforms(state: int, inc: int, size: int) -> tuple[list[float], int]:

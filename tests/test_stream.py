@@ -116,7 +116,8 @@ def test_lane_rows_are_each_trials_stream(seed, count, size, data):
     # The last block below 2**32 too, where the one-word paths end.
     k0 = data.draw(st.one_of(st.just(0), st.just(2**32 - count), st.integers(0, 2**32 - 300)))
     seed_trial = qstate._seeder(seed, 1)
-    rows = list(map(list, lanes.lane_uniforms(*seed_trial(k0, lanes=count), count, size)))
+    state, inc = lanes.seed_block(seed_trial, k0, count)
+    rows = list(map(list, lanes.lane_uniforms(state, inc, count, size)))
     expected = [qstate._uniforms(*seed_trial(k), size)[0] for k in range(k0, k0 + count)]
     assert rows == expected
     assert rows[-1] == _numpy_rng(seed, 1, k0 + count - 1).random(size).tolist()
