@@ -502,8 +502,9 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         return execute(parse_args(argv))
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        # A MemoryError often carries no message.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,11 +13,12 @@ then measure according to the designee's grade:
   Bell outcome and the two per-grade parities.
 
 Both kinds of run read one table of scored leaves, built once per run
-(``_leaf_table``): its ``walk`` yields every outcome string in
-``itertools.product`` order, in blocks that share a prefix, and ``run_pick``
-the one a trial's draws pick, a draw per step, Alice's first.  ``iter_branches``
-and ``run_recovery``, which draws with one ``rng.random(1 + helpers)`` call,
-wrap them in ``TrialResult``s; the CLI reads them directly.
+(``_leaf_table``): four leaves per Bell outcome, under one key rule.  Its
+``walk`` yields every outcome string in ``itertools.product`` order, in blocks
+that share a prefix, and ``run_pick`` the one a trial's draws pick, a draw per
+step, Alice's first.  ``iter_branches`` and ``run_recovery``, which draws with
+one ``rng.random(1 + helpers)`` call, wrap them in ``TrialResult``s; the CLI
+reads them directly.
 
 The walk is keyed by class, not by qubit.  After the Bell measurement every
 Bob's bit equals one bit a and every Charlie's one bit c, so the state is at
@@ -30,12 +31,14 @@ is not touched.  One helper, at plan position m - 1, is a real contraction of
 at most 4 entries with ``qstate._contract_support`` (``_walk_steps``):
 charlie*'s |0>/|1> under a Bob designee, the last Bob's |+>/|-> under a
 Charlie designee.  It leaves one qubit, the designee's class, which a leaf
-contracts with the recovery bra.  The other helpers' parity either relabels
-the contracted outcome, since <+|Z = <-|, or is a sign on the designee's
-qubit, which the recovery bra takes.  So the Bell outcome, the contracted
-label and one sign fix a branch's probability, correction and fidelity: at
-most 4·2² leaves, built when the run starts, with one contraction per label
-and per leaf and none per trial or branch, at any m and n.
+contracts with the recovery bra.  Every other helper's bit only flips a leaf's
+key, label << 1 | sign.  After the contracted helper it flips the sign, a Z
+on the designee's qubit that the recovery bra takes; before it, the table's
+``before``: the sign under a Bob designee, the label under a Charlie designee,
+whose contraction is on a, where <+|Z = <-|.  So the Bell outcome and the key
+fix a branch's probability, correction and fidelity: at most 4·2² leaves,
+built when the run starts, with one contraction per label and per leaf and
+none per trial or branch, at any m and n.
 ``agent_marginal`` reads the same Bell children, so no path of this module
 builds a dense register or reads a support at full size; the :mod:`hqis.dense`
 operations, and the qubit-by-qubit support walk kept in the tests, are the
@@ -328,58 +331,50 @@ def _recovery_bra(secret: SecretState, op: CorrectionOp) -> tuple[complex, compl
 class _LeafTable:
     """One run's scored leaves, built whole when the run starts.
 
-    ``root`` holds ``(prob, children)`` per Bell outcome, ``children`` the
-    contracted step's two ``(prob, leaves)`` pairs in label order, ``leaves``
-    the scored leaves ``(bell, v_g1, aux, op, branch_probability, fidelity)``
-    for sign 0 and 1.  No outcome is impossible (``_possible``).  The helpers
-    before the contracted one have parity p, the ones after it parity r.
-    Under a Bob designee the label is charlie*'s bit, and p, a Z on a, is the
-    sign.  Under a Charlie designee the contraction is on a, where <+|Z =
-    <-|, so p turns the last Bob's bit b into the label b ^ p, and r, a Z on
-    c, is the sign.  A leaf scores the designee's qubit, the one left,
-    against <xi|G Z^sign, G being the table correction.  So there are at most
-    4·2² leaves, one contraction each and one per label when the run starts;
-    a trial (``run_pick``) or a branch (``walk``) only reads the table.
+    Per Bell outcome, in ``BellOutcome`` order: ``passed``, the contracted
+    step's thresholds ``q.__le__`` for label 0 and 1, and ``leaves``, its four
+    leaves ``(bell, v_g1, aux, op, branch_probability, fidelity)`` by key,
+    label << 1 | sign.  No outcome is impossible (``_possible``).  The parity
+    of the helpers before the contracted one flips ``before`` in the key, 1
+    (the sign) under a Bob designee and 2 (the label) under a Charlie
+    designee; the parity of those after it flips the sign.  v_g1, the Bobs'
+    parity, is the key bit ``before`` flips, and aux, charlie*'s bit or the
+    other Charlies' parity, the other.  A leaf scores the designee's qubit
+    against <xi|G Z^sign, G being the table correction.
     """
 
     def __init__(self, sizes: PartySizes, designee: Designee, secret: SecretState):
-        self.axis, self.index = _walk_steps(sizes, designee)
-        self.secret = secret
+        axis, self.index = _walk_steps(sizes, designee)
         self.contracted = sizes.m - 1  # the contracted helper's plan position
-        self.root = tuple(
-            (p, self._children(bell, p, post))
-            for bell, (p, post) in zip(_BELL_OUTCOMES, _bell_children(secret))
-        )
+        self.before = 2 >> axis
+        bras = qstate._BASIS_BRAS[MeasBasis.COMPUTATIONAL if axis else MeasBasis.PLUS_MINUS]
+        bells = _bell_children(secret)
+        labels = [
+            [_possible(*qstate._contract_support(post, 2, bra, axis)) for bra in bras]
+            for _, post in bells
+        ]
         # ``run_pick``'s sums, in outcome order: the Bell step's but the last, and per
         # Bell outcome ``q <= draw`` for the contracted step's label 0, or 1 when relabelled.
-        self.bell_sums = tuple(itertools.accumulate(p for p, _ in self.root))[:-1]
-        self.passed = tuple((q0.__le__, q1.__le__) for _, ((q0, _), (q1, _)) in self.root)
-
-    def _children(self, bell: BellOutcome, p_bell: float, pairs):
-        """The contracted step's ``(prob, leaves)`` pairs on the Bell child
-        ``pairs`` of probability ``p_bell``; every other step is 1/2 exactly."""
-        bras = qstate._BASIS_BRAS[MeasBasis.COMPUTATIONAL if self.axis else MeasBasis.PLUS_MINUS]
-        before = p_bell * 0.5**self.contracted
-        after = 0.5 ** (len(self.index) - 1 - self.contracted)
-        children = (_possible(*qstate._contract_support(pairs, 2, bra, self.axis)) for bra in bras)
-        return tuple(
-            (q, tuple(self._score(bell, label, sign, post, before * q * after) for sign in (0, 1)))
-            for label, (q, post) in enumerate(children)
+        self.bell_sums = tuple(itertools.accumulate(p for p, _ in bells))[:-1]
+        self.passed = tuple((q0.__le__, q1.__le__) for (q0, _), (q1, _) in labels)
+        head, after = 0.5**self.contracted, 0.5 ** (len(self.index) - 1 - self.contracted)
+        self.leaves = tuple(
+            tuple(
+                self._score(secret, bell, key, post, p_bell * head * q * after)
+                for key, (q, post) in enumerate(label for label in pair for _sign in (0, 1))
+            )
+            for bell, (p_bell, _), pair in zip(_BELL_OUTCOMES, bells, labels)
         )
 
-    def _score(self, bell: BellOutcome, label: int, sign: int, pairs, prob: float):
-        """The leaf of ``label`` and ``sign`` on the designee's qubit ``pairs``:
-        aux is charlie*'s bit and v_g1 the other Bobs' parity under a Bob
-        designee, v_g1 every Bob's parity and aux the other Charlies' under a
-        Charlie designee."""
-        if self.axis:
-            v_g1, aux = sign, label
+    def _score(self, secret: SecretState, bell: BellOutcome, key: int, pairs, prob: float):
+        """The leaf of ``key`` on the designee's qubit ``pairs``."""
+        v_g1, aux = key // self.before & 1, key // (3 ^ self.before) & 1
+        if self.before == 1:
             op = BOB_CORRECTIONS[bell, v_g1 ^ aux]
         else:
-            v_g1, aux = label, sign
             op = CHARLIE_CORRECTIONS[bell, v_g1, aux]
-        g0, g1 = _recovery_bra(self.secret, op)
-        fidelity, _ = qstate._contract_support(pairs, 1, (g0, -g1) if sign else (g0, g1), 0)
+        g0, g1 = _recovery_bra(secret, op)
+        fidelity, _ = qstate._contract_support(pairs, 1, (g0, -g1) if key & 1 else (g0, g1), 0)
         return bell, v_g1, aux, op, prob, min(fidelity, 1.0)
 
     def result(self, leaf: tuple, bits: bytes) -> TrialResult:
@@ -391,18 +386,16 @@ class _LeafTable:
         ``itertools.product`` order, in blocks ``(leaves, prefix)`` of
         ``2**width``: one Bell outcome and one ``prefix`` of the leading plan
         positions, block branch i having the bits ``prefix`` then i's
-        ``width`` bits, and the leaf ``leaves[i]``.  The label and sign that
-        pick a leaf are parities of the bits, so a prefix's pair XORs each
+        ``width`` bits, and the leaf ``leaves[i]``.  A branch's key is the
+        XOR of what each of its set bits flips, so a prefix's key XORs each
         suffix's: ``leaves`` is one of four tuples per Bell outcome."""
         at, cut = self.contracted, len(self.index) - width
-        # What each helper's bit flips in a leaf's key, label << 1 | sign.
-        flips = [2 if i == at or i < at and not self.axis else 1 for i in range(len(self.index))]
+        flips = [self.before] * at + [2] + [1] * (len(self.index) - 1 - at)
         keys = [
             functools.reduce(operator.xor, itertools.compress(flips[cut:], bits), 0)
             for bits in itertools.product((0, 1), repeat=width)
         ]
-        for _, ((_, label_0), (_, label_1)) in self.root:
-            leaves = label_0 + label_1  # by key
+        for leaves in self.leaves:
             blocks = [tuple(map(leaves.__getitem__, map(x.__xor__, keys))) for x in range(4)]
             for prefix in itertools.product((0, 1), repeat=cut):
                 key = functools.reduce(operator.xor, itertools.compress(flips, prefix), 0)
@@ -417,15 +410,15 @@ def run_pick(table: _LeafTable, draws) -> tuple[tuple, bytes]:
     """One sampled trial, ``table.walk``'s twin and the CLI's one call per
     trial: the ``(leaf, bits)`` that ``draws``, one per step in plan order,
     pick.  The Bell and contracted steps take the first outcome whose sum
-    passes the draw, else the last; the rest read ``draw >= 0.5``.  Each
-    ``float.__le__`` gives a bool for a list's floats and np.float64s alike."""
+    passes the draw, else the last; the rest read ``draw >= 0.5`` and flip
+    the key.  Each ``float.__le__`` gives a bool for a list's floats and
+    np.float64s alike."""
     heads = bytes(map((0.5).__le__, draws))
     at = 1 + table.contracted
-    p = heads.count(1, 1, at) & 1
-    relabel, sign = (0, p) if table.axis else (p, heads.count(1, at + 1) & 1)
+    key = (heads.count(1, 1, at) & 1) * table.before ^ (heads.count(1, at + 1) & 1)
     bell = bisect.bisect_right(table.bell_sums, draws[0])
-    outcome = table.passed[bell][relabel](draws[at])
-    leaf = table.root[bell][1][outcome ^ relabel][1][sign]
+    outcome = table.passed[bell][key >> 1](draws[at])
+    leaf = table.leaves[bell][outcome << 1 ^ key]
     return leaf, heads[1:at] + bytes((outcome,)) + heads[at + 1 :]
 
 

@@ -160,17 +160,19 @@ def test_sampled_trials_match_the_support_walk_at_large_sizes(size, designee):
         _assert_same_branch(run_recovery(sizes, designee, secret, Stream(29, 1, k)), branch)
 
 
-def _reference_pick(table, draws):
-    """A trial's ``(leaf, bits)`` by ``_sample_outcome`` over the table's Bell
+def _reference_pick(table, secret, bob, draws):
+    """A trial's ``(leaf, bits)`` by ``_sample_outcome`` over the secret's Bell
     children, then over the contracted step's two labels, in reversed label
     order when the parity before the step relabels them."""
     heads = bytes(draw >= 0.5 for draw in draws)
-    _, _, children = _sample_outcome(table.root, draws[0])
+    bell, _, _ = _sample_outcome(protocol._bell_children(secret), draws[0])
     at = 1 + table.contracted
     p = heads.count(1, 1, at) & 1
-    relabel, sign = (0, p) if table.axis else (p, heads.count(1, at + 1) & 1)
-    outcome, _, leaves = _sample_outcome(children[::-1] if relabel else children, draws[at])
-    return leaves[sign], heads[1:at] + bytes((outcome,)) + heads[at + 1 :]
+    relabel, sign = (0, p) if bob else (p, heads.count(1, at + 1) & 1)
+    labels = [(passed.__self__, label) for label, passed in enumerate(table.passed[bell])]
+    outcome, _, label = _sample_outcome(labels[::-1] if relabel else labels, draws[at])
+    leaf = table.leaves[bell][label << 1 | sign]
+    return leaf, heads[1:at] + bytes((outcome,)) + heads[at + 1 :]
 
 
 def _edges(sums):
@@ -188,17 +190,20 @@ def test_the_pick_keeps_the_sampling_rule_at_every_edge(designee, secret):
     table = protocol._leaf_table(PartySizes(3, 2), designee, secret)
     helpers = len(table.index)
     at = 1 + table.contracted
-    bell_sums = list(itertools.accumulate(p for p, _ in table.root))
-    for bell_draw in _edges(bell_sums):
-        _, _, children = _sample_outcome(table.root, bell_draw)
+    bob = designee.charlie_star is not None
+    bells = protocol._bell_children(secret)
+    for bell_draw in _edges(list(itertools.accumulate(p for p, _ in bells))):
+        bell, _, _ = _sample_outcome(bells, bell_draw)
         for before, after in itertools.product((0.25, 0.75), repeat=2):
             draws = [bell_draw] + [before] * (at - 1) + [None] + [after] * (helpers - at)
-            for label_draw in _edges([children[0][0], children[1][0]]):
+            for label_draw in _edges([passed.__self__ for passed in table.passed[bell]]):
                 draws[at] = label_draw
-                assert protocol.run_pick(table, draws) == _reference_pick(table, draws), draws
+                expected = _reference_pick(table, secret, bob, draws)
+                assert protocol.run_pick(table, draws) == expected, draws
     rng = np.random.default_rng(3)
     for draws in rng.random((2000, 1 + helpers)):
-        assert protocol.run_pick(table, draws) == _reference_pick(table, draws.tolist())
+        expected = _reference_pick(table, secret, bob, draws.tolist())
+        assert protocol.run_pick(table, draws) == expected
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (4, 2)])
@@ -228,14 +233,14 @@ class _FixedDraws:
 
 
 def _labels(table):
-    """The contracted step's ``(prob, leaves)`` pairs under every Bell
-    outcome of a leaf table."""
-    return [label for _, children in table.root for label in children]
+    """The contracted step's label thresholds under every Bell outcome of a
+    leaf table."""
+    return [passed for pair in table.passed for passed in pair]
 
 
 def _leaves(table):
-    """The scored leaves of a leaf table, one per sign under each label."""
-    return [leaf for _, leaves in _labels(table) for leaf in leaves]
+    """The scored leaves of a leaf table, four per Bell outcome."""
+    return [leaf for leaves in table.leaves for leaf in leaves]
 
 
 @pytest.mark.parametrize("grade", ["bob", "charlie"])

@@ -916,3 +916,38 @@ def test_closed_stdout_ends_with_one_error_line():
         finally:
             proc.kill()
     assert err.splitlines() == ["error: [Errno 32] Broken pipe"], err
+
+
+# Sizes whose per-helper lists outgrow a 256 MiB address space within seconds,
+# while the same subcommand at m = 3 fits in it.
+_MEMORY_CAP = 256 << 20
+_TOO_WIDE = [
+    ["run", "--m", "1000000", "--n", "1", "--designee", "charlie:1", "--trials", "1"],
+    ["attack", "--m", "300000000", "--n", "1", "--rounds", "1"],
+]
+
+
+def _run_capped(argv):
+    """``hqis argv`` in a child process whose address space alone is capped."""
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (_MEMORY_CAP, _MEMORY_CAP))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "hqis.cli", *argv], capture_output=True,
+                          text=True, env=env, preexec_fn=cap, timeout=120)
+
+
+@pytest.mark.parametrize("output", [True, False], ids=["output", "stdout"])
+@pytest.mark.parametrize("argv", _TOO_WIDE, ids=lambda argv: argv[0])
+def test_a_run_too_wide_for_memory_exits_2_with_one_error_line(tmp_path, argv, output):
+    out = tmp_path / "records.ndjson"
+    fits = _run_capped([argv[0], "--m", "3", *argv[3:]])
+    assert fits.returncode == 0 and fits.stdout and fits.stderr == "", fits.stderr
+    proc = _run_capped(argv + ["--output", str(out)] * output)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    (error,) = proc.stderr.splitlines()
+    assert error.startswith("error: ") and len(error) > len("error: ")
+    assert list(tmp_path.iterdir()) == []

@@ -714,6 +714,77 @@ def test_no_outcome_is_impossible_exactly_at_every_size():
                 assert exactly(prob(on_a), norm / 8)
 
 
+@pytest.mark.parametrize("grade", ["bob", "charlie"])
+def test_every_leaf_recovers_the_secret_exactly_at_every_size(grade):
+    """The table's corrections return the secret, in exact arithmetic, for
+    every secret and at every m and n.  On the class register (S, A, a, c),
+    the contracted step's label leaves the designee's class qubit an
+    unnormalised 2-vector v: charlie*'s |0>/|1> on c leaves a under a Bob
+    designee, the last Bob's |+>/|-> on a leaves c under a Charlie designee.
+    The op G of the leaf of key label << 1 | sign must give G Z^sign v =
+    lambda (alpha, beta), lambda a nonzero constant, so fidelity 1, and no
+    other CorrectionOp may.  Each branch's state, built with its helpers'
+    Z flips on a (before the contracted helper) and c (after it) in place,
+    must be the Z^sign v of the leaf its key picks.  The ops depend on
+    neither the secret nor the sizes, so one table serves."""
+    sympy = pytest.importorskip("sympy")
+    alpha, beta = sympy.symbols("alpha beta")
+    rt2 = sympy.sqrt(2)
+    designee = Designee.bob(1, 1) if grade == "bob" else Designee.charlie(1)
+    table = protocol._leaf_table(PartySizes(2, 2), designee, SECRETS[3])
+    ops = [[leaf[3] for leaf in leaves] for leaves in table.leaves]
+    other = protocol._leaf_table(PartySizes(5, 3), designee, SECRETS[2])
+    assert ops == [[leaf[3] for leaf in leaves] for leaves in other.leaves]
+
+    # Each op exactly: its Pauli's integer rows, after a Hadamard for the H forms.
+    hadamard = sympy.Matrix([[1, 1], [1, -1]]) / rt2
+    exact = {}
+    for op in CorrectionOp:
+        pauli = CorrectionOp(op.value.removesuffix("H") or "I")
+        exact[op] = sympy.Matrix(protocol._PAULI_ROWS[pauli])
+        if pauli is not op:
+            exact[op] *= hadamard
+        assert np.allclose(np.array(exact[op].evalf(), dtype=complex), op.matrix, atol=1e-15)
+
+    def recovers(op, vector):
+        w = exact[op] * sympy.Matrix(vector)
+        lam = sympy.expand(sympy.diff(w[0], alpha))
+        return (lam != 0 and not lam.free_symbols & {alpha, beta}
+                and sympy.expand(w[0] - lam * alpha) == 0 and sympy.expand(w[1] - lam * beta) == 0)
+
+    def contract(state, outcome):
+        """The designee's 2-vector after the contracted step's ``outcome``."""
+        if grade == "bob":
+            return [state[a, outcome] for a in (0, 1)]
+        return [(state[0, c] + (-1) ** outcome * state[1, c]) / rt2 for c in (0, 1)]
+
+    def signed(vector, sign):
+        return [(-1) ** (sign * x) * amp for x, amp in enumerate(vector)]
+
+    # The channel on (A, a, c), 1/2 sum over a, c of (-1)^(ac) |a a c>, after
+    # the secret S, keyed (s, A, a, c).
+    whole = {(s, a, a, c): s_amp * (-1) ** (a * c) / 2
+             for s, s_amp in enumerate((alpha, beta)) for a in (0, 1) for c in (0, 1)}
+    for bell, leaves in zip(BellOutcome, ops):
+        pairs = ((0, 0), (1, 1)) if bell.is_phi else ((0, 1), (1, 0))
+        bra = dict(zip(pairs, (1, (-1) ** bell.sign_bit)))
+        post = {
+            (a, c): sum(w * whole.get((*sa, a, c), 0) for sa, w in bra.items()) / rt2
+            for a in (0, 1) for c in (0, 1)
+        }
+        for key, op in enumerate(leaves):
+            label, sign = divmod(key, 2)
+            vector = signed(contract(post, label), sign)
+            assert [other for other in CorrectionOp if recovers(other, vector)] == [op], (bell, key)
+        afters = (0, 1) if grade == "charlie" else (0,)  # no helper after charlie*
+        for p, r, outcome in itertools.product((0, 1), afters, (0, 1)):
+            flipped = {(a, c): (-1) ** (p * a + r * c) * amp for (a, c), amp in post.items()}
+            label, sign = divmod(outcome << 1 ^ (p * table.before ^ r), 2)
+            expected = signed(contract(post, label), sign)
+            branch = contract(flipped, outcome)
+            assert all(sympy.expand(x - y) == 0 for x, y in zip(branch, expected))
+
+
 @pytest.mark.parametrize("qubits", [4, 2], ids=["bell", "label"])
 def test_an_impossible_outcome_fails_the_build(monkeypatch, qubits):
     """An outcome of probability 0, which the certificate above rules out,
