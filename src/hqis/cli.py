@@ -375,7 +375,7 @@ def _run_records(config: RunConfig):
         "charlie_star": designee.charlie_star,
         "secret": [secret.alpha.real, secret.alpha.imag, secret.beta.real, secret.beta.imag],
     }
-    labels = tuple(role.label for role in table.index)
+    labels = tuple(protocol._label(grade, i) for grade, indices in table.runs for i in indices)
     encode, encode_walk = _record_encoder(_base_record(config, counter) | context, counter, labels)
     if config.mode == "sample":
         # Trial k draws as Stream(seed, _STREAM_TRIAL, k).random(1 + helpers),

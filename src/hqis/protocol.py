@@ -26,19 +26,19 @@ most 4 amplitudes keyed by (a, c) at any m and n; the four Bell children
 depend on the secret alone and are computed once per secret.  A |+>/|->
 measurement of a helper whose class keeps another member is then exactly
 50/50, and its only effect is Z on that class bit (the Pauli-measurement rule
-for stabilizer states): a sampled outcome is ``draw >= 0.5``, and the state
-is not touched.  One helper, at plan position m - 1, is a real contraction of
-at most 4 entries with ``qstate._contract_support`` (``_walk_steps``):
-charlie*'s |0>/|1> under a Bob designee, the last Bob's |+>/|-> under a
-Charlie designee.  It leaves one qubit, the designee's class, which a leaf
-contracts with the recovery bra.  Every other helper's bit only flips a leaf's
-key, label << 1 | sign.  After the contracted helper it flips the sign, a Z
-on the designee's qubit that the recovery bra takes; before it, the table's
-``before``: the sign under a Bob designee, the label under a Charlie designee,
-whose contraction is on a, where <+|Z = <-|.  So the Bell outcome and the key
-fix a branch's probability, correction and fidelity: at most 4·2² leaves,
-built when the run starts, with one contraction per label and per leaf and
-none per trial or branch, at any m and n.
+for stabilizer states): a sampled outcome is ``draw >= 0.5``, and the state is
+not touched.  One helper, at position m - 1 of the plan (``_plan``: three runs
+of indices), is a real contraction of at most 4 entries with
+``qstate._contract_support``: charlie*'s |0>/|1> under a Bob designee, the
+last Bob's |+>/|-> under a Charlie designee.  It leaves one qubit, the
+designee's class, which a leaf contracts with the recovery bra.  Every other
+helper's bit only flips a leaf's key, label << 1 | sign.  After the contracted
+helper it flips the sign, a Z on the designee's qubit that the recovery bra
+takes; before it, the table's ``before``: the sign under a Bob designee, the
+label under a Charlie designee, whose contraction is on a, where <+|Z = <-|.
+So the Bell outcome and the key fix a branch's probability, correction and
+fidelity: at most 4·2² leaves, built when the run starts, with one contraction
+per label and per leaf and none per trial or branch, at any m and n.
 ``agent_marginal`` reads the same Bell children, so no path of this module
 builds a dense register or reads a support at full size; the :mod:`hqis.dense`
 operations, and the qubit-by-qubit support walk kept in the tests, are the
@@ -98,7 +98,10 @@ class Role(namedtuple("Role", "grade index")):
 
     @property
     def label(self) -> str:
-        return self.grade if self.grade == "alice" else f"{self.grade}:{self.index}"
+        return self.grade if self.grade == "alice" else _label(self.grade, self.index)
+
+
+_label = "{}:{}".format  # grade:index: Role.label, and the CLI's label for each helper in a plan
 
 
 class Designee(namedtuple("Designee", "role charlie_star")):
@@ -198,22 +201,28 @@ CHARLIE_CORRECTIONS = {
 
 
 class _HelperBits(Mapping):
-    """The helpers' reported bits, Role -> bit, in plan order: a read-only
-    view of one branch's outcomes, a byte per helper, through the plan's
-    role index, which all the branches share, so a trial builds nothing per
-    helper.  ``values()`` and ``items()`` are plan-order tuples."""
+    """The helpers' reported bits, Role -> bit, in plan order: a view of one
+    branch's outcomes, a byte per helper, through the plan's runs, which the
+    branches share; a role is found in at most three ranges, and Roles are
+    made only when iterated.  ``values()`` and ``items()`` are tuples."""
 
-    __slots__ = ("_index", "_bits")
+    __slots__ = ("_runs", "_bits")
 
-    def __init__(self, index: dict, bits: bytes):
-        self._index = index
+    def __init__(self, runs: tuple, bits: bytes):
+        self._runs = runs
         self._bits = bits
 
     def __getitem__(self, role):
-        return self._bits[self._index[role]]
+        start = 0
+        for grade, run in self._runs:
+            # Any pair equal to a Role, as a dict keyed by Roles would find it.
+            if isinstance(role, tuple) and len(role) == 2 and role[0] == grade and role[1] in run:
+                return self._bits[start + run.index(role[1])]
+            start += len(run)
+        raise KeyError(role)
 
     def __iter__(self):
-        return iter(self._index)
+        return (Role(grade, index) for grade, indices in self._runs for index in indices)
 
     def __len__(self):
         return len(self._bits)
@@ -222,7 +231,7 @@ class _HelperBits(Mapping):
         return tuple(self._bits)
 
     def items(self):
-        return tuple(zip(self._index, self._bits))
+        return tuple(zip(self, self._bits))
 
     def __repr__(self):
         return repr(dict(self.items()))
@@ -238,10 +247,7 @@ class TrialResult(namedtuple("TrialResult", "bell classical_bits v_g1 v_g2_or_ch
 
 def parity(bits) -> int:
     """Modulo-2 sum of a bit collection; empty input gives 0."""
-    total = 0
-    for b in bits:
-        total ^= b
-    return total
+    return functools.reduce(operator.xor, bits, 0)
 
 
 def _check_role(sizes: PartySizes, role: Role) -> None:
@@ -262,32 +268,25 @@ def check_designee(sizes: PartySizes, designee: Designee) -> None:
         raise ValueError(f"charlie-star {star} out of range 1..{sizes.n}")
 
 
-def _helper_count(sizes: PartySizes, designee: Designee) -> int:
-    """How many helpers ``_walk_steps`` plans: the Bobs but a Bob designee,
-    and charlie*; or every agent but a Charlie designee."""
-    return sizes.m if designee.role.grade == "bob" else sizes.m + sizes.n - 1
-
-
-def _walk_steps(sizes: PartySizes, designee: Designee) -> tuple[int, dict[Role, int]]:
-    """The axis of the one contracted step on the class register (a, c),
-    plus each helper's position in the plan.  Raises ValueError unless the
+def _plan(sizes: PartySizes, designee: Designee) -> tuple[tuple[str, range], ...]:
+    """The helpers in plan order, as three ``(grade, indices)`` runs: the
+    other Bobs, then charlie*, under a Bob designee; every Bob, then the
+    other Charlies, under a Charlie designee.  Raises ValueError unless the
     designee exists at ``sizes``.
 
     The contracted helper sits at plan position m - 1, after the other Bobs:
-    charlie*'s |0>/|1> on c, axis 1, under a Bob designee (its outcome leaves
-    the idle Charlies in a product state no later step reads), or the last
-    Bob's |+>/|-> on a, axis 0, under a Charlie designee, before the other
-    Charlies.  Every other helper measures |+>/|-> on a class that keeps
-    another member: 1/2 exactly, its outcome a Z on that class bit.
+    charlie*'s |0>/|1> on c under a Bob designee (its outcome leaves the idle
+    Charlies in a product state no later step reads), or the last Bob's
+    |+>/|-> on a under a Charlie designee, before the other Charlies.  Every
+    other helper measures |+>/|-> on a class that keeps another member: 1/2
+    exactly, its outcome a Z on that class bit.
     """
     check_designee(sizes, designee)
-    plan = [role for role in map(Role.bob, range(1, sizes.m + 1)) if role != designee.role]
-    if designee.charlie_star is not None:
-        plan.append(Role.charlie(designee.charlie_star))
-    else:
-        plan += [role for role in map(Role.charlie, range(1, sizes.n + 1)) if role != designee.role]
-    index = {role: position for position, role in enumerate(plan)}
-    return int(designee.charlie_star is not None), index
+    (grade, index), star = designee
+    bobs, charlies = range(1, sizes.m + 1), range(1, sizes.n + 1)
+    if grade == "bob":
+        return ("bob", bobs[: index - 1]), ("bob", bobs[index:]), ("charlie", range(star, star + 1))
+    return ("bob", bobs), ("charlie", charlies[: index - 1]), ("charlie", charlies[index:])
 
 
 def _possible(prob: float, post: list | None) -> tuple[float, tuple]:
@@ -331,9 +330,10 @@ def _recovery_bra(secret: SecretState, op: CorrectionOp) -> tuple[complex, compl
 class _LeafTable:
     """One run's scored leaves, built whole when the run starts.
 
-    Per Bell outcome, in ``BellOutcome`` order: ``passed``, the contracted
-    step's thresholds ``q.__le__`` for label 0 and 1, and ``leaves``, its four
-    leaves ``(bell, v_g1, aux, op, branch_probability, fidelity)`` by key,
+    ``runs`` is the run's plan (``_plan``) and ``helpers`` its length.  Per
+    Bell outcome, in ``BellOutcome`` order: ``passed``, the contracted step's
+    thresholds ``q.__le__`` for label 0 and 1, and ``leaves``, its four leaves
+    ``(bell, v_g1, aux, op, branch_probability, fidelity)`` by key,
     label << 1 | sign.  No outcome is impossible (``_possible``).  The parity
     of the helpers before the contracted one flips ``before`` in the key, 1
     (the sign) under a Bob designee and 2 (the label) under a Charlie
@@ -344,8 +344,10 @@ class _LeafTable:
     """
 
     def __init__(self, sizes: PartySizes, designee: Designee, secret: SecretState):
-        axis, self.index = _walk_steps(sizes, designee)
+        self.runs = _plan(sizes, designee)
+        self.helpers = sum(len(indices) for _, indices in self.runs)
         self.contracted = sizes.m - 1  # the contracted helper's plan position
+        axis = int(designee.role.grade == "bob")  # charlie* on c, or the last Bob on a
         self.before = 2 >> axis
         bras = qstate._BASIS_BRAS[MeasBasis.COMPUTATIONAL if axis else MeasBasis.PLUS_MINUS]
         bells = _bell_children(secret)
@@ -357,7 +359,7 @@ class _LeafTable:
         # Bell outcome ``q <= draw`` for the contracted step's label 0, or 1 when relabelled.
         self.bell_sums = tuple(itertools.accumulate(p for p, _ in bells))[:-1]
         self.passed = tuple((q0.__le__, q1.__le__) for (q0, _), (q1, _) in labels)
-        head, after = 0.5**self.contracted, 0.5 ** (len(self.index) - 1 - self.contracted)
+        head, after = 0.5**self.contracted, 0.5 ** (self.helpers - 1 - self.contracted)
         self.leaves = tuple(
             tuple(
                 self._score(secret, bell, key, post, p_bell * head * q * after)
@@ -379,7 +381,7 @@ class _LeafTable:
 
     def result(self, leaf: tuple, bits: bytes) -> TrialResult:
         bell, v_g1, aux, op, prob, fidelity = leaf
-        return TrialResult(bell, _HelperBits(self.index, bits), v_g1, aux, op, prob, fidelity)
+        return TrialResult(bell, _HelperBits(self.runs, bits), v_g1, aux, op, prob, fidelity)
 
     def walk(self, width: int):
         """Every branch, outcome 0 first at every step, so in
@@ -389,8 +391,8 @@ class _LeafTable:
         ``width`` bits, and the leaf ``leaves[i]``.  A branch's key is the
         XOR of what each of its set bits flips, so a prefix's key XORs each
         suffix's: ``leaves`` is one of four tuples per Bell outcome."""
-        at, cut = self.contracted, len(self.index) - width
-        flips = [self.before] * at + [2] + [1] * (len(self.index) - 1 - at)
+        at, cut = self.contracted, self.helpers - width
+        flips = [self.before] * at + [2] + [1] * (self.helpers - 1 - at)
         keys = [
             functools.reduce(operator.xor, itertools.compress(flips[cut:], bits), 0)
             for bits in itertools.product((0, 1), repeat=width)
@@ -432,15 +434,14 @@ def run_recovery(
     from ``rng`` with one ``rng.random(1 + helpers)`` call, and the branch
     ``run_pick`` reads off the run's table is returned as a ``TrialResult``."""
     table = _leaf_table(sizes, designee, secret)
-    return table.result(*run_pick(table, rng.random(1 + len(table.index))))
+    return table.result(*run_pick(table, rng.random(1 + table.helpers)))
 
 
 def _check_branch_limit(sizes: PartySizes, designee: Designee, branch_limit: int) -> None:
     """Raise ValueError unless the designee exists at ``sizes``, and
     BranchLimitError if 4 * 2**helpers branches exceed ``branch_limit``, an
     int, building neither: 2**k > limit exactly when k >= limit.bit_length()."""
-    check_designee(sizes, designee)
-    exponent = 2 + _helper_count(sizes, designee)
+    exponent = 2 + sum(len(indices) for _, indices in _plan(sizes, designee))
     if exponent >= operator.index(branch_limit).bit_length():
         raise BranchLimitError(f"2**{exponent} branches exceed the limit of {branch_limit}")
 

@@ -188,7 +188,7 @@ def _edges(sums):
 def test_the_pick_keeps_the_sampling_rule_at_every_edge(designee, secret):
     # m = 3 and n = 2: a helper before the contracted one and one after it.
     table = protocol._leaf_table(PartySizes(3, 2), designee, secret)
-    helpers = len(table.index)
+    helpers = table.helpers
     at = 1 + table.contracted
     bob = designee.charlie_star is not None
     bells = protocol._bell_children(secret)

@@ -731,13 +731,12 @@ def test_branch_limit_failure_leaves_no_output_file(tmp_path, capsys):
 
 
 def test_oversized_enumeration_exits_2_before_building_anything(monkeypatch, capsys):
-    # 4 * 2**20000 branches: a number past int-to-str's 4300 digits, and a
-    # plan whose build would be O(m).  Neither is built before the refusal.
+    # 4 * 2**20000 branches: a number past int-to-str's 4300 digits.  The
+    # table is not built before the refusal.
     def unbuilt(*args):
         raise AssertionError("built before the branch limit was checked")
 
     monkeypatch.setattr(protocol, "_leaf_table", unbuilt)
-    monkeypatch.setattr(protocol, "_walk_steps", unbuilt)
     argv = ["run", "--mode", "enumerate", "--m", "20000", "--n", "1", "--designee", "charlie:1"]
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -25,8 +25,8 @@ from hqis.protocol import (
     CorrectionOp,
     Designee,
     Role,
-    _helper_count,
-    _walk_steps,
+    _HelperBits,
+    _plan,
     agent_marginal,
     enumerate_branches,
     iter_branches,
@@ -581,20 +581,54 @@ def test_sampled_trial_memory_follows_the_support():
     assert peak < 2**20, peak
 
 
+def test_a_wide_table_builds_nothing_per_helper():
+    # A Role, or a dict entry, per helper would take several MiB here.
+    sizes, designee = PartySizes(10**5, 10**5), Designee.charlie(7)
+    protocol._leaf_table.cache_clear()
+    tracemalloc.start()
+    try:
+        table = protocol._leaf_table(sizes, designee, SECRETS[3])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        protocol._leaf_table.cache_clear()
+    assert table.helpers == 2 * 10**5 - 1
+    assert peak < 2**20, peak
+
+
 @pytest.mark.parametrize("m, n", list(itertools.product((1, 2, 3, 4), repeat=2)))
-def test_helper_count_is_the_walks(m, n):
-    # iter_branches checks its limit on this count, before the walk exists.
+def test_the_plan_orders_counts_and_places_every_helper(m, n):
+    # iter_branches checks its limit on the plan's count, before the walk exists.
     sizes = PartySizes(m, n)
     for designee in all_designees(sizes):
-        axis, index = _walk_steps(sizes, designee)
-        assert _helper_count(sizes, designee) == len(index)
-        assert list(index) == [role for role, _ in _reference_plan(sizes, designee)]
-        assert list(index.values()) == list(range(len(index)))
+        runs = _plan(sizes, designee)
+        plan = [role for role, _ in _reference_plan(sizes, designee)]
+        count = sum(len(indices) for _, indices in runs)
+        assert count == len(plan) == (m if designee.charlie_star is not None else m + n - 1)
+        # Each helper's bit is its own plan position.
+        bits = _HelperBits(runs, bytes(range(count)))
+        assert list(bits) == plan
+        assert [bits[role] for role in plan] == list(range(count))
+        table = protocol._leaf_table(sizes, designee, SECRETS[3])
+        assert (table.runs, table.helpers, table.contracted) == (runs, count, m - 1)
         # The one contracted helper: charlie* on c, or Bob m on a.
         if designee.charlie_star is not None:
-            assert (axis, index[Role.charlie(designee.charlie_star)]) == (1, m - 1)
+            assert (table.before, bits[Role.charlie(designee.charlie_star)]) == (1, m - 1)
         else:
-            assert (axis, index[Role.bob(m)]) == (0, m - 1)
+            assert (table.before, bits[Role.bob(m)]) == (2, m - 1)
+        # The view answers every key as a dict keyed by the plan's Roles did:
+        # a plain (grade, index) tuple equals a Role, and nothing else is in it.
+        reference = dict(zip(plan, range(count)))
+        absent = [designee.role, Role.bob(m + 1), Role.charlie(n + 1), Role.alice(),
+                  "bob:1", 1, None, ("bob",), ("bob", 1, 0)]
+        if designee.charlie_star is not None:
+            absent += [Role.charlie(j) for j in range(1, n + 1) if j != designee.charlie_star]
+        for key in absent:
+            assert key not in reference and key not in bits
+            with pytest.raises(KeyError):
+                bits[key]
+        for key in [*absent, *plan, *map(tuple, plan), ("bob", 1), ("charlie", 1), ("bob", 0)]:
+            assert (key in bits, bits.get(key)) == (key in reference, reference.get(key)), key
 
 
 def test_a_branch_limit_must_be_an_int():
@@ -714,27 +748,15 @@ def test_no_outcome_is_impossible_exactly_at_every_size():
                 assert exactly(prob(on_a), norm / 8)
 
 
-@pytest.mark.parametrize("grade", ["bob", "charlie"])
-def test_every_leaf_recovers_the_secret_exactly_at_every_size(grade):
-    """The table's corrections return the secret, in exact arithmetic, for
-    every secret and at every m and n.  On the class register (S, A, a, c),
-    the contracted step's label leaves the designee's class qubit an
-    unnormalised 2-vector v: charlie*'s |0>/|1> on c leaves a under a Bob
-    designee, the last Bob's |+>/|-> on a leaves c under a Charlie designee.
-    The op G of the leaf of key label << 1 | sign must give G Z^sign v =
-    lambda (alpha, beta), lambda a nonzero constant, so fidelity 1, and no
-    other CorrectionOp may.  Each branch's state, built with its helpers'
-    Z flips on a (before the contracted helper) and c (after it) in place,
-    must be the Z^sign v of the leaf its key picks.  The ops depend on
-    neither the secret nor the sizes, so one table serves."""
-    sympy = pytest.importorskip("sympy")
+def _exact_recovery(sympy, grade):
+    """The exact pieces of the recovery proofs below, at the symbolic secret
+    (alpha, beta): ``recovers(op, vector)``, whether op G gives
+    G vector = lambda (alpha, beta) with lambda a nonzero constant;
+    ``contract(state, outcome)``, the designee's unnormalised 2-vector after
+    the contracted step's ``outcome`` on a state of the class register (a, c);
+    and each Bell outcome's post-Bell state on (a, c), in ``BellOutcome`` order."""
     alpha, beta = sympy.symbols("alpha beta")
     rt2 = sympy.sqrt(2)
-    designee = Designee.bob(1, 1) if grade == "bob" else Designee.charlie(1)
-    table = protocol._leaf_table(PartySizes(2, 2), designee, SECRETS[3])
-    ops = [[leaf[3] for leaf in leaves] for leaves in table.leaves]
-    other = protocol._leaf_table(PartySizes(5, 3), designee, SECRETS[2])
-    assert ops == [[leaf[3] for leaf in leaves] for leaves in other.leaves]
 
     # Each op exactly: its Pauli's integer rows, after a Hadamard for the H forms.
     hadamard = sympy.Matrix([[1, 1], [1, -1]]) / rt2
@@ -753,25 +775,50 @@ def test_every_leaf_recovers_the_secret_exactly_at_every_size(grade):
                 and sympy.expand(w[0] - lam * alpha) == 0 and sympy.expand(w[1] - lam * beta) == 0)
 
     def contract(state, outcome):
-        """The designee's 2-vector after the contracted step's ``outcome``."""
         if grade == "bob":
             return [state[a, outcome] for a in (0, 1)]
         return [(state[0, c] + (-1) ** outcome * state[1, c]) / rt2 for c in (0, 1)]
-
-    def signed(vector, sign):
-        return [(-1) ** (sign * x) * amp for x, amp in enumerate(vector)]
 
     # The channel on (A, a, c), 1/2 sum over a, c of (-1)^(ac) |a a c>, after
     # the secret S, keyed (s, A, a, c).
     whole = {(s, a, a, c): s_amp * (-1) ** (a * c) / 2
              for s, s_amp in enumerate((alpha, beta)) for a in (0, 1) for c in (0, 1)}
-    for bell, leaves in zip(BellOutcome, ops):
+    posts = []
+    for bell in BellOutcome:
         pairs = ((0, 0), (1, 1)) if bell.is_phi else ((0, 1), (1, 0))
         bra = dict(zip(pairs, (1, (-1) ** bell.sign_bit)))
-        post = {
+        posts.append({
             (a, c): sum(w * whole.get((*sa, a, c), 0) for sa, w in bra.items()) / rt2
             for a in (0, 1) for c in (0, 1)
-        }
+        })
+    return recovers, contract, posts
+
+
+@pytest.mark.parametrize("grade", ["bob", "charlie"])
+def test_every_leaf_recovers_the_secret_exactly_at_every_size(grade):
+    """The table's corrections return the secret, in exact arithmetic, for
+    every secret and at every m and n.  On the class register (S, A, a, c),
+    the contracted step's label leaves the designee's class qubit an
+    unnormalised 2-vector v: charlie*'s |0>/|1> on c leaves a under a Bob
+    designee, the last Bob's |+>/|-> on a leaves c under a Charlie designee.
+    The op G of the leaf of key label << 1 | sign must give G Z^sign v =
+    lambda (alpha, beta), lambda a nonzero constant, so fidelity 1, and no
+    other CorrectionOp may.  Each branch's state, built with its helpers'
+    Z flips on a (before the contracted helper) and c (after it) in place,
+    must be the Z^sign v of the leaf its key picks.  The ops depend on
+    neither the secret nor the sizes, so one table serves."""
+    sympy = pytest.importorskip("sympy")
+    designee = Designee.bob(1, 1) if grade == "bob" else Designee.charlie(1)
+    table = protocol._leaf_table(PartySizes(2, 2), designee, SECRETS[3])
+    ops = [[leaf[3] for leaf in leaves] for leaves in table.leaves]
+    other = protocol._leaf_table(PartySizes(5, 3), designee, SECRETS[2])
+    assert ops == [[leaf[3] for leaf in leaves] for leaves in other.leaves]
+    recovers, contract, posts = _exact_recovery(sympy, grade)
+
+    def signed(vector, sign):
+        return [(-1) ** (sign * x) * amp for x, amp in enumerate(vector)]
+
+    for bell, leaves, post in zip(BellOutcome, ops, posts):
         for key, op in enumerate(leaves):
             label, sign = divmod(key, 2)
             vector = signed(contract(post, label), sign)
@@ -783,6 +830,42 @@ def test_every_leaf_recovers_the_secret_exactly_at_every_size(grade):
             expected = signed(contract(post, label), sign)
             branch = contract(flipped, outcome)
             assert all(sympy.expand(x - y) == 0 for x, y in zip(branch, expected))
+
+
+@pytest.mark.parametrize("grade", ["bob", "charlie"])
+def test_no_op_recovers_the_secret_with_one_helpers_bit_withheld(grade):
+    """The paper's hierarchy, in exact arithmetic, at every m and n.  A Bob
+    designee needs the other Bobs' bits and charlie*'s; a Charlie designee
+    needs every other agent's.  With one of those bits withheld, the
+    designee holds one of two equally likely states, one per value of the
+    bit, and no CorrectionOp returns the secret from both, though one does
+    from each.  On the class register a helper is one of three kinds, by
+    its plan position: before the contracted helper (its bit a Z on a), the
+    contracted one (its bit the label), or after it (its bit a Z on c)."""
+    sympy = pytest.importorskip("sympy")
+    designee = Designee.bob(2, 1) if grade == "bob" else Designee.charlie(2)
+    table = protocol._leaf_table(PartySizes(3, 3), designee, SECRETS[3])
+    kinds = {1 + (at > table.contracted) - (at < table.contracted) for at in range(table.helpers)}
+    assert kinds == ({0, 1} if grade == "bob" else {0, 1, 2})
+    recovers, contract, posts = _exact_recovery(sympy, grade)
+
+    def prob(vector):
+        return sympy.expand(sum(amp * sympy.conjugate(amp) for amp in vector))
+
+    for bell, post in zip(BellOutcome, posts):
+        def held(p, outcome, r):
+            """The designee's vector given the parities p before the contracted
+            helper and r after it, and the contracted helper's outcome."""
+            return contract({(a, c): (-1) ** (p * a + r * c) * amp for (a, c), amp in post.items()},
+                            outcome)
+
+        afters = (0, 1) if grade == "charlie" else (0,)  # no helper after charlie*
+        for known, kind in itertools.product(itertools.product((0, 1), (0, 1), afters), kinds):
+            pair = [held(*known), held(*(bit ^ (at == kind) for at, bit in enumerate(known)))]
+            assert sympy.expand(prob(pair[0]) - prob(pair[1])) == 0, (bell, known, kind)
+            assert all(any(recovers(op, vector) for op in CorrectionOp) for vector in pair)
+            both = [op for op in CorrectionOp if all(recovers(op, vector) for vector in pair)]
+            assert both == [], (bell, known, kind, both)
 
 
 @pytest.mark.parametrize("qubits", [4, 2], ids=["bell", "label"])
