@@ -9,7 +9,8 @@ Every line is one JSON object with its keys sorted, compact separators and
 strict JSON: a NaN or an infinity fails the run instead of being written.
 ``_dumps`` owns that format and writes every line: a record's once per
 distinct leaf of the run's table, with slots for the helpers' bits and the
-counter, all that a record fills in (``_record_encoder``).  Both modes write
+counter, all that a record fills in (``_record_encoder``), and an attack
+check's match rate once for its m equal copies.  Both modes write
 their records from the table's leaves and bits and build no ``TrialResult``.
 A sampled run draws its trials from a seeder built once per run, a block of
 trials at a time (:mod:`hqis.lanes`), and picks and encodes each trial alone,
@@ -17,11 +18,15 @@ in order.  An enumeration joins each record of a walk block, up to 64, from
 texts made before it: the bits of each block suffix once per run, and the
 block prefix's once.  A run that fails after its first record, or that a
 SIGTERM or SIGHUP stops, removes its ``--output`` file, if that path names a
-regular file, and empties the regular file a symlinked path reaches.  The
-argument parser is built with the one subparser the first argument names.
+regular file, and empties the regular file a symlinked path reaches.
+
+A well-formed argv, a subcommand and its own options each with a value, is
+read from the one table of options (``_COMMANDS``) without argparse, which
+is not even loaded.  argparse, built from the same table with the one
+subparser the first argument names, serves only help and usage errors, and
+whatever else a well-formed argv is not.
 """
 
-import argparse
 import functools
 import itertools
 import json
@@ -52,17 +57,6 @@ _BLOCK_WIDTH = 6
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """Options spelled in full only, the subcommands' too: an abbreviation
-    such as --secr would escape ``_join_secret``."""
-
-    def __init__(self, **kwargs):
-        super().__init__(allow_abbrev=False, **kwargs)
-
-    def error(self, message):
-        raise UsageError(message)
 
 
 class RunConfig(namedtuple(
@@ -141,96 +135,158 @@ def _parse_designee(text: str) -> "Role":
     return Role(grade, int(index_text))
 
 
-def _build_parser(command: str | None = None) -> _Parser:
-    """The parser, with only ``command``'s subparser when it names one, else
-    with all three, so that the help and an invalid choice list each."""
-    parser = _Parser(prog="hqis", description=__doc__.splitlines()[0])
+# Each subcommand's help line and options: a flag and the keywords argparse's
+# ``add_argument`` takes for it.  ``_read_argv`` reads a well-formed argv from
+# this table, and ``_build_parser`` builds argparse's parser from it.  No
+# default is a string with a type, which argparse would convert.
+_COMMANDS = {
+    "run": ("execute protocol trials or enumerate branches", {
+        "--m": {"type": int, "required": True, "help": "number of Bobs"},
+        "--n": {"type": int, "required": True, "help": "number of Charlies"},
+        "--designee": {"required": True, "help": "bob:i or charlie:j"},
+        "--charlie-star": {"type": int, "help": "assisting Charlie for a Bob designee"},
+        "--secret": {"default": "random", "help": "'random' or Re(a),Im(a),Re(b),Im(b)"},
+        "--mode": {"choices": ("sample", "enumerate"), "default": "sample"},
+        "--trials": {"type": int, "default": 1},
+        "--seed": {"default": "0"},
+        "--output": {"help": "write records to this file instead of stdout"},
+    }),
+    "attack": ("run eavesdropping correlation checks", {
+        "--m": {"type": int, "required": True},
+        "--n": {"type": int, "required": True},
+        "--scenario": {
+            "choices": tuple(s.value for s in Scenario),
+            "default": Scenario.INTERCEPT_RESEND.value,
+        },
+        "--rounds": {"type": int, "default": 64},
+        "--threshold": {"type": float, "default": 0.99},
+        "--seed": {"default": "0"},
+        "--output": {},
+    }),
+    "tables": ("dump the correction lookup tables", {"--output": {}}),
+}
+
+
+def _dest(flag: str) -> str:
+    """The attribute argparse stores ``flag``'s value under."""
+    return flag[2:].replace("-", "_")
+
+
+def _read_argv(argv: list[str]) -> dict | None:
+    """What argparse parses a well-formed ``argv`` to, as ``vars`` of its
+    namespace, else None.
+
+    Well-formed is a subcommand, then ``--flag value`` or ``--flag=value``
+    pairs of that subcommand's flags spelled in full, with no value that
+    starts with "-", each value converting by its type and among its
+    choices, and every required flag given.  The last of a repeated flag
+    wins.  Anything else, ``--help`` among it, is for argparse to parse or
+    refuse: argparse reads a value that starts with "-" differently from one
+    Python version to the next.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = _COMMANDS[argv[0]][1]
+    args = {_dest(flag): keywords.get("default") for flag, keywords in options.items()}
+    args["command"] = argv[0]
+    missing = {flag for flag, keywords in options.items() if keywords.get("required")}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, equals, value = token.partition("=")
+        if not equals:
+            value = next(tokens, None)
+        keywords = options.get(flag)
+        if keywords is None or value is None or value.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+        choices = keywords.get("choices")
+        if choices is not None and value not in choices:
+            return None
+        args[_dest(flag)] = value
+        missing.discard(flag)
+    return None if missing else args
+
+
+def _build_parser(command: str | None = None):
+    """argparse's parser, with only ``command``'s subparser when it names
+    one, else with all three, so that the help and an invalid choice list
+    each."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """Options spelled in full only, the subcommands' too: an
+        abbreviation such as --secr would escape ``_join_secret``."""
+
+        def __init__(self, **kwargs):
+            super().__init__(allow_abbrev=False, **kwargs)
+
+        def error(self, message):
+            raise UsageError(message)
+
+    parser = Parser(prog="hqis", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    every = command not in ("run", "attack", "tables")
-
-    if every or command == "run":
-        run = sub.add_parser("run", help="execute protocol trials or enumerate branches")
-        run.add_argument("--m", type=int, required=True, help="number of Bobs")
-        run.add_argument("--n", type=int, required=True, help="number of Charlies")
-        run.add_argument("--designee", required=True, help="bob:i or charlie:j")
-        run.add_argument("--charlie-star", type=int, help="assisting Charlie for a Bob designee")
-        run.add_argument("--secret", default="random", help="'random' or Re(a),Im(a),Re(b),Im(b)")
-        run.add_argument("--mode", choices=("sample", "enumerate"), default="sample")
-        run.add_argument("--trials", type=int, default=1)
-        run.add_argument("--seed", default="0")
-        run.add_argument("--output", help="write records to this file instead of stdout")
-
-    if every or command == "attack":
-        attack = sub.add_parser("attack", help="run eavesdropping correlation checks")
-        attack.add_argument("--m", type=int, required=True)
-        attack.add_argument("--n", type=int, required=True)
-        attack.add_argument(
-            "--scenario",
-            choices=tuple(s.value for s in Scenario),
-            default=Scenario.INTERCEPT_RESEND.value,
-        )
-        attack.add_argument("--rounds", type=int, default=64)
-        attack.add_argument("--threshold", type=float, default=0.99)
-        attack.add_argument("--seed", default="0")
-        attack.add_argument("--output")
-
-    if every or command == "tables":
-        tables = sub.add_parser("tables", help="dump the correction lookup tables")
-        tables.add_argument("--output")
+    for name, (summary, options) in _COMMANDS.items():
+        if command == name or command not in _COMMANDS:
+            subparser = sub.add_parser(name, help=summary)
+            for flag, keywords in options.items():
+                subparser.add_argument(flag, **keywords)
     return parser
 
 
 def parse_args(argv: list[str]) -> RunConfig:
     """Validate argv into a RunConfig; raises UsageError on any bad input.
 
-    Sizes and designees are validated by ``PartySizes``, ``Designee`` and
+    A well-formed argv is read without argparse (``_read_argv``); argparse
+    parses the rest, and writes every help text and usage error.  Sizes and
+    designees are validated by ``PartySizes``, ``Designee`` and
     ``check_designee``.  No subcommand builds a dense register, so the
     register cap bounds no size here.
     """
-    argv = _join_secret(argv)
-    if argv[:1] == ["run"]:
-        # Compiling hqis.protocol is a run's largest allocation.  Done before
-        # the parser is built, it does not stack on the help formatters that
-        # argparse leaves for the cyclic collector.  argparse takes ``run``
-        # only as the first argument, so every run imports these here.
-        from .protocol import Designee, check_designee
-    # argparse takes a subcommand from the first argument only, and that
-    # subcommand's parser takes every argument after it.
-    args = _build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:
+        argv = _join_secret(argv)
+        # argparse takes a subcommand from the first argument only, and that
+        # subcommand's parser takes every argument after it.
+        args = vars(_build_parser(argv[0] if argv else None).parse_args(argv))
 
-    if args.command == "tables":
-        return RunConfig(mode="tables", output_path=args.output)
+    if args["command"] == "tables":
+        return RunConfig(mode="tables", output_path=args["output"])
 
-    seed = _parse_seed(args.seed)
+    seed = _parse_seed(args["seed"])
     try:
-        if args.command == "attack":
+        if args["command"] == "attack":
             return RunConfig(
                 mode="attack",
-                sizes=PartySizes(args.m, args.n),
+                sizes=PartySizes(args["m"], args["n"]),
                 seed=seed,
-                attack_scenario=Scenario(args.scenario),
-                rounds=args.rounds,
-                threshold=args.threshold,
-                output_path=args.output,
+                attack_scenario=Scenario(args["scenario"]),
+                rounds=args["rounds"],
+                threshold=args["threshold"],
+                output_path=args["output"],
             )
 
-        role = _parse_designee(args.designee)
-        if args.trials < 1:
-            raise UsageError(f"trials must be >= 1, got {args.trials}")
-        secret = _parse_secret(args.secret)
-        sizes = PartySizes(args.m, args.n)
-        designee = Designee(role, args.charlie_star)
+        from .protocol import Designee, check_designee
+
+        role = _parse_designee(args["designee"])
+        if args["trials"] < 1:
+            raise UsageError(f"trials must be >= 1, got {args['trials']}")
+        secret = _parse_secret(args["secret"])
+        sizes = PartySizes(args["m"], args["n"])
+        designee = Designee(role, args["charlie_star"])
         check_designee(sizes, designee)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return RunConfig(
-        mode=args.mode,
+        mode=args["mode"],
         sizes=sizes,
         designee=designee,
         secret=secret,
-        trials=args.trials,
+        trials=args["trials"],
         seed=seed,
-        output_path=args.output,
+        output_path=args["output"],
     )
 
 
@@ -247,6 +303,10 @@ def _dumps(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+# _dumps escapes a NUL, so only a slot, the string "\0", encodes to this.
+_SLOT = _dumps("\0")
+
+
 def _base_record(config: RunConfig, record: str) -> dict:
     sizes = config.sizes
     return {
@@ -256,6 +316,18 @@ def _base_record(config: RunConfig, record: str) -> dict:
         "n": sizes.n if sizes else None,
         "seed": config.seed,
     }
+
+
+def _bits_template(labels: tuple[str, ...]) -> str:
+    """The ``_dumps`` of a run's bits, a dict from its helpers' ``labels``
+    (at least one) to their bits, with ``%d`` for each bit.
+
+    It is the sorted labels' list, encoded once, with each label's colon and
+    slot spliced in: the same text as ``_dumps(dict.fromkeys(labels, 0))``
+    with its bits as slots, at a fifth of the time at a million helpers.  A
+    label holds no quote, so ``","`` in the list only separates two labels.
+    """
+    return "{" + _dumps(sorted(labels))[1:-1].replace('","', '":%d,"') + ':%d}'
 
 
 def _record_encoder(constants: dict, counter: str, labels: tuple[str, ...]):
@@ -270,17 +342,14 @@ def _record_encoder(constants: dict, counter: str, labels: tuple[str, ...]):
     order) to their bits.  A run has at most 16 leaves, so ``_dumps`` encodes
     one dict per distinct leaf that a record reaches, with a NUL string in
     the ``bits`` and counter slots, and the line is kept split around those
-    two slots.  A record then costs its ``bits``, from a %-template ``_dumps``
-    also wrote, its counter and one join.  ``_dumps`` rejects a non-finite
-    float before its leaf is cached.  A probability is never -0.0, the one
-    float that equals another with a different repr.
+    two slots.  A record then costs its ``bits``, from a %-template
+    (``_bits_template``), its counter and one join.  ``_dumps`` rejects a
+    non-finite float before its leaf is cached.  A probability is never
+    -0.0, the one float that equals another with a different repr.
     """
-    # _dumps escapes a NUL, so only the slots themselves encode to this.
-    slot = _dumps("\0")
     # The bits in sort_keys order, so bob:10 comes before bob:2.
     order = sorted(range(len(labels)), key=labels.__getitem__)
-    pieces = _dumps(dict.fromkeys(labels, "\0")).split(slot)
-    template = "%d".join(pieces)
+    template = _bits_template(labels)
     # One helper makes ``pick`` return a bare int, which % takes as its one value.
     pick = operator.itemgetter(*order)
     leaves = {}
@@ -299,7 +368,7 @@ def _record_encoder(constants: dict, counter: str, labels: tuple[str, ...]):
             "branch_probability": p,
             "fidelity": f,
         }
-        leaves[leaf] = parts = (_dumps(record) + "\n").split(slot)
+        leaves[leaf] = parts = (_dumps(record) + "\n").split(_SLOT)
         return parts
 
     def encode(k: int, leaf: tuple, bits) -> str:
@@ -315,6 +384,7 @@ def _record_encoder(constants: dict, counter: str, labels: tuple[str, ...]):
         # other in sort_keys order, a character each (characters at to end of
         # the bits); in their counter; and in their tail ("bell" and "bits"
         # sort before "branch", and every other field after it).
+        pieces = template.split("%d")
         for width in range(min(len(order), _BLOCK_WIDTH), 0, -1):
             ranks = sorted(map(order.index, range(len(order) - width, len(order))))
             if ranks[-1] - ranks[0] < width:
@@ -414,14 +484,18 @@ def _attack_records(config: RunConfig):
         "scenario": config.attack_scenario.value,
         "rounds": stats.rounds,
         "threshold": config.threshold,
-        "alice_bob_match_rates": list(stats.alice_bob_match_rates),
+        "alice_bob_match_rates": "\0",
         "charlie_group_consistent_rate": stats.charlie_group_consistent_rate,
         "detected": stats.detected,
         "detection_rule": stats.detection_rule,
         "exact_mismatch_probability": exact_detection_probability(sizes, config.attack_scenario),
         "missed_detection_probability": missed_detection_probability(sizes, config.rounds),
     }
-    yield _dumps(check) + "\n"
+    # The rates are m copies of one rate: its text is written once and
+    # repeated in the list's slot, the bytes _dumps writes for the list.
+    rates = stats.alice_bob_match_rates
+    head, tail = _dumps(check).split(_SLOT)
+    yield "".join((head, "[", ",".join([_dumps(rates[0])] * len(rates)), "]", tail, "\n"))
 
 
 def _table_records(config: RunConfig):

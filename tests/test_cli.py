@@ -14,6 +14,7 @@ from conftest import clear_memo_caches
 
 from hqis.adversary import (
     Scenario,
+    correlation_check,
     exact_detection_probability,
     missed_detection_probability,
 )
@@ -226,6 +227,43 @@ def test_the_first_arguments_subparser_parses_as_every_subparser_does(monkeypatc
     assert one == _parsed(cli._build_parser(), argv)
     if argv[:1] in (["--help"], ["-h"]):
         assert "{run,attack,tables}" in one[2]
+
+
+# The bench's sample, enumerate and attack argvs, and the tables.
+WELL_FORMED_ARGVS = [
+    ["run", "--mode", "sample", "--m", "3", "--n", "3", "--designee", "charlie:2",
+     "--secret", "random", "--trials", "1000", "--seed", "1"],
+    ["run", "--mode", "enumerate", "--m", "5", "--n", "6", "--designee", "charlie:3",
+     "--secret", "random", "--seed", "1"],
+    ["attack", "--scenario", "intercept-resend", "--m", "5", "--n", "6", "--rounds", "3000000",
+     "--seed", "1"],
+    ["tables"],
+]
+PARSER_MODULES = ("argparse", "gettext", "locale")
+
+
+def test_only_help_and_errors_load_argparse():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "COLUMNS": "80"}
+    script = (
+        "import contextlib, io, sys\n"
+        f"modules = set({PARSER_MODULES!r})\n"
+        "assert not modules & set(sys.modules), 'loaded before hqis'\n"
+        "import hqis.cli\n"
+        "assert not modules & set(sys.modules), 'importing hqis.cli loaded the parser'\n"
+        f"for argv in {WELL_FORMED_ARGVS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert hqis.cli.main(argv) == 0, argv\n"
+        "    assert not modules & set(sys.modules), argv\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "hqis.cli", "--help"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "argparse" in imported
+    assert proc.stdout.startswith("usage: hqis [-h] {run,attack,tables} ...\n")
 
 
 def test_main_reports_usage_errors(capsys):
@@ -697,6 +735,26 @@ def test_emitted_json_is_strict():
         _dumps({"rate": float("nan")})
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (3, 2), (12, 3), (1000, 1000)])
+def test_the_bits_template_is_the_dumps_of_the_bits_dict(m, n):
+    # In plan order: at m = 12, bob:10 sorts before bob:2.
+    labels = tuple([protocol._label("bob", i) for i in range(1, m + 1)]
+                   + [protocol._label("charlie", j) for j in range(2, n + 1)])
+    slots = _dumps(dict.fromkeys(labels, "\0")).split(_dumps("\0"))
+    assert cli._bits_template(labels) == "%d".join(slots)
+
+
+@pytest.mark.parametrize("m", [1, 5, 1000])
+def test_the_attack_line_is_the_dumps_of_its_record(capsys, m):
+    assert main(["attack", "--m", str(m), "--n", "2", "--rounds", "1000", "--seed", "3"]) == 0
+    line = capsys.readouterr().out
+    record = json.loads(line)
+    stats = correlation_check(PartySizes(m, 2), Scenario.INTERCEPT_RESEND, 1000,
+                              Stream(3, cli._STREAM_ATTACK))
+    assert record["alice_bob_match_rates"] == list(stats.alice_bob_match_rates)
+    assert line == _dumps(record) + "\n"
+
+
 @pytest.mark.parametrize("secret", ["1,0,0,nan", "nan,0,0,0", "1,0,inf,0", "0,-inf,1,0"])
 def test_non_finite_secret_is_rejected(tmp_path, capsys, secret):
     base = ["run", "--m", "1", "--n", "1", "--designee", "charlie:1", "--secret", secret]
@@ -921,7 +979,7 @@ def test_closed_stdout_ends_with_one_error_line():
 # while the same subcommand at m = 3 fits in it.
 _MEMORY_CAP = 256 << 20
 _TOO_WIDE = [
-    ["run", "--m", "1000000", "--n", "1", "--designee", "charlie:1", "--trials", "1"],
+    ["run", "--m", "3000000", "--n", "1", "--designee", "charlie:1", "--trials", "1"],
     ["attack", "--m", "300000000", "--n", "1", "--rounds", "1"],
 ]
 

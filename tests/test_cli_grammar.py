@@ -6,6 +6,10 @@ On any other exit stderr holds exactly one ``error:`` line, and no new or
 partial ``--output`` file is left: a new path does not exist, an existing
 file is untouched or removed, a symlink stays and its target is untouched
 or emptied, and a FIFO stays a FIFO.
+
+The argv reader that skips argparse agrees with argparse: on what it reads,
+with argparse's values; and on every argv, ``parse_args`` gives with it what
+it gives through argparse alone.
 """
 
 import contextlib
@@ -16,11 +20,15 @@ import os
 import tempfile
 import threading
 from pathlib import Path
+from unittest import mock
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from hqis import cli
 from hqis.cli import main
+from test_cli import PARSER_ARGVS
 
 KEPT = "kept\n"
 SEEDS = st.one_of(st.sampled_from(["0", str(2**64 - 1)]), st.integers(0, 2**64 - 1).map(str))
@@ -184,3 +192,75 @@ def test_every_invocation_ends_cleanly(argv, target):
             assert path.is_symlink() and linked.read_text() in (KEPT, "")
         elif target == "fifo":
             assert path.is_fifo()
+
+
+FLAGS = sorted({flag for _, options in cli._COMMANDS.values() for flag in options})
+# Words in a flag's place that are not a subcommand's flag spelled in full.
+ODD_FLAGS = ["--help", "-h", "--", "--bogus", "--secr", "--tri", "--de", "-m", "--M", "run", ""]
+VALUES = st.one_of(
+    st.sampled_from(["1", "3", "bob:1", "charlie:1", "sample", "enumerate", "honest",
+                     "intercept-resend", "random", "0.6,0,0.8,0", "0.5", "64", "records.ndjson"]),
+    st.sampled_from(sorted({value for values in BAD.values() for value in values})),
+    # Empty, or read differently by argparse's tokenisers, or by int() alone.
+    st.sampled_from(["", "-", "--", "-h", "--help", "-0.6,0,0,-0.8", "-1", "-1.5", "-x", "-1e3",
+                     " 1", " -1", "1_0", "+1", "=1", "a=b", "run", "--m", "NaN", "١"]),
+)
+
+
+@st.composite
+def parser_argvs(draw) -> list[str]:
+    """An argv of ``argvs()``, with each option written ``--flag value`` or
+    ``--flag=value``, or twice; or, messed up, maybe with another first word
+    or none, with extra options, and with an option's flag alone."""
+    argv = draw(argvs())
+    options = list(zip(argv[1::2], argv[2::2]))
+    spellings = ["pair"] * 4 + ["equals"] * 2 + ["twice"]
+    if draw(st.booleans()):
+        argv[0] = draw(st.sampled_from([argv[0]] * 4 + ["--help", "-h", "--", "Run", None]))
+        extra = draw(st.lists(st.tuples(st.sampled_from(FLAGS + ODD_FLAGS), VALUES), max_size=2))
+        for option in extra:
+            options.insert(draw(st.integers(0, len(options))), option)
+        spellings.append("flag")
+    words = [] if argv[0] is None else [argv[0]]
+    for flag, value in options:
+        spelling = draw(st.sampled_from(spellings))
+        if spelling == "twice":
+            words += [flag, draw(st.sampled_from(["1", "3", "0.5", "bob:1", "honest", "sample"]))]
+        words += [f"{flag}={value}"] if spelling == "equals" else [flag] if spelling == "flag" \
+            else [flag, value]
+    return words
+
+
+def _parsed(argv: list[str], fast: bool) -> tuple:
+    """What ``parse_args(argv)`` returns or raises, and what it prints, with
+    or without its argparse-free reader, under an 80-column terminal."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.dict(os.environ, {"COLUMNS": "80"}))
+        if not fast:
+            stack.enter_context(mock.patch.object(cli, "_read_argv", lambda argv: None))
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        try:
+            answer = "parsed", cli.parse_args(argv)
+        except cli.UsageError as exc:
+            answer = "usage error", str(exc)
+        except SystemExit as exc:
+            answer = "exit", exc.code
+    return answer, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(argv=parser_argvs())
+def test_the_argv_reader_agrees_with_argparse(argv):
+    values = cli._read_argv(argv)
+    event("read" if values is not None else "left to argparse")
+    if values is not None:
+        assert values == vars(cli._build_parser(argv[0]).parse_args(argv))
+    assert _parsed(argv, fast=True) == _parsed(argv, fast=False)
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_every_parser_argv_parses_as_argparse_alone_parses_it(argv):
+    assert cli._read_argv(argv) is None
+    assert _parsed(argv, fast=True) == _parsed(argv, fast=False)
