@@ -18,10 +18,10 @@ _OWNERS = {
         "adversary": "CheckStats Scenario correlation_check exact_detection_probability"
         " missed_detection_probability",
         "channel": "PartySizes",
-        "dense": "StateVector apply_gate basis_state bell_project build_scenario_state"
-        " compose_with_secret make_channel make_fake_channel make_standard_form"
-        " permute_qubits project reduced_density tensor",
-        "protocol": "CorrectionOp Designee Role TrialResult agent_marginal check_designee"
+        "dense": "StateVector agent_marginal apply_gate basis_state bell_project"
+        " build_scenario_state compose_with_secret make_channel make_fake_channel"
+        " make_standard_form permute_qubits project reduced_density tensor",
+        "protocol": "CorrectionOp Designee Role TrialResult check_designee"
         " enumerate_branches iter_branches parity run_recovery",
         "qstate": "BellOutcome MeasBasis RegisterCapError ResourceLimitError SecretState",
     }.items()

@@ -13,10 +13,12 @@ counter, all that a record fills in (``_record_encoder``), and an attack
 check's match rate once for its m equal copies.  Both modes write
 their records from the table's leaves and bits and build no ``TrialResult``.
 A sampled run draws its trials from a seeder built once per run, a block of
-trials at a time (:mod:`hqis.lanes`), and picks and encodes each trial alone,
-in order.  An enumeration joins each record of a walk block, up to 64, from
-texts made before it: the bits of each block suffix once per run, and the
-block prefix's once.  A run that fails after its first record, or that a
+trials at a time (:mod:`hqis.lanes`): a helper's coin as one bit per trial,
+floats only for the Bell and the contracted steps, and the block's trials
+picked column by column (``protocol.run_block``).  It encodes each trial
+alone, in order.  An enumeration joins each record of a walk block, up to 64,
+from texts made before it: the bits of each block suffix once per run, and
+the block prefix's once.  A run that fails after its first record, or that a
 SIGTERM or SIGHUP stops, removes its ``--output`` file, if that path names a
 regular file, and empties the regular file a symlinked path reaches.
 
@@ -449,13 +451,13 @@ def _run_records(config: RunConfig):
     encode, encode_walk = _record_encoder(_base_record(config, counter) | context, counter, labels)
     if config.mode == "sample":
         # Trial k draws as Stream(seed, _STREAM_TRIAL, k).random(1 + helpers),
-        # a block of trials at a time, and is picked and encoded alone.
-        from .lanes import trial_draws
+        # and a block of trials is drawn and picked a column at a time; each
+        # trial is encoded alone, in order.
+        from .lanes import trial_picks
 
-        seed_trial = _seeder(config.seed, _STREAM_TRIAL)
-        rows = trial_draws(seed_trial, 0, config.trials, 1 + len(labels))
-        for k, draws in enumerate(rows):
-            yield encode(k, *protocol.run_pick(table, draws))
+        picks = trial_picks(table, _seeder(config.seed, _STREAM_TRIAL), 0, config.trials)
+        for k, (leaf, bits) in enumerate(picks):
+            yield encode(k, leaf, bits)
         return
     # Records stream a walk block at a time.
     branches, probability_sum, fidelities = yield from encode_walk(table)

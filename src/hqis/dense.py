@@ -5,14 +5,16 @@ A :class:`StateVector` holds all ``2**num_qubits`` amplitudes, qubit 0 at the
 most significant bit of the index, so ``basis_state(3, "110")`` puts its one
 nonzero amplitude at index ``0b110``.  States are immutable values: every
 operation returns a fresh one.  The builders that allocate a register refuse
-more qubits than ``qstate.register_cap()``.  ``qstate``, ``channel`` and
-``adversary`` still serve the names that moved here from them.
+more qubits than ``qstate.register_cap()``.  ``qstate``, ``channel``,
+``adversary`` and ``protocol`` still serve the names that moved here from
+them.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import protocol
 from .adversary import Scenario, _check_scenario
 from .channel import PartySizes, _channel_support, _fake_channel_support
 from .qstate import (
@@ -265,3 +267,23 @@ def build_scenario_state(sizes: PartySizes, scenario: Scenario) -> StateVector:
     if honest_only:
         return honest
     return tensor(honest, make_fake_channel(sizes))
+
+
+def agent_marginal(
+    sizes: PartySizes, secret: SecretState, bell: BellOutcome, agent: protocol.Role
+) -> np.ndarray:
+    """Single-qubit density matrix an agent holds right after Alice's broadcast.
+
+    A partial trace over the Bell child on the class register (a, c): the
+    entries that differ only in the agent's class bit make up one 2-vector,
+    and the matrix is the sum of those vectors' outer products.  A class with
+    another member keeps its copy of the bit, so each vector is one entry.
+    """
+    protocol._check_role(sizes, agent)
+    _, post = protocol._bell_children(secret)[protocol._BELL_OUTCOMES.index(bell)]
+    shift, alone = (1, sizes.m == 1) if agent.grade == "bob" else (0, sizes.n == 1)
+    keep = ~(alone << shift)  # the agent's bit leaves the key only with its last copy
+    vectors = {}
+    for index, amp in post:
+        vectors.setdefault(index & keep, np.zeros(2, complex))[index >> shift & 1] += amp
+    return sum(np.outer(vec, vec.conj()) for vec in vectors.values())

@@ -16,9 +16,10 @@ Both kinds of run read one table of scored leaves, built once per run
 (``_leaf_table``): four leaves per Bell outcome, under one key rule.  Its
 ``walk`` yields every outcome string in ``itertools.product`` order, in blocks
 that share a prefix, and ``run_pick`` the one a trial's draws pick, a draw per
-step, Alice's first.  ``iter_branches`` and ``run_recovery``, which draws with
-one ``rng.random(1 + helpers)`` call, wrap them in ``TrialResult``s; the CLI
-reads them directly.
+step, Alice's first; ``run_block`` picks a block of trials a column of draws
+at a time, under the same key rule (``_pick``).  ``iter_branches`` and
+``run_recovery``, which draws with one ``rng.random(1 + helpers)`` call, wrap
+them in ``TrialResult``s; the CLI reads them directly.
 
 The walk is keyed by class, not by qubit.  After the Bell measurement every
 Bob's bit equals one bit a and every Charlie's one bit c, so the state is at
@@ -38,11 +39,12 @@ takes; before it, the table's ``before``: the sign under a Bob designee, the
 label under a Charlie designee, whose contraction is on a, where <+|Z = <-|.
 So the Bell outcome and the key fix a branch's probability, correction and
 fidelity: at most 4·2² leaves, built when the run starts, with one contraction
-per label and per leaf and none per trial or branch, at any m and n.
-``agent_marginal`` reads the same Bell children, so no path of this module
-builds a dense register or reads a support at full size; the :mod:`hqis.dense`
-operations, and the qubit-by-qubit support walk kept in the tests, are the
-oracles the tests compare with.
+per label and per leaf and none per trial or branch, at any m and n.  No path
+of this module builds a dense register or reads a support at full size; the
+:mod:`hqis.dense` operations, and the qubit-by-qubit support walk kept in the
+tests, are the oracles the tests compare with.  ``agent_marginal``, which
+reads the same Bell children and returns a numpy array, lives in
+:mod:`hqis.dense`, and this module serves it from there.
 """
 
 import bisect
@@ -55,7 +57,9 @@ from enum import Enum
 
 from . import qstate
 from .channel import _CLASSES, PartySizes, SecretState, _channel_support
-from .qstate import BellOutcome, MeasBasis, ResourceLimitError
+from .qstate import BellOutcome, MeasBasis, ResourceLimitError, _from_dense
+
+__getattr__ = _from_dense(__name__, {"agent_marginal"})
 
 DEFAULT_BRANCH_LIMIT = 2**20
 
@@ -408,20 +412,42 @@ class _LeafTable:
 _leaf_table = functools.lru_cache(maxsize=64)(_LeafTable)
 
 
+def _pick(table, bell_draws, draws, before, after):
+    """The key rule, for a column of trials: their leaves, lazily, and their
+    contracted outcomes, a byte each.  A trial's Bell step draws from
+    ``bell_draws`` and its contracted step from ``draws``, and each takes the
+    first outcome whose sum passes the draw, else the last.  The parities of
+    the helpers before and after the contracted one are the bytes, a trial a
+    byte, of the ints ``before`` and ``after``.  Each ``float.__le__`` gives
+    a bool for a list's floats and np.float64s alike."""
+    key = before * table.before ^ after
+    bells = bytes(map(functools.partial(bisect.bisect_right, table.bell_sums), bell_draws))
+    labels = map((2).__le__, key.to_bytes(len(draws)))
+    passed = map(operator.getitem, map(table.passed.__getitem__, bells), labels)
+    outcomes = bytes(map(operator.call, passed, draws))
+    slots = (int.from_bytes(outcomes) << 1 ^ key).to_bytes(len(draws))
+    return map(operator.getitem, map(table.leaves.__getitem__, bells), slots), outcomes
+
+
 def run_pick(table: _LeafTable, draws) -> tuple[tuple, bytes]:
     """One sampled trial, ``table.walk``'s twin and the CLI's one call per
-    trial: the ``(leaf, bits)`` that ``draws``, one per step in plan order,
-    pick.  The Bell and contracted steps take the first outcome whose sum
-    passes the draw, else the last; the rest read ``draw >= 0.5`` and flip
-    the key.  Each ``float.__le__`` gives a bool for a list's floats and
-    np.float64s alike."""
+    trial drawn alone: the ``(leaf, bits)`` that ``draws``, one per step in
+    plan order, pick.  A helper other than the contracted one reads
+    ``draw >= 0.5``; the rest is ``_pick``'s, for a column of one trial."""
     heads = bytes(map((0.5).__le__, draws))
     at = 1 + table.contracted
-    key = (heads.count(1, 1, at) & 1) * table.before ^ (heads.count(1, at + 1) & 1)
-    bell = bisect.bisect_right(table.bell_sums, draws[0])
-    outcome = table.passed[bell][key >> 1](draws[at])
-    leaf = table.leaves[bell][outcome << 1 ^ key]
-    return leaf, heads[1:at] + bytes((outcome,)) + heads[at + 1 :]
+    before, after = heads.count(1, 1, at) & 1, heads.count(1, at + 1) & 1
+    (leaf,), outcome = _pick(table, draws[:1], draws[at : at + 1], before, after)
+    return leaf, heads[1:at] + outcome + heads[at + 1 :]
+
+
+def run_block(table, *columns):
+    """A packed block of sampled trials: ``_pick``'s leaves and contracted
+    outcomes for the columns of ``lanes.lane_draws``, and the CLI's one call
+    per block.  It is public, apart from ``_pick``, so that span tracing sees
+    one ``protocol.run_*`` call per block, and ``run_pick`` one per trial
+    drawn alone."""
+    return _pick(table, *columns)
 
 
 def run_recovery(
@@ -476,25 +502,3 @@ def enumerate_branches(
     results sum to 1.
     """
     return list(iter_branches(sizes, designee, secret, branch_limit))
-
-
-def agent_marginal(
-    sizes: PartySizes, secret: SecretState, bell: BellOutcome, agent: Role
-) -> "numpy.ndarray":
-    """Single-qubit density matrix an agent holds right after Alice's broadcast.
-
-    A partial trace over the Bell child on the class register (a, c): the
-    entries that differ only in the agent's class bit make up one 2-vector,
-    and the matrix is the sum of those vectors' outer products.  A class with
-    another member keeps its copy of the bit, so each vector is one entry.
-    """
-    import numpy as np
-
-    _check_role(sizes, agent)
-    _, post = _bell_children(secret)[_BELL_OUTCOMES.index(bell)]
-    shift, alone = (1, sizes.m == 1) if agent.grade == "bob" else (0, sizes.n == 1)
-    keep = ~(alone << shift)  # the agent's bit leaves the key only with its last copy
-    vectors = {}
-    for index, amp in post:
-        vectors.setdefault(index & keep, np.zeros(2, complex))[index >> shift & 1] += amp
-    return sum(np.outer(vec, vec.conj()) for vec in vectors.values())

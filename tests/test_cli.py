@@ -842,6 +842,23 @@ def test_a_sampled_run_makes_one_public_protocol_run_call_per_trial(monkeypatch,
     assert len(capsys.readouterr().out.splitlines()) == 14
 
 
+def test_a_packed_sampled_run_makes_a_public_protocol_run_call_per_block(monkeypatch, capsys):
+    # The bench's traced sweep runs 16 trials, a packed block, of either grade;
+    # its spans need at least one public ``protocol.run_*`` call to time.
+    calls = []
+    for name, fn in list(vars(protocol).items()):
+        if name.startswith("run_") and inspect.isfunction(fn):
+            monkeypatch.setattr(
+                protocol, name, lambda *args, name=name, fn=fn: calls.append(name) or fn(*args)
+            )
+    for designee in (["bob:1", "--charlie-star", "1"], ["charlie:1"]):
+        calls.clear()
+        assert main(["run", "--mode", "sample", "--m", "2", "--n", "2", "--designee", *designee,
+                     "--secret", "0.6,0,0.8,0", "--trials", "16"]) == 0
+        assert calls == ["run_block"], calls
+    assert len(capsys.readouterr().out.splitlines()) == 32
+
+
 # The bench's sample and enumerate argvs at its seed, 17, and other runs that
 # differ in mode, grade, size or secret.
 COLD_RUN_ARGVS = [

@@ -520,8 +520,10 @@ def test_sampled_memory_does_not_grow_with_the_trial_count():
     assert abs(peaks[1] - peaks[0]) <= 2**12, peaks
 
 
-def _scalar_trial_draws(seed_path, start, stop, size):
-    return (qstate._uniforms(*seed_path(k), size)[0] for k in range(start, stop))
+def _scalar_trial_picks(table, seed_path, start, stop):
+    size = 1 + table.helpers
+    return (protocol.run_pick(table, qstate._uniforms(*seed_path(k), size)[0])
+            for k in range(start, stop))
 
 
 # Both grades, at trial counts either side of the fallback to drawing trial by
@@ -542,6 +544,6 @@ BLOCK_ARGVS = [
 def test_trials_drawn_in_blocks_write_what_trials_drawn_alone_write(monkeypatch, capsys, argv):
     assert main(argv.split()) == 0
     blocks = capsys.readouterr()
-    monkeypatch.setattr(lanes, "trial_draws", _scalar_trial_draws)
+    monkeypatch.setattr(lanes, "trial_picks", _scalar_trial_picks)
     assert main(argv.split()) == 0
     assert capsys.readouterr() == blocks

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hqis import lanes, protocol, qstate
 from hqis.adversary import Scenario, correlation_check
 from hqis.channel import PartySizes
-from hqis.protocol import Designee
+from hqis.protocol import Designee, parity
 from hqis.qstate import SecretState, Stream
 
 # Words past 2**64 and 2**128, bools, and numpy ints, which numpy takes as the ints they equal.
@@ -109,43 +109,95 @@ LANE_COUNTS = st.one_of(
     seed=st.one_of(st.sampled_from([0, 1, 17, 2**32 - 1, 2**32, 2**64 - 1]),
                    st.integers(0, 2**64 - 1)),
     count=LANE_COUNTS,
-    size=st.integers(1, 40),
+    size=st.integers(2, 40),
     data=st.data(),
 )
-def test_lane_rows_are_each_trials_stream(seed, count, size, data):
+def test_lane_draws_are_each_trials_stream(seed, count, size, data):
     # The last block below 2**32 too, where the one-word paths end.
     k0 = data.draw(st.one_of(st.just(0), st.just(2**32 - count), st.integers(0, 2**32 - 300)))
+    at = data.draw(st.integers(1, size - 1))
     seed_trial = qstate._seeder(seed, 1)
     state, inc = lanes.seed_block(seed_trial, k0, count)
-    rows = list(map(list, lanes.lane_uniforms(state, inc, count, size)))
-    expected = [qstate._uniforms(*seed_trial(k), size)[0] for k in range(k0, k0 + count)]
-    assert rows == expected
+    bell_draws, draws, before, after, bits = lanes.lane_draws(state, inc, count, size, at)
+    rows = [qstate._uniforms(*seed_trial(k), size)[0] for k in range(k0, k0 + count)]
     assert rows[-1] == _numpy_rng(seed, 1, k0 + count - 1).random(size).tolist()
+    # The Bell and contracted steps as the floats, every other as draw >= 0.5,
+    # a trial's bits in its row, the contracted one's left 0, and their parities.
+    heads = [[int(draw >= 0.5) for draw in row[1:]] for row in rows]
+    for head in heads:
+        head[at - 1] = 0
+    assert bell_draws == [row[0] for row in rows]
+    assert draws == [row[at] for row in rows]
+    assert list(bits) == [head for row in heads for head in row]
+    assert list(before.to_bytes(count)) == [parity(head[: at - 1]) for head in heads]
+    assert list(after.to_bytes(count)) == [parity(head[at:]) for head in heads]
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+def test_a_lanes_head_is_its_draws_top_bit_at_every_rotation():
+    # A lane is the word, hi ^ lo, then hi, whose top 6 bits are the rotation.
+    # Each rotation reads each of the 64 single-bit words and a few others.
+    words = [1 << bit for bit in range(64)] + [0, 2**64 - 1, 0x0123456789ABCDEF, 2**63 - 1]
+    for rot in range(64):
+        for low_bits in (0, 2**58 - 1):
+            high = rot << 58 | low_bits
+            raw = b"".join(
+                word.to_bytes(8, "little") + high.to_bytes(8, "little") + bytes(16)
+                for word in words
+            )
+            draws = [(((word >> rot | word << 64 - rot) & 2**64 - 1) >> 11) * 2**-53
+                     for word in words]
+            assert list(lanes._heads(raw)) == [int(draw >= 0.5) for draw in draws], rot
+    # Rotation 0 reads bit 63.
+    raw = (2**63).to_bytes(8, "little") + bytes(24) + (2**62).to_bytes(8, "little") + bytes(24)
+    assert lanes._heads(raw) == b"\1\0"
+
+
+def _table(grade: str, helpers: int, m: int):
+    """A leaf table of ``helpers`` helpers, ``m`` Bobs of them under a Charlie
+    designee (the contracted helper at position m - 1), every Bob but the
+    designee under a Bob designee (charlie*, contracted, last)."""
+    if grade == "bob":
+        sizes, designee = PartySizes(helpers, 2), Designee.bob(min(m, helpers), 2)
+    else:
+        m = min(m, helpers)
+        sizes, designee = PartySizes(m, helpers - m + 1), Designee.charlie(helpers - m + 1)
+    table = protocol._leaf_table(sizes, designee, SecretState(0.6, 0.8j))
+    assert table.helpers == helpers
+    return table
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
 @given(
-    seed=st.sampled_from([0, 17, 2**64 - 1]),
+    seed=st.one_of(st.sampled_from([0, 17, 2**64 - 1]), st.integers(0, 2**64 - 1)),
     start=st.one_of(st.integers(0, 300), st.integers(2**32 - 300, 2**32 + 5)),
     count=st.one_of(LANE_COUNTS, st.integers(2 * lanes.LANES, 3 * lanes.LANES + 7)),
-    size=st.sampled_from([1, 6, 40, 100, lanes.LANE_CELLS + 1]),
+    grade=st.sampled_from(["bob", "charlie"]),
+    # 255, 256 and 257 draws a trial, and more than a block's cells.
+    helpers=st.sampled_from([1, 2, 3, 5, 40, 99, 254, 255, 256, lanes.LANE_CELLS]),
+    m=st.integers(1, 300),
 )
-def test_trial_draws_are_each_trials_stream_in_order(seed, start, count, size):
+def test_trial_picks_are_each_trials_run_pick_in_order(seed, start, count, grade, helpers, m):
     # A block of trials packed, one too small to pack, one that would cross
-    # 2**32 and a draw count past a block's cells.
+    # 2**32 and a trial of more draws than a block's cells.
+    table = _table(grade, helpers, m)
+    size = 1 + helpers
     count = min(count, 2 * lanes.LANE_CELLS // size)
     seed_trial = qstate._seeder(seed, 1)
-    rows = lanes.trial_draws(seed_trial, start, start + count, size)
-    expected = [qstate._uniforms(*seed_trial(k), size)[0] for k in range(start, start + count)]
-    assert list(map(list, rows)) == expected
+    picks = lanes.trial_picks(table, seed_trial, start, start + count)
+    expected = [protocol.run_pick(table, qstate._uniforms(*seed_trial(k), size)[0])
+                for k in range(start, start + count)]
+    assert list(picks) == expected
 
 
-def test_a_block_of_trials_holds_at_most_its_cells_of_draws():
-    # A block of LANES trials of 1000 draws would hold 4 MiB of floats.
+@pytest.mark.parametrize("helpers", [255, 999])
+def test_a_block_of_trials_holds_at_most_its_cells_of_draws(helpers):
+    # A block of LANES trials of 1000 draws would hold 4 MiB of floats; one
+    # of 16 trials of 256 draws is packed.
+    table = _table("charlie", helpers, 3)
     seed_trial = qstate._seeder(17, 1)
     tracemalloc.start()
     try:
-        for _ in lanes.trial_draws(seed_trial, 0, lanes.LANES, 1000):
+        for _ in lanes.trial_picks(table, seed_trial, 0, lanes.LANES):
             pass
         _, peak = tracemalloc.get_traced_memory()
     finally:
