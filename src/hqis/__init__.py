@@ -18,11 +18,11 @@ _OWNERS = {
         "adversary": "CheckStats Scenario correlation_check exact_detection_probability"
         " missed_detection_probability",
         "channel": "PartySizes",
-        "dense": "StateVector agent_marginal apply_gate basis_state bell_project"
-        " build_scenario_state compose_with_secret make_channel make_fake_channel"
-        " make_standard_form permute_qubits project reduced_density tensor",
-        "protocol": "CorrectionOp Designee Role TrialResult check_designee"
-        " enumerate_branches iter_branches parity run_recovery",
+        "dense": "StateVector TrialResult agent_marginal apply_gate basis_state bell_project"
+        " build_scenario_state compose_with_secret enumerate_branches iter_branches"
+        " make_channel make_fake_channel make_standard_form permute_qubits project"
+        " reduced_density run_recovery tensor",
+        "protocol": "CorrectionOp Designee Role check_designee parity",
         "qstate": "BellOutcome MeasBasis RegisterCapError ResourceLimitError SecretState",
     }.items()
     for name in names.split()

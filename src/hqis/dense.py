@@ -1,15 +1,17 @@
 """Dense state vectors: the oracle the support runtime is tested against,
-and the library API.  No CLI path imports this module.
+and the library API, with ``agent_marginal`` and the ``TrialResult`` view of
+a run (``run_recovery``, ``iter_branches``).  No CLI path imports this module.
 
 A :class:`StateVector` holds all ``2**num_qubits`` amplitudes, qubit 0 at the
 most significant bit of the index, so ``basis_state(3, "110")`` puts its one
 nonzero amplitude at index ``0b110``.  States are immutable values: every
 operation returns a fresh one.  The builders that allocate a register refuse
 more qubits than ``qstate.register_cap()``.  ``qstate``, ``channel``,
-``adversary`` and ``protocol`` still serve the names that moved here from
-them.
+``adversary`` and ``protocol`` serve the names that moved here from them.
 """
 
+from collections import namedtuple
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,3 +289,94 @@ def agent_marginal(
     for index, amp in post:
         vectors.setdefault(index & keep, np.zeros(2, complex))[index >> shift & 1] += amp
     return sum(np.outer(vec, vec.conj()) for vec in vectors.values())
+
+
+class _HelperBits(Mapping):
+    """The helpers' reported bits, Role -> bit, in plan order: a view of one
+    branch's outcomes, a byte per helper, through the plan's runs, which the
+    branches share; a role is found in at most three ranges, and Roles are
+    made only when iterated.  ``values()`` and ``items()`` are tuples."""
+
+    __slots__ = ("_runs", "_bits")
+
+    def __init__(self, runs: tuple, bits: bytes):
+        self._runs = runs
+        self._bits = bits
+
+    def __getitem__(self, role):
+        start = 0
+        for grade, run in self._runs:
+            # Any pair equal to a Role, as a dict keyed by Roles would find it.
+            if isinstance(role, tuple) and len(role) == 2 and role[0] == grade and role[1] in run:
+                return self._bits[start + run.index(role[1])]
+            start += len(run)
+        raise KeyError(role)
+
+    def __iter__(self):
+        return (protocol.Role(grade, index) for grade, indices in self._runs for index in indices)
+
+    def __len__(self):
+        return len(self._bits)
+
+    def values(self):
+        return tuple(self._bits)
+
+    def items(self):
+        return tuple(zip(self, self._bits))
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+class TrialResult(namedtuple("TrialResult", "bell classical_bits v_g1 v_g2_or_charlie_star"
+                             " correction branch_probability fidelity")):
+    """Outcome record of one protocol execution branch: a BellOutcome, the
+    helpers' bits (a Mapping, Role -> bit), two bits, a CorrectionOp, two floats."""
+
+    __slots__ = ()
+
+
+def run_recovery(
+    sizes: PartySizes,
+    designee: protocol.Designee,
+    secret: SecretState,
+    rng: "qstate.Stream | np.random.Generator",
+) -> TrialResult:
+    """One sampled run: the Bell outcome and each helper's outcome are drawn
+    from ``rng`` with one ``rng.random(1 + helpers)`` call, and the branch
+    ``run_pick`` reads off the run's table is returned as a ``TrialResult``."""
+    table = protocol._leaf_table(sizes, designee, secret)
+    leaf, bits = protocol.run_pick(table, rng.random(1 + table.helpers))
+    return TrialResult(leaf[0], _HelperBits(table.runs, bits), *leaf[1:])
+
+
+def iter_branches(
+    sizes: PartySizes,
+    designee: protocol.Designee,
+    secret: SecretState,
+    branch_limit: int = protocol.DEFAULT_BRANCH_LIMIT,
+):
+    """Yield the branches of :func:`enumerate_branches` as the walk reaches them.
+
+    The designee and the branch limit, an int, are checked when the first
+    branch is requested, so a failing enumeration raises before it yields
+    anything.
+    """
+    protocol._check_branch_limit(sizes, designee, branch_limit)
+    table = protocol._leaf_table(sizes, designee, secret)
+    for (leaf,), bits in table.walk(0):
+        yield TrialResult(leaf[0], _HelperBits(table.runs, bits), *leaf[1:])
+
+
+def enumerate_branches(
+    sizes: PartySizes,
+    designee: protocol.Designee,
+    secret: SecretState,
+    branch_limit: int = protocol.DEFAULT_BRANCH_LIMIT,
+) -> list[TrialResult]:
+    """Walk every (Bell outcome x agent outcomes) branch deterministically.
+
+    Every branch is possible; the branch probabilities of the returned
+    results sum to 1.
+    """
+    return list(iter_branches(sizes, designee, secret, branch_limit))

@@ -17,9 +17,9 @@ Both kinds of run read one table of scored leaves, built once per run
 ``walk`` yields every outcome string in ``itertools.product`` order, in blocks
 that share a prefix, and ``run_pick`` the one a trial's draws pick, a draw per
 step, Alice's first; ``run_block`` picks a block of trials a column of draws
-at a time, under the same key rule (``_pick``).  ``iter_branches`` and
-``run_recovery``, which draws with one ``rng.random(1 + helpers)`` call, wrap
-them in ``TrialResult``s; the CLI reads them directly.
+at a time, under the same key rule (``_pick``).  The CLI reads them directly;
+the library's ``iter_branches`` and ``run_recovery`` wrap them in
+``TrialResult``s, in :mod:`hqis.dense`.
 
 The walk is keyed by class, not by qubit.  After the Bell measurement every
 Bob's bit equals one bit a and every Charlie's one bit c, so the state is at
@@ -43,8 +43,8 @@ per label and per leaf and none per trial or branch, at any m and n.  No path
 of this module builds a dense register or reads a support at full size; the
 :mod:`hqis.dense` operations, and the qubit-by-qubit support walk kept in the
 tests, are the oracles the tests compare with.  ``agent_marginal``, which
-reads the same Bell children and returns a numpy array, lives in
-:mod:`hqis.dense`, and this module serves it from there.
+reads the same Bell children, and the ``TrialResult`` view live in
+:mod:`hqis.dense`, and this module serves them from there.
 """
 
 import bisect
@@ -52,14 +52,14 @@ import functools
 import itertools
 import operator
 from collections import namedtuple
-from collections.abc import Mapping
 from enum import Enum
 
 from . import qstate
 from .channel import _CLASSES, PartySizes, SecretState, _channel_support
 from .qstate import BellOutcome, MeasBasis, ResourceLimitError, _from_dense
 
-__getattr__ = _from_dense(__name__, {"agent_marginal"})
+__getattr__ = _from_dense(__name__, {"agent_marginal", "TrialResult", "_HelperBits",
+                                     "run_recovery", "iter_branches", "enumerate_branches"})
 
 DEFAULT_BRANCH_LIMIT = 2**20
 
@@ -204,53 +204,8 @@ CHARLIE_CORRECTIONS = {
 }
 
 
-class _HelperBits(Mapping):
-    """The helpers' reported bits, Role -> bit, in plan order: a view of one
-    branch's outcomes, a byte per helper, through the plan's runs, which the
-    branches share; a role is found in at most three ranges, and Roles are
-    made only when iterated.  ``values()`` and ``items()`` are tuples."""
-
-    __slots__ = ("_runs", "_bits")
-
-    def __init__(self, runs: tuple, bits: bytes):
-        self._runs = runs
-        self._bits = bits
-
-    def __getitem__(self, role):
-        start = 0
-        for grade, run in self._runs:
-            # Any pair equal to a Role, as a dict keyed by Roles would find it.
-            if isinstance(role, tuple) and len(role) == 2 and role[0] == grade and role[1] in run:
-                return self._bits[start + run.index(role[1])]
-            start += len(run)
-        raise KeyError(role)
-
-    def __iter__(self):
-        return (Role(grade, index) for grade, indices in self._runs for index in indices)
-
-    def __len__(self):
-        return len(self._bits)
-
-    def values(self):
-        return tuple(self._bits)
-
-    def items(self):
-        return tuple(zip(self, self._bits))
-
-    def __repr__(self):
-        return repr(dict(self.items()))
-
-
-class TrialResult(namedtuple("TrialResult", "bell classical_bits v_g1 v_g2_or_charlie_star"
-                             " correction branch_probability fidelity")):
-    """Outcome record of one protocol execution branch: a BellOutcome, the
-    helpers' bits (a Mapping, Role -> bit), two bits, a CorrectionOp, two floats."""
-
-    __slots__ = ()
-
-
 def parity(bits) -> int:
-    """Modulo-2 sum of a bit collection; empty input gives 0."""
+    """XOR of an int collection, the modulo-2 sum of bits; empty gives 0."""
     return functools.reduce(operator.xor, bits, 0)
 
 
@@ -383,10 +338,6 @@ class _LeafTable:
         fidelity, _ = qstate._contract_support(pairs, 1, (g0, -g1) if key & 1 else (g0, g1), 0)
         return bell, v_g1, aux, op, prob, min(fidelity, 1.0)
 
-    def result(self, leaf: tuple, bits: bytes) -> TrialResult:
-        bell, v_g1, aux, op, prob, fidelity = leaf
-        return TrialResult(bell, _HelperBits(self.runs, bits), v_g1, aux, op, prob, fidelity)
-
     def walk(self, width: int):
         """Every branch, outcome 0 first at every step, so in
         ``itertools.product`` order, in blocks ``(leaves, prefix)`` of
@@ -398,13 +349,13 @@ class _LeafTable:
         at, cut = self.contracted, self.helpers - width
         flips = [self.before] * at + [2] + [1] * (self.helpers - 1 - at)
         keys = [
-            functools.reduce(operator.xor, itertools.compress(flips[cut:], bits), 0)
+            parity(itertools.compress(flips[cut:], bits))
             for bits in itertools.product((0, 1), repeat=width)
         ]
         for leaves in self.leaves:
             blocks = [tuple(map(leaves.__getitem__, map(x.__xor__, keys))) for x in range(4)]
             for prefix in itertools.product((0, 1), repeat=cut):
-                key = functools.reduce(operator.xor, itertools.compress(flips, prefix), 0)
+                key = parity(itertools.compress(flips, prefix))
                 yield blocks[key], bytes(prefix)
 
 
@@ -450,19 +401,6 @@ def run_block(table, *columns):
     return _pick(table, *columns)
 
 
-def run_recovery(
-    sizes: PartySizes,
-    designee: Designee,
-    secret: SecretState,
-    rng: "qstate.Stream | numpy.random.Generator",
-) -> TrialResult:
-    """One sampled run: the Bell outcome and each helper's outcome are drawn
-    from ``rng`` with one ``rng.random(1 + helpers)`` call, and the branch
-    ``run_pick`` reads off the run's table is returned as a ``TrialResult``."""
-    table = _leaf_table(sizes, designee, secret)
-    return table.result(*run_pick(table, rng.random(1 + table.helpers)))
-
-
 def _check_branch_limit(sizes: PartySizes, designee: Designee, branch_limit: int) -> None:
     """Raise ValueError unless the designee exists at ``sizes``, and
     BranchLimitError if 4 * 2**helpers branches exceed ``branch_limit``, an
@@ -470,35 +408,3 @@ def _check_branch_limit(sizes: PartySizes, designee: Designee, branch_limit: int
     exponent = 2 + sum(len(indices) for _, indices in _plan(sizes, designee))
     if exponent >= operator.index(branch_limit).bit_length():
         raise BranchLimitError(f"2**{exponent} branches exceed the limit of {branch_limit}")
-
-
-def iter_branches(
-    sizes: PartySizes,
-    designee: Designee,
-    secret: SecretState,
-    branch_limit: int = DEFAULT_BRANCH_LIMIT,
-):
-    """Yield the branches of :func:`enumerate_branches` as the walk reaches them.
-
-    The designee and the branch limit, an int, are checked when the first
-    branch is requested, so a failing enumeration raises before it yields
-    anything.
-    """
-    _check_branch_limit(sizes, designee, branch_limit)
-    table = _leaf_table(sizes, designee, secret)
-    for (leaf,), bits in table.walk(0):
-        yield table.result(leaf, bits)
-
-
-def enumerate_branches(
-    sizes: PartySizes,
-    designee: Designee,
-    secret: SecretState,
-    branch_limit: int = DEFAULT_BRANCH_LIMIT,
-) -> list[TrialResult]:
-    """Walk every (Bell outcome x agent outcomes) branch deterministically.
-
-    Every branch is possible; the branch probabilities of the returned
-    results sum to 1.
-    """
-    return list(iter_branches(sizes, designee, secret, branch_limit))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hqis
-from hqis import adversary, channel, dense, qstate
+from hqis import adversary, channel, dense, protocol, qstate
 
 # The names that moved to hqis.dense, by the module that still serves them.
 MOVED = {
@@ -22,6 +22,8 @@ MOVED = {
     channel: ["_dense", "make_channel", "make_standard_form", "make_fake_channel",
               "compose_with_secret"],
     adversary: ["build_scenario_state"],
+    protocol: ["agent_marginal", "TrialResult", "_HelperBits", "run_recovery", "iter_branches",
+               "enumerate_branches"],
 }
 SERVED = [(module, name) for module, names in MOVED.items() for name in names]
 
@@ -115,7 +117,8 @@ def test_a_moved_name_is_served_not_copied(module, name):
     assert getattr(moved, "__module__", "hqis.dense") == "hqis.dense"
 
 
-@pytest.mark.parametrize("module", [hqis, qstate, channel, adversary], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [hqis, qstate, channel, adversary, protocol],
+                         ids=lambda m: m.__name__)
 def test_an_unknown_name_raises_attribute_error(module):
     with pytest.raises(AttributeError, match=f"module '{module.__name__}' has no attribute"):
         module.no_such_name
@@ -129,3 +132,5 @@ def test_a_hook_serves_only_the_names_that_left_its_module():
         channel.StateVector
     with pytest.raises(AttributeError):
         adversary.tensor
+    with pytest.raises(AttributeError):
+        protocol.StateVector

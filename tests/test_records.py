@@ -270,7 +270,8 @@ def _break_result_at(monkeypatch, name: str, at: int, **fields):
     """Give result number ``at`` of a run with ``fields`` replaced.
 
     For ``run_recovery``, the leaf of call ``at`` of ``protocol.run_pick``,
-    which both ``run_recovery`` and the CLI's sampled runs call per trial.
+    which ``run_recovery`` calls per trial and the CLI per trial drawn alone,
+    as every trial of a run of fewer than ``lanes.MIN_LANES`` trials is.
     For ``iter_branches``, the leaf of branch ``at`` in the blocks of
     ``_LeafTable.walk``, which both ``iter_branches`` and the CLI's
     enumeration read.
@@ -301,6 +302,17 @@ def _break_result_at(monkeypatch, name: str, at: int, **fields):
             yield leaves, prefix
 
     monkeypatch.setattr(protocol._LeafTable, "walk", broken_walk)
+
+
+def test_the_runs_that_patch_run_pick_draw_each_trial_alone():
+    # The CLI calls protocol.run_pick once per trial only below MIN_LANES trials.
+    trials = [int(SAMPLE_ARGV[-1]), int(SAMPLE_ARGV_10[-1]), 7]
+    assert max(trials) < lanes.MIN_LANES, (
+        "_break_result_at, test_a_signal_while_writing_leaves_no_output_file,"
+        " test_signal_handlers_are_set_only_while_records_go_to_a_path and"
+        " tests/test_cli.py::test_a_sampled_run_makes_one_public_protocol_run_call_per_trial"
+        f" patch protocol.run_pick and count on {trials} trials each being drawn alone"
+    )
 
 
 @pytest.mark.parametrize("field", ["fidelity", "branch_probability"])
