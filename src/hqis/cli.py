@@ -7,18 +7,18 @@ produce byte-identical output; every record carries mode, m, n, and seed.
 
 Every line is one JSON object with its keys sorted, compact separators and
 strict JSON: a NaN or an infinity fails the run instead of being written.
-``_dumps`` owns that format and writes every line: a record's once per
+``_dumps`` owns that format and writes every line: a run record's once per
 distinct leaf of the run's table, with slots for the helpers' bits and the
-counter, all that a record fills in (``_record_encoder``), and an attack
-check's match rate once for its m equal copies.  Both modes write
-their records from the table's leaves and bits and build no ``TrialResult``.
+counter (``_LeafLines``), and an attack check's match rate once for its m
+equal copies.  One function, ``_run_records``, writes both modes' records,
+and an enumeration's summary, from the table's leaves and bits.
 A sampled run draws its trials from a seeder built once per run, a block of
 trials at a time (:mod:`hqis.lanes`): a helper's coin as one bit per trial,
 floats only for the Bell and the contracted steps, and the block's trials
-picked column by column (``protocol.run_block``).  It encodes each trial
-alone, in order.  An enumeration joins each record of a walk block, up to 64,
-from texts made before it: the bits of each block suffix once per run, and
-the block prefix's once.  A run that fails after its first record, or that a
+picked column by column (``protocol.run_block``).  Each trial's bits fill a
+template.  An enumeration joins each record of a walk block, up to 64, from
+texts made before it: the bits of each block suffix once per run, and the
+block prefix's once.  A run that fails after its first record, or that a
 SIGTERM or SIGHUP stops, removes its ``--output`` file, if that path names a
 regular file, and empties the regular file a symlinked path reaches.
 
@@ -332,107 +332,40 @@ def _bits_template(labels: tuple[str, ...]) -> str:
     return "{" + _dumps(sorted(labels))[1:-1].replace('","', '":%d,"') + ':%d}'
 
 
-def _record_encoder(constants: dict, counter: str, labels: tuple[str, ...]):
-    """``(encode, encode_walk)``: ``encode(k, leaf, bits)`` is the line of
-    record ``k`` of a run, the ``_dumps`` of its dict plus a newline, and the
-    generator ``encode_walk(table)`` yields an enumeration's lines, a
-    ``table.walk`` block at a time, and returns the number of records, their
-    probability sum, added in record order, and their fidelities.
+class _LeafLines(dict):
+    """A run's record line for each leaf of its table that a record reaches,
+    kept split around the line's two slots, its bits and its counter ("bits"
+    sorts before both counters).
 
-    The dict is ``constants``, ``counter: k``, the fields of ``leaf``, a leaf
-    of the run's table, and ``bits`` mapping the helpers' ``labels`` (plan
-    order) to their bits.  A run has at most 16 leaves, so ``_dumps`` encodes
-    one dict per distinct leaf that a record reaches, with a NUL string in
-    the ``bits`` and counter slots, and the line is kept split around those
-    two slots.  A record then costs its ``bits``, from a %-template
-    (``_bits_template``), its counter and one join.  ``_dumps`` rejects a
-    non-finite float before its leaf is cached.  A probability is never
-    -0.0, the one float that equals another with a different repr.
+    ``record`` is the fields every record of the run shares, the slots among
+    them.  A leaf's line is encoded on its first lookup, so a run has at
+    most 16 encoded; ``_dumps`` rejects a non-finite float before the leaf
+    is kept.  A probability is never -0.0, the one float that equals another
+    with a different repr.
     """
-    # The bits in sort_keys order, so bob:10 comes before bob:2.
-    order = sorted(range(len(labels)), key=labels.__getitem__)
-    template = _bits_template(labels)
-    # One helper makes ``pick`` return a bare int, which % takes as its one value.
-    pick = operator.itemgetter(*order)
-    leaves = {}
 
-    def leaf_parts(leaf) -> list[str]:
-        """A new leaf's line, split around its bits and counter slots
-        ("bits" sorts before both counters)."""
+    __slots__ = ("record",)
+
+    def __init__(self, record: dict):
+        self.record = record
+
+    def __missing__(self, leaf) -> list[str]:
         bell, v_g1, aux, op, p, f = leaf
-        record = constants | {
-            "bits": "\0",
-            counter: "\0",
+        self[leaf] = parts = (_dumps(self.record | {
             "bell": bell.value,
             "v_g1": v_g1,
             "v_g2_or_charlie_star": aux,
             "correction": op.value,
             "branch_probability": p,
             "fidelity": f,
-        }
-        leaves[leaf] = parts = (_dumps(record) + "\n").split(_SLOT)
+        }) + "\n").split(_SLOT)
         return parts
-
-    def encode(k: int, leaf: tuple, bits) -> str:
-        head, middle, tail = leaves.get(leaf) or leaf_parts(leaf)
-        # Joined, not %-formatted: the % writer over-allocates the line and
-        # then shrinks it, which fragments the heap (+0.1 MiB peak RSS over
-        # 4096 records).
-        return "".join((head, template % pick(bits), middle, repr(k), tail))
-
-    def encode_walk(table):
-        # A block's records differ in three places only: in the bits of its
-        # last helpers, at most _BLOCK_WIDTH whose slots sit next to each
-        # other in sort_keys order, a character each (characters at to end of
-        # the bits); in their counter; and in their tail ("bell" and "bits"
-        # sort before "branch", and every other field after it).
-        pieces = template.split("%d")
-        for width in range(min(len(order), _BLOCK_WIDTH), 0, -1):
-            ranks = sorted(map(order.index, range(len(order) - width, len(order))))
-            if ranks[-1] - ranks[0] < width:
-                break
-        at, end = (len("0".join(pieces[: rank + 1])) for rank in (ranks[0], ranks[-1]))
-        zeros, pad = (0,) * (len(order) - width), bytes(width)
-        texts = [
-            (template % pick(zeros + bits))[at : end + 1]
-            for bits in itertools.product((0, 1), repeat=width)
-        ]
-        # A Bell outcome's blocks are at most four tuples, whose tails are
-        # kept, by identity, while the walk is on that outcome: an entry keeps
-        # its block alive, so no other block takes its id.
-        seen, bell, k, probability_sum = {}, None, 0, 0
-        for block, prefix in table.walk(width):
-            if block[0][0] is not bell:
-                bell, seen = block[0][0], {}
-            head, middle, _ = leaves.get(block[0]) or leaf_parts(block[0])
-            entry = seen.get(id(block))
-            # A new block's leaves are encoded as its records reach them: a
-            # leaf that _dumps refuses fails after the records before it.
-            tails = entry[1] if entry else (
-                (leaves.get(leaf) or leaf_parts(leaf))[2] for leaf in block
-            )
-            bits = template % pick(prefix + pad)
-            yield from map("".join, zip(
-                itertools.repeat(head + bits[:at]), texts,
-                itertools.repeat(bits[end + 1 :] + middle), map(repr, itertools.count(k)), tails,
-            ))
-            if entry is None:
-                seen[id(block)] = block, tuple(map(operator.itemgetter(2), map(leaves.get, block)))
-            # Added in record order, with +.
-            probability_sum = functools.reduce(
-                operator.add, map(operator.itemgetter(4), block), probability_sum
-            )
-            k += len(block)
-        # Every leaf encoded is a record's, in the order records first reach
-        # them: min() and max() pick the fidelities they would over records.
-        return k, probability_sum, list(map(operator.itemgetter(5), leaves))
-
-    return encode, encode_walk
 
 
 def _run_records(config: RunConfig):
-    """The lines of a ``run``: one record per trial or branch, and for an
-    enumeration a summary record last."""
+    """The lines of a ``run``: record ``k``, a trial or a branch, is its
+    leaf's line (``_LeafLines``) with the helpers' bits and ``k`` joined in,
+    and an enumeration ends with a summary record."""
     from . import protocol
 
     sizes, designee = config.sizes, config.designee
@@ -447,27 +380,76 @@ def _run_records(config: RunConfig):
         "charlie_star": designee.charlie_star,
         "secret": [secret.alpha.real, secret.alpha.imag, secret.beta.real, secret.beta.imag],
     }
+    leaves = _LeafLines(_base_record(config, counter) | context | {"bits": "\0", counter: "\0"})
     labels = tuple(protocol._label(grade, i) for grade, indices in table.runs for i in indices)
-    encode, encode_walk = _record_encoder(_base_record(config, counter) | context, counter, labels)
+    # The bits in sort_keys order, so bob:10 comes before bob:2.
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    template = _bits_template(labels)
+    # One helper makes ``pick`` return a bare int, which % takes as its one value.
+    pick = operator.itemgetter(*order)
     if config.mode == "sample":
         # Trial k draws as Stream(seed, _STREAM_TRIAL, k).random(1 + helpers),
-        # and a block of trials is drawn and picked a column at a time; each
-        # trial is encoded alone, in order.
+        # and a block of trials is drawn and picked a column at a time.
         from .lanes import trial_picks
 
         picks = trial_picks(table, _seeder(config.seed, _STREAM_TRIAL), 0, config.trials)
         for k, (leaf, bits) in enumerate(picks):
-            yield encode(k, leaf, bits)
+            head, middle, tail = leaves[leaf]
+            # Joined, not %-formatted: the % writer over-allocates the line and
+            # then shrinks it, which fragments the heap (+0.1 MiB peak RSS over
+            # 4096 records).
+            yield "".join((head, template % pick(bits), middle, repr(k), tail))
         return
-    # Records stream a walk block at a time.
-    branches, probability_sum, fidelities = yield from encode_walk(table)
-    summary = _base_record(config, "summary") | context | {
-        "branches": branches,
+    # A walk block's records differ in three places only: in the bits of its
+    # last helpers, at most _BLOCK_WIDTH whose slots sit next to each other in
+    # sort_keys order, a character each; in their counter; and in their tail
+    # ("bell" and "bits" sort before "branch", and every other field after it).
+    pieces = template.split("%d")
+    for width in range(min(len(order), _BLOCK_WIDTH), 0, -1):
+        ranks = sorted(map(order.index, range(len(order) - width, len(order))))
+        if ranks[-1] - ranks[0] < width:
+            break
+    at, end = (len("0".join(pieces[: rank + 1])) for rank in (ranks[0], ranks[-1]))
+    zeros, pad = (0,) * (len(order) - width), bytes(width)
+    texts = [
+        (template % pick(zeros + bits))[at : end + 1]
+        for bits in itertools.product((0, 1), repeat=width)
+    ]
+    # A Bell outcome's blocks are at most four tuples, whose tails are kept,
+    # by identity, while the walk is on that outcome: an entry keeps its
+    # block alive, so no other block takes its id.
+    seen, bell, k, probability_sum = {}, None, 0, 0
+    for block, prefix in table.walk(width):
+        if block[0][0] is not bell:
+            bell, seen = block[0][0], {}
+        head, middle, _ = leaves[block[0]]
+        entry = seen.get(id(block))
+        # A new block's leaves are encoded as its records reach them: a leaf
+        # that _dumps refuses fails after the records before it.
+        tails = entry[1] if entry else map(
+            operator.itemgetter(2), map(leaves.__getitem__, block)
+        )
+        bits = template % pick(prefix + pad)
+        yield from map("".join, zip(
+            itertools.repeat(head + bits[:at]), texts,
+            itertools.repeat(bits[end + 1 :] + middle), map(repr, itertools.count(k)), tails,
+        ))
+        if entry is None:
+            seen[id(block)] = block, tuple(map(operator.itemgetter(2), map(leaves.__getitem__, block)))
+        # Added in record order, with +.
+        probability_sum = functools.reduce(
+            operator.add, map(operator.itemgetter(4), block), probability_sum
+        )
+        k += len(block)
+    # Every leaf encoded is a record's, in the order records first reach
+    # them: min() and max() pick the fidelities they would over records.
+    fidelities = list(map(operator.itemgetter(5), leaves))
+    yield _dumps(_base_record(config, "summary") | context | {
+        "branches": k,
         "probability_sum": probability_sum,
         "min_fidelity": min(fidelities),
         "max_fidelity": max(fidelities),
-    }
-    yield _dumps(summary) + "\n"
+    }) + "\n"
 
 
 def _attack_records(config: RunConfig):

@@ -88,7 +88,7 @@ def test_the_package_serves_its_modules_after_importing_the_cli():
         "import sys\n"
         "import hqis, hqis.cli\n"
         "assert 'hqis.protocol' not in sys.modules, 'importing hqis.cli loaded hqis.protocol'\n"
-        "for name in ('qstate', 'channel', 'protocol', 'adversary', 'cli'):\n"
+        "for name in ('qstate', 'channel', 'protocol', 'adversary', 'dense', 'cli'):\n"
         "    assert getattr(hqis, name) is sys.modules['hqis.' + name], name\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], env=_child_env(), capture_output=True,

@@ -256,6 +256,32 @@ def test_dumps_encodes_each_distinct_leaf_once(monkeypatch, capsys):
         assert all(leaf["bits"] == leaf[counter] == "\0" for leaf in leaf_dicts)
 
 
+@pytest.mark.parametrize("counter, argv", [
+    ("trial", "run --mode sample --m 3 --n 3 --designee charlie:2 --secret random --trials 1000"
+     " --seed 1"),
+    ("branch", "run --mode enumerate --m 5 --n 6 --designee charlie:3 --secret random --seed 1"),
+])
+def test_each_leaf_is_encoded_once_when_its_first_record_is_reached(monkeypatch, counter, argv):
+    # The bench's sample and enumerate argvs, drained a record at a time:
+    # after each record, the leaves encoded are the distinct leaves reached.
+    encoded = []
+
+    def counting_dumps(value):
+        if isinstance(value, dict) and value.get("bits") == "\0":
+            encoded.append(value)
+        return dumps(value)
+
+    dumps = cli._dumps
+    monkeypatch.setattr(cli, "_dumps", counting_dumps)
+    reached = set()
+    for line in _run_records(parse_args(argv.split())):
+        record = json.loads(line)
+        if counter in record:
+            reached.add(tuple(record[field] for field in LEAF_FIELDS))
+        assert len(encoded) == len(reached)
+    assert len(reached) > 1
+
+
 SAMPLE_ARGV = ["run", "--m", "2", "--n", "2", "--designee", "charlie:1", "--trials", "5"]
 SAMPLE_ARGV_10 = SAMPLE_ARGV[:-1] + ["10"]
 ENUMERATE_ARGV = ["run", "--m", "2", "--n", "2", "--designee", "bob:1", "--charlie-star", "2",
