@@ -15,18 +15,19 @@ and an enumeration's summary, from the table's leaves and bits.
 A sampled run draws its trials from a seeder built once per run, a block of
 trials at a time (:mod:`hqis.lanes`): a helper's coin as one bit per trial,
 floats only for the Bell and the contracted steps, and the block's trials
-picked column by column (``protocol.run_block``).  Each trial's bits fill a
-template.  An enumeration joins each record of a walk block, up to 64, from
-texts made before it: the bits of each block suffix once per run, and the
-block prefix's once.  A run that fails after its first record, or that a
+picked column by column (``protocol.run_block``).  A record is its counter
+joined into its row's text, kept up to ``_BLOCK_WIDTH`` helpers (``_Rows``).
+An enumeration joins each record of a walk block, up to 64, from texts made
+before it: the bits of each block suffix once per run, and the block
+prefix's once.  A run that fails after its first record, or that a
 SIGTERM or SIGHUP stops, removes its ``--output`` file, if that path names a
 regular file, and empties the regular file a symlinked path reaches.
 
 A well-formed argv, a subcommand and its own options each with a value, is
 read from the one table of options (``_COMMANDS``) without argparse, which
 is not even loaded.  argparse, built from the same table with the one
-subparser the first argument names, serves only help and usage errors, and
-whatever else a well-formed argv is not.
+subparser the first argument names, in :mod:`hqis.usage`, serves only help
+and usage errors, and whatever else a well-formed argv is not.
 """
 
 import functools
@@ -52,8 +53,8 @@ SECRET_NORM_SLACK = 1e-6
 _STREAM_SECRET = 0
 _STREAM_TRIAL = 1
 _STREAM_ATTACK = 2
-# At most 2**6 records per enumeration block: what a run keeps per block
-# suffix, its bits texts among them, then stays a few KiB.
+# At most 2**6 records per enumeration block, and rows kept only up to 6
+# helpers (``_Rows``): what a run keeps, its bits texts among it, stays small.
 _BLOCK_WIDTH = 6
 
 
@@ -88,19 +89,6 @@ def _four_numbers(text: str) -> list[float] | None:
         return [float(part) for part in parts] if len(parts) == 4 else None
     except ValueError:
         return None
-
-
-def _join_secret(argv: list[str]) -> list[str]:
-    """argv with ``--secret X`` written ``--secret=X`` when X is four numbers,
-    so that argparse does not read a leading minus, as in
-    ``-0.6,0,0,-0.8``, as an option."""
-    joined = []
-    for token in argv:
-        if joined[-1:] == ["--secret"] and _four_numbers(token) is not None:
-            joined[-1] += "=" + token
-        else:
-            joined.append(token)
-    return joined
 
 
 def _parse_secret(text: str) -> SecretState | None:
@@ -139,7 +127,7 @@ def _parse_designee(text: str) -> "Role":
 
 # Each subcommand's help line and options: a flag and the keywords argparse's
 # ``add_argument`` takes for it.  ``_read_argv`` reads a well-formed argv from
-# this table, and ``_build_parser`` builds argparse's parser from it.  No
+# this table, and ``usage.build_parser`` builds argparse's parser from it.  No
 # default is a string with a type, which argparse would convert.
 _COMMANDS = {
     "run": ("execute protocol trials or enumerate branches", {
@@ -212,32 +200,6 @@ def _read_argv(argv: list[str]) -> dict | None:
     return None if missing else args
 
 
-def _build_parser(command: str | None = None):
-    """argparse's parser, with only ``command``'s subparser when it names
-    one, else with all three, so that the help and an invalid choice list
-    each."""
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        """Options spelled in full only, the subcommands' too: an
-        abbreviation such as --secr would escape ``_join_secret``."""
-
-        def __init__(self, **kwargs):
-            super().__init__(allow_abbrev=False, **kwargs)
-
-        def error(self, message):
-            raise UsageError(message)
-
-    parser = Parser(prog="hqis", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, options) in _COMMANDS.items():
-        if command == name or command not in _COMMANDS:
-            subparser = sub.add_parser(name, help=summary)
-            for flag, keywords in options.items():
-                subparser.add_argument(flag, **keywords)
-    return parser
-
-
 def parse_args(argv: list[str]) -> RunConfig:
     """Validate argv into a RunConfig; raises UsageError on any bad input.
 
@@ -249,10 +211,10 @@ def parse_args(argv: list[str]) -> RunConfig:
     """
     args = _read_argv(argv)
     if args is None:
-        argv = _join_secret(argv)
-        # argparse takes a subcommand from the first argument only, and that
-        # subcommand's parser takes every argument after it.
-        args = vars(_build_parser(argv[0] if argv else None).parse_args(argv))
+        from .usage import parse
+
+        # This module as it runs: under python -m, __main__, not hqis.cli.
+        args = parse(sys.modules[__name__], argv)
 
     if args["command"] == "tables":
         return RunConfig(mode="tables", output_path=args["output"])
@@ -362,6 +324,31 @@ class _LeafLines(dict):
         return parts
 
 
+class _Rows(dict):
+    """A sampled run's line for each distinct row that a record reaches, a
+    leaf and its bits, split at the counter and made, its leaf's line with
+    it, on the row's first lookup.  A leaf is set by its Bell outcome and
+    bits, so a run of at most ``_BLOCK_WIDTH`` helpers keeps its rows, at
+    most ``4 << _BLOCK_WIDTH``; a wider run makes each record's row with
+    ``make`` and keeps none."""
+
+    __slots__ = ("leaves", "template", "pick")
+
+    def __init__(self, leaves: _LeafLines, template: str, pick):
+        self.leaves, self.template, self.pick = leaves, template, pick
+
+    def __missing__(self, row) -> tuple[str, str]:
+        self[row] = made = self.make(row)
+        return made
+
+    def make(self, row) -> tuple[str, str]:
+        leaf, bits = row
+        head, middle, tail = self.leaves[leaf]
+        # Joined, not %-formatted: the % writer over-allocates the line, then
+        # shrinks it, which fragments the heap (+0.1 MiB RSS at 4096 records).
+        return "".join((head, self.template % self.pick(bits), middle)), tail
+
+
 def _run_records(config: RunConfig):
     """The lines of a ``run``: record ``k``, a trial or a branch, is its
     leaf's line (``_LeafLines``) with the helpers' bits and ``k`` joined in,
@@ -393,12 +380,10 @@ def _run_records(config: RunConfig):
         from .lanes import trial_picks
 
         picks = trial_picks(table, _seeder(config.seed, _STREAM_TRIAL), 0, config.trials)
-        for k, (leaf, bits) in enumerate(picks):
-            head, middle, tail = leaves[leaf]
-            # Joined, not %-formatted: the % writer over-allocates the line and
-            # then shrinks it, which fragments the heap (+0.1 MiB peak RSS over
-            # 4096 records).
-            yield "".join((head, template % pick(bits), middle, repr(k), tail))
+        rows = _Rows(leaves, template, pick)
+        row = rows.__getitem__ if len(order) <= _BLOCK_WIDTH else rows.make
+        # Record k is "".join((head, repr(k), tail)), that is repr(k).join((head, tail)).
+        yield from map(str.join, map(repr, itertools.count()), map(row, picks))
         return
     # A walk block's records differ in three places only: in the bits of its
     # last helpers, at most _BLOCK_WIDTH whose slots sit next to each other in

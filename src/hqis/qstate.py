@@ -338,13 +338,11 @@ def _uniforms(state: int, inc: int, size: int) -> tuple[list[float], int]:
 
 
 @functools.cache
-def _ziggurat() -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]:
-    """numpy's ziggurat tables for ``standard_normal``, ``ki``, ``wi`` and
-    ``fi``, cached: the package's data file is read once, on the first draw."""
+def _ziggurat() -> list[str]:
+    """numpy's ziggurat tables for ``standard_normal``, a line ``ki wi fi`` a
+    layer, cached: read once, on the first draw, which parses only its lines."""
     with open(os.path.join(os.path.dirname(__file__), "ziggurat.txt")) as handle:
-        rows = [line.split() for line in handle if not line.startswith("#")]
-    ki, wi, fi = zip(*rows)
-    return tuple(map(int, ki)), tuple(map(float, wi)), tuple(map(float, fi))
+        return [line for line in handle if not line.startswith("#")]
 
 
 class Stream:
@@ -384,16 +382,17 @@ class Stream:
 
     def _standard_normal(self) -> float:
         """numpy's ``random_standard_normal``: Marsaglia and Tsang's ziggurat."""
-        ki, wi, fi = _ziggurat()
+        layers = _ziggurat()
         while True:
             r = self._next64()
             idx = r & 0xFF
             r >>= 8
             rabs = (r >> 1) & 0x000FFFFFFFFFFFFF
-            x = rabs * wi[idx]
+            ki, wi, fi = layers[idx].split()
+            x = rabs * float(wi)
             if r & 1:
                 x = -x
-            if rabs < ki[idx]:
+            if rabs < int(ki):
                 return x
             if idx == 0:
                 # The tail beyond r; log1p(-U) is log(1 - U), never log(0).
@@ -402,7 +401,8 @@ class Stream:
                     yy = -math.log1p(-self.random())
                     if yy + yy > xx * xx:
                         return -(_ZIGGURAT_R + xx) if (rabs >> 8) & 1 else _ZIGGURAT_R + xx
-            elif (fi[idx - 1] - fi[idx]) * self.random() + fi[idx] < math.exp(-0.5 * x * x):
+            fi, fi_below = float(fi), float(layers[idx - 1].split()[2])
+            if (fi_below - fi) * self.random() + fi < math.exp(-0.5 * x * x):
                 return x
 
     def multinomial(self, n: int, pvals) -> list[int]:

@@ -19,7 +19,7 @@ from hqis.adversary import (
     missed_detection_probability,
 )
 from hqis.channel import PartySizes
-from hqis import cli
+from hqis import cli, usage
 from hqis.cli import (
     RunConfig,
     UsageError,
@@ -223,8 +223,8 @@ def _parsed(parser, argv: list[str]) -> tuple:
 @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
 def test_the_first_arguments_subparser_parses_as_every_subparser_does(monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
-    one = _parsed(cli._build_parser(argv[0] if argv else None), argv)
-    assert one == _parsed(cli._build_parser(), argv)
+    one = _parsed(usage.build_parser(cli, argv[0] if argv else None), argv)
+    assert one == _parsed(usage.build_parser(cli), argv)
     if argv[:1] in (["--help"], ["-h"]):
         assert "{run,attack,tables}" in one[2]
 
@@ -264,6 +264,18 @@ def test_only_help_and_errors_load_argparse():
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
     assert "argparse" in imported
     assert proc.stdout.startswith("usage: hqis [-h] {run,attack,tables} ...\n")
+
+
+def test_a_refused_argv_under_python_m_ends_in_one_error_line():
+    # Under python -m the CLI runs as __main__, so the parser module must
+    # raise the running module's UsageError, not that of a second hqis.cli.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "COLUMNS": "80"}
+    argv = ["run", "--m", "x", "--n", "1", "--designee", "bob:1"]
+    proc = subprocess.run([sys.executable, "-m", "hqis.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: argument --m: invalid int value: 'x'"]
 
 
 def test_main_reports_usage_errors(capsys):

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from hqis import cli
+from hqis import cli, usage
 from hqis.cli import main
 from test_cli import PARSER_ARGVS
 
@@ -256,7 +256,7 @@ def test_the_argv_reader_agrees_with_argparse(argv):
     values = cli._read_argv(argv)
     event("read" if values is not None else "left to argparse")
     if values is not None:
-        assert values == vars(cli._build_parser(argv[0]).parse_args(argv))
+        assert values == vars(usage.build_parser(cli, argv[0]).parse_args(argv))
     assert _parsed(argv, fast=True) == _parsed(argv, fast=False)
 
 

@@ -282,6 +282,43 @@ def test_each_leaf_is_encoded_once_when_its_first_record_is_reached(monkeypatch,
     assert len(reached) > 1
 
 
+BENCH_SAMPLE_ARGV = ("run --mode sample --m 3 --n 3 --designee charlie:2 --secret random"
+                     " --trials 1000 --seed 1")
+
+
+def _helpers_argv(helpers: int) -> str:
+    """A sampled run of 1000 trials with ``helpers`` helpers."""
+    return f"run --m {helpers} --n 2 --designee bob:1 --charlie-star 2 --trials 1000 --seed 3"
+
+
+@pytest.mark.parametrize("argv", [
+    BENCH_SAMPLE_ARGV, _helpers_argv(cli._BLOCK_WIDTH), _helpers_argv(cli._BLOCK_WIDTH + 1),
+])
+def test_sampled_rows_equal_json_dumps_of_the_record_dicts(argv):
+    # 1000 trials, so that most records reuse a row made for an earlier one,
+    # in runs that keep their rows and in one just too wide to keep them.
+    config = parse_args(argv.split())
+    assert list(_run_records(config)) == _oracle_lines(config)
+
+
+def test_a_sampled_run_makes_each_distinct_row_once_up_to_the_block_width(monkeypatch):
+    made = []
+
+    def counting_make(rows, row):
+        made.append(row)
+        return make(rows, row)
+
+    make = cli._Rows.make
+    monkeypatch.setattr(cli._Rows, "make", counting_make)
+    records = [json.loads(line) for line in _run_records(parse_args(BENCH_SAMPLE_ARGV.split()))]
+    rows = {(tuple(r[field] for field in LEAF_FIELDS), tuple(r["bits"].items())) for r in records}
+    assert len(made) == len(rows) < len(records)
+    # One helper more, and the run keeps no row: it makes one per record.
+    made.clear()
+    records = list(_run_records(parse_args(_helpers_argv(cli._BLOCK_WIDTH + 1).split())))
+    assert len(made) == len(records) == 1000
+
+
 SAMPLE_ARGV = ["run", "--m", "2", "--n", "2", "--designee", "charlie:1", "--trials", "5"]
 SAMPLE_ARGV_10 = SAMPLE_ARGV[:-1] + ["10"]
 ENUMERATE_ARGV = ["run", "--m", "2", "--n", "2", "--designee", "bob:1", "--charlie-star", "2",
@@ -554,6 +591,15 @@ def test_sampled_memory_does_not_grow_with_the_trial_count():
     # for an import or for building its leaf table and seeder.
     small = "run --m 3 --n 3 --designee charlie:2 --trials 1024 --seed 17"
     large = "run --m 3 --n 3 --designee charlie:2 --trials 16384 --seed 17"
+    peaks = [(_drained_peak(argv), _drained_peak(argv))[1] for argv in (small, large)]
+    assert abs(peaks[1] - peaks[0]) <= 2**12, peaks
+
+
+def test_sampled_memory_does_not_grow_with_the_trial_count_when_rows_are_not_kept():
+    # m = n = 12 has 23 helpers, too many to keep its rows: each record
+    # makes its own, and nothing it makes may outlive the record.
+    small = "run --m 12 --n 12 --designee charlie:2 --trials 1024 --seed 17"
+    large = "run --m 12 --n 12 --designee charlie:2 --trials 16384 --seed 17"
     peaks = [(_drained_peak(argv), _drained_peak(argv))[1] for argv in (small, large)]
     assert abs(peaks[1] - peaks[0]) <= 2**12, peaks
 
