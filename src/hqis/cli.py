@@ -13,9 +13,9 @@ counter (``_LeafLines``), and an attack check's match rate once for its m
 equal copies.  One function, ``_run_records``, writes both modes' records,
 and an enumeration's summary, from the table's leaves and bits.
 A sampled run draws its trials from a seeder built once per run, a block of
-trials at a time (:mod:`hqis.lanes`): a helper's coin as one bit per trial,
-floats only for the Bell and the contracted steps, and the block's trials
-picked column by column (``protocol.run_block``).  A record is its counter
+trials at a time (:mod:`hqis.lanes`): every step's outcome read off its
+draws' top bits, no float made, and the block's trials picked column by
+column (``protocol.run_block``).  A record is its counter
 joined into its row's text, kept up to ``_BLOCK_WIDTH`` helpers (``_Rows``).
 An enumeration joins each record of a walk block, up to 64, from texts made
 before it: the bits of each block suffix once per run, and the block

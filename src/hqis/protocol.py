@@ -16,9 +16,9 @@ Both kinds of run read one table of scored leaves, built once per run
 (``_leaf_table``): four leaves per Bell outcome, under one key rule.  Its
 ``walk`` yields every outcome string in ``itertools.product`` order, in blocks
 that share a prefix, and ``run_pick`` the one a trial's draws pick, a draw per
-step, Alice's first; ``run_block`` picks a block of trials a column of draws
-at a time, under the same key rule (``_pick``).  The CLI reads them directly;
-the library's ``iter_branches`` and ``run_recovery`` wrap them in
+step, Alice's first; ``run_block`` picks a block of trials a column of
+outcomes at a time, under the same key rule (``_pick``).  The CLI reads them
+directly; the library's ``iter_branches`` and ``run_recovery`` wrap them in
 ``TrialResult``s, in :mod:`hqis.dense`.
 
 The walk is keyed by class, not by qubit.  After the Bell measurement every
@@ -363,42 +363,42 @@ class _LeafTable:
 _leaf_table = functools.lru_cache(maxsize=64)(_LeafTable)
 
 
-def _pick(table, bell_draws, draws, before, after):
-    """The key rule, for a column of trials: their leaves, lazily, and their
-    contracted outcomes, a byte each.  A trial's Bell step draws from
-    ``bell_draws`` and its contracted step from ``draws``, and each takes the
-    first outcome whose sum passes the draw, else the last.  The parities of
-    the helpers before and after the contracted one are the bytes, a trial a
-    byte, of the ints ``before`` and ``after``.  Each ``float.__le__`` gives
-    a bool for a list's floats and np.float64s alike."""
-    key = before * table.before ^ after
-    bells = bytes(map(functools.partial(bisect.bisect_right, table.bell_sums), bell_draws))
-    labels = map((2).__le__, key.to_bytes(len(draws)))
-    passed = map(operator.getitem, map(table.passed.__getitem__, bells), labels)
-    outcomes = bytes(map(operator.call, passed, draws))
-    slots = (int.from_bytes(outcomes) << 1 ^ key).to_bytes(len(draws))
-    return map(operator.getitem, map(table.leaves.__getitem__, bells), slots), outcomes
+def _pick(table, bells, outcomes, key: int):
+    """The key rule, for a column of trials: their leaves, lazily.  A trial's
+    Bell outcome is its byte of ``bells``, and its leaf's key, label << 1 |
+    sign, is its byte of the int ``key``, ``before * table.before ^ after``
+    from the parities of the helpers before and after the contracted one,
+    with its contracted outcome, a byte of ``outcomes``, XORed into the
+    label."""
+    slots = (int.from_bytes(outcomes) << 1 ^ key).to_bytes(len(outcomes))
+    return map(operator.getitem, map(table.leaves.__getitem__, bells), slots)
 
 
 def run_pick(table: _LeafTable, draws) -> tuple[tuple, bytes]:
     """One sampled trial, ``table.walk``'s twin and the CLI's one call per
     trial drawn alone: the ``(leaf, bits)`` that ``draws``, one per step in
     plan order, pick.  A helper other than the contracted one reads
-    ``draw >= 0.5``; the rest is ``_pick``'s, for a column of one trial."""
+    ``draw >= 0.5``.  The Bell step and the contracted step each take the
+    first outcome whose sum passes the draw, else the last, from the table's
+    ``bell_sums``, and ``passed`` by the label; ``_pick`` reads the leaf."""
     heads = bytes(map((0.5).__le__, draws))
     at = 1 + table.contracted
     before, after = heads.count(1, 1, at) & 1, heads.count(1, at + 1) & 1
-    (leaf,), outcome = _pick(table, draws[:1], draws[at : at + 1], before, after)
+    bell = bisect.bisect_right(table.bell_sums, draws[0])
+    key = before * table.before ^ after
+    outcome = bytes((table.passed[bell][key >> 1](draws[at]),))
+    (leaf,) = _pick(table, (bell,), outcome, key)
     return leaf, heads[1:at] + outcome + heads[at + 1 :]
 
 
-def run_block(table, *columns):
-    """A packed block of sampled trials: ``_pick``'s leaves and contracted
-    outcomes for the columns of ``lanes.lane_draws``, and the CLI's one call
-    per block.  It is public, apart from ``_pick``, so that span tracing sees
-    one ``protocol.run_*`` call per block, and ``run_pick`` one per trial
-    drawn alone."""
-    return _pick(table, *columns)
+def run_block(table, bells, outcomes, before, after):
+    """A packed block of sampled trials: ``_pick``'s leaves for the byte
+    columns of ``lanes.lane_draws``, and the CLI's one call per block.  The
+    outcomes are read off the draws' top bits, so no sum is compared here.
+    It is public, apart from ``_pick``, so that span tracing sees one
+    ``protocol.run_*`` call per block, and ``run_pick`` one per trial drawn
+    alone."""
+    return _pick(table, bells, outcomes, before * table.before ^ after)
 
 
 def _check_branch_limit(sizes: PartySizes, designee: Designee, branch_limit: int) -> None:

@@ -2,7 +2,12 @@
 ziggurat and multinomial give numpy's draws bit for bit, so every seed keeps
 its secret, its trials and its check tallies."""
 
+import bisect
+import copy
+import functools
 import os
+import random
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -108,7 +113,8 @@ LANE_COUNTS = st.one_of(
 @given(
     seed=st.one_of(st.sampled_from([0, 1, 17, 2**32 - 1, 2**32, 2**64 - 1]),
                    st.integers(0, 2**64 - 1)),
-    count=LANE_COUNTS,
+    # seed_block's one-byte lane index takes at most LANES lanes.
+    count=LANE_COUNTS.map(lambda count: min(count, lanes.LANES)),
     size=st.integers(2, 40),
     data=st.data(),
 )
@@ -118,19 +124,35 @@ def test_lane_draws_are_each_trials_stream(seed, count, size, data):
     at = data.draw(st.integers(1, size - 1))
     seed_trial = qstate._seeder(seed, 1)
     state, inc = lanes.seed_block(seed_trial, k0, count)
-    bell_draws, draws, before, after, bits = lanes.lane_draws(state, inc, count, size, at)
+    columns = lanes.lane_draws(state, inc, count, size, at)
+    bells, outcomes, before, after, bits = columns
     rows = [qstate._uniforms(*seed_trial(k), size)[0] for k in range(k0, k0 + count)]
     assert rows[-1] == _numpy_rng(seed, 1, k0 + count - 1).random(size).tolist()
-    # The Bell and contracted steps as the floats, every other as draw >= 0.5,
-    # a trial's bits in its row, the contracted one's left 0, and their parities.
+    # No floats: the Bell step as its draw's top two bits, floor(4 * draw), and
+    # every other step as draw >= 0.5, the contracted one's in outcomes too, a
+    # trial's bits in its row, and the parities before and after the contracted.
+    assert {type(column) for column in columns} == {bytes, int}
     heads = [[int(draw >= 0.5) for draw in row[1:]] for row in rows]
-    for head in heads:
-        head[at - 1] = 0
-    assert bell_draws == [row[0] for row in rows]
-    assert draws == [row[at] for row in rows]
+    assert list(bells) == [int(4 * row[0]) for row in rows]
+    assert list(outcomes) == [head[at - 1] for head in heads]
     assert list(bits) == [head for row in heads for head in row]
     assert list(before.to_bytes(count)) == [parity(head[: at - 1]) for head in heads]
     assert list(after.to_bytes(count)) == [parity(head[at:]) for head in heads]
+
+
+def _lanes_raw(words, rot: int, low_bits: int = 0) -> bytes:
+    """A step's lanes as ``lane_draws`` reads them: each word of ``words``,
+    then hi, whose top 6 bits are the rotation ``rot``, then 16 other bytes."""
+    raw = bytearray(32 * len(words))
+    view = memoryview(raw).cast("Q")
+    view[::4] = memoryview(struct.pack(f"<{len(words)}Q", *words)).cast("Q")
+    view[1::4] = memoryview(struct.pack("<Q", rot << 58 | low_bits) * len(words)).cast("Q")
+    return bytes(raw)
+
+
+def _draw(word: int, rot: int) -> float:
+    """The draw of ``word`` rotated right by ``rot``, as ``_uniforms`` makes it."""
+    return (((word >> rot | word << 64 - rot) & 2**64 - 1) >> 11) * 2**-53
 
 
 def test_a_lanes_head_is_its_draws_top_bit_at_every_rotation():
@@ -150,6 +172,57 @@ def test_a_lanes_head_is_its_draws_top_bit_at_every_rotation():
     # Rotation 0 reads bit 63.
     raw = (2**63).to_bytes(8, "little") + bytes(24) + (2**62).to_bytes(8, "little") + bytes(24)
     assert lanes._heads(raw) == b"\1\0"
+
+
+def test_a_lanes_guard_flags_every_draw_near_a_boundary_at_every_rotation():
+    # The boundaries k * 2**51 of the 53-bit draw that the Bell sums and the
+    # contracted thresholds sit on, and every draw within _BAND of one, its
+    # word's 11 low bits varied.
+    band, bounds = lanes._BAND, (2**51, 2**52, 3 * 2**51)
+    near = [(bound + e) << 11 | e * 0x9E3 & 0x7FF for bound in bounds for e in range(-band, band)]
+    # Outside it: random words, and draws just past the band's edges and
+    # 2**13 to 2**50 from a boundary, give or take a little.
+    rng = random.Random(5)
+    far = [rng.getrandbits(64) for _ in range(2000)] + [
+        (bound + sign * ((1 << j) + rng.getrandbits(j - 3))) << 11 | rng.getrandbits(11)
+        for bound in bounds
+        for sign in (-1, 1)
+        for j in [12] * 16 + list(range(13, 51))
+    ]
+    # Thresholds at both ends of the band and on the boundary.
+    sums = [[(bound + shift) * 2**-53 for bound in bounds] for shift in (-band, 0, band)]
+    flags = lanes._ones(len(near), 64) * (0x0C << 56)
+    for rot in range(64):
+        words = [(r << rot | r >> 64 - rot) & 2**64 - 1 for r in near]
+        flagged = lanes._guarded(_lanes_raw(words, rot), flags)
+        assert all(flagged.to_bytes(8 * len(words), "little")[7::8]), rot
+        words = [(r << rot | r >> 64 - rot) & 2**64 - 1 for r in far]
+        raw = _lanes_raw(words, rot)
+        flagged = lanes._guarded(raw, lanes._ones(len(words), 64) * (0x0C << 56))
+        bells = zip(lanes._heads(raw), lanes._heads(raw, lanes._SECOND_MASKS))
+        for word, (top, second), flag in zip(
+            words, bells, flagged.to_bytes(8 * len(words), "little")[7::8]
+        ):
+            if flag:
+                continue
+            draw = _draw(word, rot)
+            for bell_sums in sums:
+                assert top << 1 | second == bisect.bisect_right(bell_sums, draw), (rot, word)
+                assert top == (bell_sums[1] <= draw), (rot, word)
+        # No random word has 4 of its 8 bytes 0x00 or 0xFF here.
+        assert not any(flagged.to_bytes(8 * len(words), "little")[7 : 8 * 2000 : 8]), rot
+
+
+def test_a_lanes_second_bit_is_its_draws_next_bit_at_every_rotation():
+    # The Bell step's outcome is floor(4 * draw): the top bit, then this one.
+    words = [1 << bit for bit in range(64)] + [0, 2**64 - 1, 0x0123456789ABCDEF, 2**63 - 1]
+    for rot in range(64):
+        for low_bits in (0, 2**58 - 1):
+            raw = _lanes_raw(words, rot, low_bits)
+            draws = [_draw(word, rot) for word in words]
+            assert list(lanes._heads(raw, lanes._SECOND_MASKS)) == [
+                int(4 * draw) & 1 for draw in draws
+            ], rot
 
 
 def _table(grade: str, helpers: int, m: int):
@@ -189,10 +262,68 @@ def test_trial_picks_are_each_trials_run_pick_in_order(seed, start, count, grade
     assert list(picks) == expected
 
 
+def _counted_picks(monkeypatch, table, seed_trial, start, stop):
+    """``trial_picks``' list, the number of ``run_block`` calls and that of
+    ``run_pick`` calls it makes, and each trial's ``run_pick`` alone."""
+    calls = {"run_block": 0, "run_pick": 0}
+
+    def counted(*args, name, fn):
+        calls[name] += 1
+        return fn(*args)
+
+    for name in calls:
+        fn = getattr(protocol, name)
+        monkeypatch.setattr(protocol, name, functools.partial(counted, name=name, fn=fn))
+    picks = list(lanes.trial_picks(table, seed_trial, start, stop))
+    monkeypatch.undo()
+    size = 1 + table.helpers
+    expected = [protocol.run_pick(table, qstate._uniforms(*seed_trial(k), size)[0])
+                for k in range(start, stop)]
+    return picks, calls, expected
+
+
+@pytest.mark.parametrize("moved", ["bell_sums", "passed"])
+def test_a_table_outside_the_band_draws_each_trial_alone(monkeypatch, moved):
+    # A table whose Bell sum or contracted thresholds a block cannot read off
+    # its draws' top bits: every trial is drawn alone by run_pick.
+    table = copy.copy(_table("charlie", 3, 2))
+    assert lanes._banded(table)
+    if moved == "bell_sums":
+        table.bell_sums = (0.25, 0.55, 0.75)
+    else:
+        table.passed = tuple(
+            tuple((q.__self__ - 0.05).__le__ for q in pair) for pair in table.passed
+        )
+    assert not lanes._banded(table)
+    seed_trial = qstate._seeder(17, 1)
+    picks, calls, expected = _counted_picks(monkeypatch, table, seed_trial, 0, 600)
+    assert picks == expected
+    assert calls == {"run_block": 0, "run_pick": 600}
+    # The move changes some trial's Bell or contracted outcome from its top bits'.
+    draws = [qstate._uniforms(*seed_trial(k), 4)[0] for k in range(600)]
+    if moved == "bell_sums":
+        assert any(bisect.bisect_right(table.bell_sums, row[0]) != int(4 * row[0]) for row in draws)
+    else:
+        assert any(0.45 <= row[2] < 0.5 for row in draws)
+
+
+def test_a_block_with_a_draw_in_the_guard_band_draws_each_trial_alone(monkeypatch):
+    # At seed 17 the guard flags trial 2607102's step 1 draw, the contracted
+    # one when m = 1, and trial 2611454's Bell draw: their blocks, the first
+    # and the last of these 18, each trial of which is drawn alone.
+    table = _table("charlie", 2, 1)
+    assert table.contracted == 0
+    start, stop = 2607000, 2611500
+    picks, calls, expected = _counted_picks(monkeypatch, table, qstate._seeder(17, 1), start, stop)
+    assert picks == expected
+    assert calls == {"run_block": 16, "run_pick": lanes.LANES + (stop - start) % lanes.LANES}
+
+
 @pytest.mark.parametrize("helpers", [255, 999])
 def test_a_block_of_trials_holds_at_most_its_cells_of_draws(helpers):
-    # A block of LANES trials of 1000 draws would hold 4 MiB of floats; one
-    # of 16 trials of 256 draws is packed.
+    # A block of LANES trials of 1000 draws would hold a quarter MiB of bits,
+    # a byte a draw; one of 16 trials of 256 draws is packed, and a trial of
+    # 1000 draws is drawn alone.
     table = _table("charlie", helpers, 3)
     seed_trial = qstate._seeder(17, 1)
     tracemalloc.start()
